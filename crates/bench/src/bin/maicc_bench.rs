@@ -27,13 +27,17 @@
 //! * `table6_heuristic_mapping` — ResNet-18 heuristic layer mapping;
 //! * `resnet18_segment` — the full-system streaming simulation (bit-level
 //!   CMems + flit-level mesh) on the default fault-campaign workload,
-//!   event-driven engine, sequential;
-//! * `resnet18_segment_parallel` — same, with `set_parallelism` at
-//!   `--threads`;
+//!   event-driven engine, on the sequential reference loop
+//!   (`StreamSim::run_reference`);
+//! * `resnet18_segment_parallel` — same, through `StreamSim::run` with
+//!   `set_parallelism` at `--threads`;
 //! * `resnet18_segment_cycle_accurate` — same workload on the per-cycle
-//!   oracle engine (the skip-ahead engine's speedup baseline);
-//! * `resnet18_segment_slowpath` — same, with a quiet `FaultPlan`
-//!   attached so every MAC takes the bit-serial slow path;
+//!   oracle engine and the reference loop (the skip-ahead engine's
+//!   speedup baseline);
+//! * `resnet18_segment_slowpath` — `StreamSim::run` at one thread with a
+//!   quiet `FaultPlan` attached: the path every run under a CMem fault
+//!   plan takes, the partitioned loop stepped inline with every MAC on
+//!   the bit-plane arrays (no byte-shadow shortcut, no worker pool);
 //! * `serve_mix_fcfs` / `serve_mix_sjf` — the online serving layer on a
 //!   bursty three-model trace over a contended 8-tile pool; the check
 //!   value is the fleet p99 latency in fabric cycles, so the two rows
@@ -214,24 +218,39 @@ fn table5_scheduled_replay(kernel: &CmemConvKernel, ifmap: &[i8], weights: &[i8]
     t.finish().total_cycles
 }
 
-/// Runs the streaming segment; `threads > 1` enables sharded stepping,
-/// `slow_path` pins the bit-serial MAC path via a quiet fault plan.
+/// Which loop a streaming-segment row steps.
+#[derive(Clone, Copy)]
+enum Stepping {
+    /// `StreamSim::run_reference`, the sequential loop: the baseline the
+    /// speedup ratios divide by.
+    Reference,
+    /// `StreamSim::run` at this many node-stepping threads.
+    Partitioned(usize),
+}
+
+/// Runs the streaming segment on the chosen loop; `slow_path` attaches a
+/// quiet fault plan, which keeps every MAC on the bit-plane arrays and
+/// the shards off the worker pool.
 fn stream_segment(
     cfg: &StreamConfig,
     golden: &[i8],
     engine: Engine,
-    threads: usize,
+    stepping: Stepping,
     slow_path: bool,
 ) -> u64 {
     let mut sim = StreamSim::new(cfg).expect("segment fits");
     sim.set_engine(engine);
-    if threads > 1 {
-        sim.set_parallelism(threads);
-    }
     if slow_path {
         sim.attach_cmem_fault_plan(&FaultPlan::none());
     }
-    let r = sim.run(STREAM_BUDGET).expect("drains");
+    let r = match stepping {
+        Stepping::Reference => sim.run_reference(STREAM_BUDGET),
+        Stepping::Partitioned(threads) => {
+            sim.set_parallelism(threads);
+            sim.run(STREAM_BUDGET)
+        }
+    }
+    .expect("drains");
     assert_eq!(r.ofmap, golden, "streaming ofmap mismatch");
     r.cycles
 }
@@ -568,6 +587,9 @@ fn main() {
                 .total_cycles as u64
         }));
     }
+    // the sequential rows time the reference loop, so the speedup ratios
+    // keep dividing by the same baseline whatever `run` steps
+    let (reference, partitioned) = (Stepping::Reference, Stepping::Partitioned(threads));
     match (want("resnet18_segment"), want("resnet18_segment_parallel")) {
         (true, true) => {
             // interleaved so speedup_vs_sequential is drift-free
@@ -576,32 +598,49 @@ fn main() {
                 "resnet18_segment_parallel",
                 warmup,
                 iters,
-                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, false),
-                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), threads, false),
+                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), reference, false),
+                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), partitioned, false),
             );
             results.push(seq);
             results.push(par);
         }
         (true, false) => {
             results.push(measure("resnet18_segment", warmup, iters, || {
-                stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, false)
+                stream_segment(&seg_cfg, &seg_golden, Engine::default(), reference, false)
             }));
         }
         (false, true) => {
             results.push(measure("resnet18_segment_parallel", warmup, iters, || {
-                stream_segment(&seg_cfg, &seg_golden, Engine::default(), threads, false)
+                stream_segment(&seg_cfg, &seg_golden, Engine::default(), partitioned, false)
             }));
         }
         (false, false) => {}
     }
     if want("resnet18_segment_cycle_accurate") {
-        results.push(measure("resnet18_segment_cycle_accurate", warmup, iters, || {
-            stream_segment(&seg_cfg, &seg_golden, Engine::CycleAccurate, 1, false)
-        }));
+        results.push(measure(
+            "resnet18_segment_cycle_accurate",
+            warmup,
+            iters,
+            || {
+                stream_segment(
+                    &seg_cfg,
+                    &seg_golden,
+                    Engine::CycleAccurate,
+                    reference,
+                    false,
+                )
+            },
+        ));
     }
     if want("resnet18_segment_slowpath") {
         results.push(measure("resnet18_segment_slowpath", warmup, iters, || {
-            stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, true)
+            stream_segment(
+                &seg_cfg,
+                &seg_golden,
+                Engine::default(),
+                Stepping::Partitioned(1),
+                true,
+            )
         }));
     }
     if want("serve_mix_fcfs") || want("serve_mix_sjf") {
@@ -892,7 +931,10 @@ fn main() {
             pre_pr::RESNET18_SEGMENT_NS as f64 / seg,
         );
         if let Some(slow) = median("resnet18_segment_slowpath") {
-            println!("slow path: {:.1}x of fast", slow / seg);
+            println!(
+                "slow path (array MACs, inline partitioned loop): {:.2}x of sequential",
+                slow / seg
+            );
         }
         if let Some(oracle) = median("resnet18_segment_cycle_accurate") {
             println!("event-driven engine: {:.1}x over cycle-accurate oracle", oracle / seg);

@@ -205,13 +205,15 @@ pub struct Mesh<T> {
     occ: Vec<usize>,
     /// Reusable per-tick buffers.
     scratch: TickScratch,
-    /// Ownership-partitioned stepping support: when `Some`, the routers
-    /// that can possibly act next tick are tracked incrementally (a
-    /// superset of those with buffered flits or pending injections), so
-    /// [`Mesh::tick_partitioned`] arbitrates in time proportional to the
-    /// *live* traffic instead of scanning the whole port table. `None`
-    /// (the default, and what the sequential oracle uses) keeps the
-    /// full-scan [`Mesh::tick`] as the reference behaviour.
+    /// Candidate routers for [`Mesh::tick_partitioned`]: when `Some`, a
+    /// superset of the routers with buffered flits or pending injections,
+    /// maintained incrementally — with or without a fault plan attached —
+    /// so the tick arbitrates in time proportional to the *live* traffic
+    /// instead of scanning the whole port table. Every path that can fill
+    /// an injection queue or an input port (send, move, retransmission
+    /// release, no-policy recall) pushes its router; purges only remove
+    /// flits, so the superset holds. `None` (the default, and what the
+    /// sequential reference loop uses) keeps the full-scan [`Mesh::tick`].
     tracked: Option<Vec<usize>>,
 }
 
@@ -549,10 +551,11 @@ impl<T> Mesh<T> {
     /// (capacity reused across calls). Byte-identical to [`Mesh::tick`]:
     /// the candidate set is a superset of the true active set, and every
     /// per-router phase is predicate-guarded, so extra (idle) candidates
-    /// arbitrate nothing, move nothing, and age no stall slot. With a
-    /// fault plan attached, recalls and purges can touch arbitrary
-    /// routers, so this degrades to the full scan — still correct, just
-    /// without the sparse-stepping win.
+    /// arbitrate nothing, move nothing, and age no stall slot. This holds
+    /// under a fault plan too: a retransmission release or a no-policy
+    /// recall pushes its source router into the set, and a purge only
+    /// removes flits (zeroing the stall slots of the queues it empties,
+    /// as the full scan would).
     ///
     /// # Panics
     ///
@@ -613,6 +616,9 @@ impl<T> Mesh<T> {
                         yx,
                     });
                 }
+                if let Some(cand) = self.tracked.as_mut() {
+                    cand.push(src_i);
+                }
             }
         }
 
@@ -622,11 +628,7 @@ impl<T> Mesh<T> {
         // flits or pending injections. Ascending index order matters —
         // phase-2 credit competition resolves in favour of lower indices,
         // so the active set must preserve it.
-        //
-        // Fault mode always takes the full scan: the retransmission
-        // release above can re-fill any source's injection queue, which
-        // the tracker does not observe.
-        if sparse && self.fault.is_none() {
+        if sparse {
             let mut cand = self.tracked.take().expect("sparse tick is armed");
             cand.sort_unstable();
             cand.dedup();
@@ -913,8 +915,9 @@ impl<T> Mesh<T> {
         }
         // refresh the candidate set for the next tick: routers still
         // holding work, plus routers a move just occupied. `s.active` was
-        // the complete active set this tick (full scan) or a superset of
-        // it (tracked), so this stays a superset invariantly.
+        // the complete active set this tick, so this stays a superset
+        // invariantly; the retry maintenance below only adds the sources
+        // it re-injects at (its purges only remove flits).
         if let Some(cand) = self.tracked.as_mut() {
             cand.clear();
             for &i in &s.active {
@@ -928,11 +931,6 @@ impl<T> Mesh<T> {
         self.scratch = s;
         if self.fault.is_some() {
             self.retry_maintenance();
-            // recalls re-inject at arbitrary sources and purges rewrite
-            // occupancy wholesale — rebuild the tracker from scratch
-            if self.tracked.is_some() {
-                self.enable_partitioned_stepping();
-            }
         }
     }
 
@@ -994,6 +992,9 @@ impl<T> Mesh<T> {
                             is_tail: k + 1 == flits,
                             yx,
                         });
+                    }
+                    if let Some(cand) = self.tracked.as_mut() {
+                        cand.push(src_i);
                     }
                 }
                 if let Some(fs) = self.fault.as_mut() {
@@ -1381,6 +1382,37 @@ mod tests {
         assert_eq!(mesh.max_link_load(), 7);
     }
 
+    /// No plan, or a drop/corrupt plan with a short recall horizon.
+    fn drop_corrupt_plans() -> impl Strategy<Value = Option<NocFaultPlan>> {
+        prop_oneof![
+            Just(None),
+            (any::<u64>(), 0.0f64..0.05, 0.0f64..0.05, 8u64..64, 0u32..3).prop_map(
+                |(seed, drop, corrupt, after, retries)| {
+                    Some(
+                        NocFaultPlan::with_seed(seed)
+                            .drop_rate(drop)
+                            .corrupt_rate(corrupt)
+                            .retry_after(after)
+                            .max_retries(retries),
+                    )
+                }
+            ),
+        ]
+    }
+
+    /// No retransmission policy, or one with a random budget and backoff.
+    fn retry_policies() -> impl Strategy<Value = Option<RetryPolicy>> {
+        prop_oneof![
+            Just(None),
+            (0u32..4, 1u64..16).prop_map(|(max_retries, base_delay)| {
+                Some(RetryPolicy {
+                    max_retries,
+                    base_delay,
+                })
+            }),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1416,14 +1448,24 @@ mod tests {
         /// The candidate-tracked partitioned tick must be byte-identical
         /// to the full-scan oracle tick, cycle by cycle, under randomized
         /// staggered traffic (including same-destination contention and
-        /// multi-flit wormholes).
+        /// multi-flit wormholes) — with and without a drop/corrupt fault
+        /// plan and a retransmission policy, attached to both meshes
+        /// alike, so recalls, releases and purges run under tracking.
         #[test]
         fn prop_partitioned_tick_matches_full_scan(
             seeds in proptest::collection::vec(
-                (0u8..6, 0u8..6, 0u8..6, 0u8..6, 1usize..10, 0u64..40), 1..30)
+                (0u8..6, 0u8..6, 0u8..6, 0u8..6, 1usize..10, 0u64..40), 1..30),
+            plan in drop_corrupt_plans(),
+            retry in retry_policies(),
         ) {
             let mut full: Mesh<usize> = Mesh::new(6, 6);
             let mut part: Mesh<usize> = Mesh::new(6, 6);
+            for mesh in [&mut full, &mut part] {
+                if let Some(plan) = &plan {
+                    mesh.attach_fault_plan(plan.clone());
+                }
+                mesh.set_retry_policy(retry);
+            }
             part.enable_partitioned_stepping();
             let mut queue: Vec<_> = seeds.iter().enumerate().map(|(i, &(sx, sy, dx, dy, flits, at))| {
                 (at, Packet::new(Coord::new(sx, sy), Coord::new(dx, dy), flits, i))
@@ -1441,13 +1483,21 @@ mod tests {
                 part.tick_partitioned(&mut out);
                 prop_assert_eq!(&df, &out, "delivery divergence at cycle {}", cycle);
                 prop_assert_eq!(full.stats(), part.stats());
+                prop_assert_eq!(full.fault_stats(), part.fault_stats());
                 prop_assert_eq!(full.is_idle(), part.is_idle());
                 if queue.is_empty() && full.is_idle() {
                     break;
                 }
             }
             prop_assert!(full.is_idle() && queue.is_empty(), "traffic must drain");
-            prop_assert_eq!(full.stats().packets_delivered, seeds.len() as u64);
+            let delivered = full.stats().packets_delivered;
+            if plan.is_none() {
+                prop_assert_eq!(delivered, seeds.len() as u64);
+            } else {
+                // every packet ends delivered (possibly flagged corrupt)
+                // or abandoned as lost once its retries run out
+                prop_assert_eq!(delivered + full.fault_stats().packets_lost, seeds.len() as u64);
+            }
         }
     }
 

@@ -487,7 +487,7 @@ pub struct StreamSim {
     /// Fault injection: flip one bit of (layer, pixel)'s first row in
     /// flight.
     fault: Option<(usize, usize)>,
-    /// Worker threads for the per-cycle node step (1 = sequential).
+    /// Node-step shards (1 = one shard, stepped inline).
     parallelism: usize,
     /// Which simulation core drives `run`.
     engine: Engine,
@@ -826,23 +826,24 @@ impl StreamSim {
         Self::new_avoiding(cfg, failed)
     }
 
-    /// Sets the number of node-step shards (clamped to at least 1; 1
-    /// means the fully sequential reference loop).
+    /// Sets the number of node-step shards (clamped to at least 1).
     ///
-    /// Any value above 1 selects the **ownership-partitioned engine**
-    /// (see `run_loop_partitioned`): nodes are split into contiguous
-    /// index-range shards whose CMem/inbox state is owned outright by one
-    /// [`StepPool`] worker each, stepped lock-free within a cycle
-    /// (compute phase), with outgoing packets buffered into per-shard
-    /// queues that a deterministic merge drains in shard order — equal to
-    /// node-index order, i.e. exactly the sequential injection schedule —
-    /// between cycles (exchange phase). Results are therefore bit-exact
-    /// against the sequential loop by construction (regression- and
-    /// proptest-enforced by `parallel_matches_sequential_matrix` and
-    /// `prop_parallel_matches_sequential`). On a host without spare
-    /// cores, or when a CMem fault plan makes mid-phase errors possible,
-    /// the coordinator steps the shards itself in the same order — the
-    /// merge schedule, and so the result, is identical either way.
+    /// [`StreamSim::run`] always steps the **ownership-partitioned
+    /// engine** (see `run_loop_partitioned`): nodes are split into
+    /// contiguous index-range shards whose CMem/inbox state is owned
+    /// outright by one [`StepPool`] worker each, stepped lock-free within
+    /// a cycle (compute phase), with outgoing packets buffered into
+    /// per-shard queues that a deterministic merge drains in shard order —
+    /// equal to node-index order, i.e. exactly the sequential injection
+    /// schedule — between cycles (exchange phase). Results are therefore
+    /// bit-exact against [`StreamSim::run_reference`] by construction
+    /// (regression- and proptest-enforced by
+    /// `parallel_matches_sequential_matrix` and
+    /// `prop_parallel_matches_sequential`). At 1 shard, on a host without
+    /// spare cores, or when a CMem fault plan makes mid-phase errors
+    /// possible, the coordinator steps the shards itself in the same
+    /// order — the merge schedule, and so the result, is identical either
+    /// way.
     pub fn set_parallelism(&mut self, threads: usize) {
         self.parallelism = threads.max(1);
     }
@@ -1019,6 +1020,25 @@ impl StreamSim {
     /// [`StreamResult::cycles`] and [`StreamResult::cmem_pj`] include the
     /// re-executed work.
     pub fn run(&mut self, budget: u64) -> Result<StreamResult, SimError> {
+        self.run_with(budget, false)
+    }
+
+    /// Runs to completion on the sequential reference loop: the full-scan
+    /// mesh tick, every free node stepped every cycle, every MAC executed
+    /// on the bit-plane arrays, and no worker pool whatever
+    /// [`StreamSim::set_parallelism`] says. Same result, statistics and
+    /// errors as [`StreamSim::run`]; it has no production caller and is
+    /// kept as the oracle the partitioned engine is tested against and as
+    /// the sequential baseline of the wall-clock harness.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StreamSim::run`].
+    pub fn run_reference(&mut self, budget: u64) -> Result<StreamResult, SimError> {
+        self.run_with(budget, true)
+    }
+
+    fn run_with(&mut self, budget: u64, reference: bool) -> Result<StreamResult, SimError> {
         let dims = self.layer_dims();
         self.ckpt_log.clear();
         // the pool workers borrow the config for the whole run, so hand
@@ -1039,31 +1059,23 @@ impl StreamSim {
         // reproduced exactly — both cases fall back to the coordinator
         // stepping the shards inline in shard order, which is the same
         // merge schedule.
-        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let use_pool = shards > 1
-            && host > 1
+        let use_pool = !reference
+            && shards > 1
             && self.cmem_plan.is_none()
-            && self.targeted_plans.is_empty();
+            && self.targeted_plans.is_empty()
+            && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
         loop {
-            let res = if self.parallelism > 1 {
-                if use_pool {
-                    let dims_ref: &[LayerDims] = &dims;
-                    let cfg_ref: &StreamConfig = &cfg;
-                    std::thread::scope(|scope| {
-                        let mut pool = StepPool::start(scope, shards, dims_ref, cfg_ref);
-                        self.run_loop_partitioned(
-                            budget,
-                            dims_ref,
-                            cfg_ref,
-                            chunk,
-                            Some(&mut pool),
-                        )
-                    })
-                } else {
-                    self.run_loop_partitioned(budget, &dims, &cfg, chunk, None)
-                }
-            } else {
+            let res = if reference {
                 self.run_loop(budget, &dims, &cfg)
+            } else if use_pool {
+                let dims_ref: &[LayerDims] = &dims;
+                let cfg_ref: &StreamConfig = &cfg;
+                std::thread::scope(|scope| {
+                    let mut pool = StepPool::start(scope, shards, dims_ref, cfg_ref);
+                    self.run_loop_partitioned(budget, dims_ref, cfg_ref, chunk, Some(&mut pool))
+                })
+            } else {
+                self.run_loop_partitioned(budget, &dims, &cfg, chunk, None)
             };
             match res {
                 Ok(()) => break,
@@ -1303,11 +1315,11 @@ impl StreamSim {
         Ok(())
     }
 
-    /// The sequential simulation loop (`parallelism == 1`), kept as the
-    /// naive reference the partitioned engine is verified against: full
-    /// active-set mesh scans, every free node stepped every cycle, every
-    /// MAC executed on the bit-plane arrays. Returns when the workload
-    /// has drained (`Ok`) or with the same typed errors as
+    /// The sequential simulation loop behind [`StreamSim::run_reference`],
+    /// kept as the naive reference the partitioned engine is verified
+    /// against: full active-set mesh scans, every free node stepped every
+    /// cycle, every MAC executed on the bit-plane arrays. Returns when the
+    /// workload has drained (`Ok`) or with the same typed errors as
     /// [`StreamSim::run`].
     fn run_loop(
         &mut self,
@@ -1411,22 +1423,24 @@ impl StreamSim {
         }
     }
 
-    /// The ownership-partitioned simulation loop (`parallelism > 1`):
-    /// the two-phase (compute / exchange) schedule over shard-owned node
-    /// state, bit-identical to [`StreamSim::run_loop`] by construction.
+    /// The ownership-partitioned simulation loop behind every
+    /// [`StreamSim::run`]: the two-phase (compute / exchange) schedule
+    /// over shard-owned node state, bit-identical to
+    /// [`StreamSim::run_loop`] by construction.
     ///
     /// Per cycle: the mesh ticks over its tracked active-router set (a
-    /// maintained superset of routers with queued work — every phase of
-    /// the full-scan tick is predicate-guarded, so a superset scan is
-    /// byte-identical, proptest-enforced in `maicc-noc`); the node phase
-    /// runs only when a delivery landed or the precomputed wake cycle
-    /// arrived (`next_node_event` certifies every skipped step a no-op);
-    /// shards step lock-free against state they own, buffering packets
-    /// per shard; and the exchange merges the shard queues in shard
-    /// order — equal to node-index order, the sequential injection
-    /// schedule. With `pool` absent (single-core host, or a CMem fault
-    /// plan whose mid-phase abort point must match the sequential loop)
-    /// the coordinator steps the shards itself in the same order.
+    /// maintained superset of routers with queued work, fault plans
+    /// included — every phase of the full-scan tick is predicate-guarded,
+    /// so a superset scan is byte-identical, proptest-enforced in
+    /// `maicc-noc`); the node phase runs only when a delivery landed or
+    /// the precomputed wake cycle arrived (`next_node_event` certifies
+    /// every skipped step a no-op); shards step lock-free against state
+    /// they own, buffering packets per shard; and the exchange merges the
+    /// shard queues in shard order — equal to node-index order, the
+    /// sequential injection schedule. With `pool` absent (one shard, a
+    /// single-core host, or a CMem fault plan whose mid-phase abort point
+    /// must match the sequential loop) the coordinator steps the shards
+    /// itself in the same order.
     ///
     /// Completion, quiescence, checkpoint, and budget checks reuse values
     /// cached at the last node phase: nodes only change state in a phase
@@ -2041,12 +2055,14 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_matrix() {
-        // the PR-2 regression grown into the partitioned-engine matrix:
-        // threads {1, 2, 4, 8} × both engines × {clean, CMem transient
-        // plan + replay, NoC drop plan + replay, dead tile + remap}.
-        // Ownership-partitioned stepping must reproduce the sequential
-        // run byte-for-byte: StreamResult, recovery stats, fault and ECC
-        // observations, and the retired-tile set.
+        // the partitioned-engine matrix: `run()` at threads {1, 2, 4, 8}
+        // × both engines × {clean, CMem transient plan + replay, NoC drop
+        // plan + replay, dead tile + remap} against `run_reference`, the
+        // sequential loop. One thread is a production configuration (the
+        // partitioned loop stepped inline), so it is compared too. The
+        // partitioned engine must reproduce the reference byte-for-byte:
+        // StreamResult, recovery stats, fault and ECC observations, and
+        // the retired-tile set.
         #[derive(Clone, Copy, Debug)]
         enum Scenario {
             Clean,
@@ -2101,9 +2117,9 @@ mod tests {
         ] {
             for engine in [Engine::EventDriven, Engine::CycleAccurate] {
                 let (cfg, mut base) = build(sc, engine, 1);
-                let seq = base.run(20_000_000).unwrap();
+                let seq = base.run_reference(20_000_000).unwrap();
                 assert_eq!(seq.ofmap, cfg.golden(), "{sc:?} baseline converges");
-                for threads in [2, 4, 8] {
+                for threads in [1, 2, 4, 8] {
                     let (_, mut sim) = build(sc, engine, threads);
                     let par = sim.run(20_000_000).unwrap();
                     let tag = format!("{sc:?}/{engine:?}/{threads} threads");
@@ -2528,20 +2544,26 @@ mod tests {
             prop_assert_eq!(fecc, oecc, "ECC stats diverged");
         }
 
-        /// Thread-count equivalence on random workloads: every
-        /// parallelism level reproduces the sequential `StreamResult`
-        /// bit-for-bit, on both engines — the partitioned engine's merge
-        /// order makes this hold by construction, and this proptest keeps
-        /// it honest.
+        /// Thread-count equivalence on random workloads: `run()` at
+        /// threads {1, 2, 4, 8} reproduces the sequential reference loop
+        /// (`run_reference`) bit-for-bit, on both engines, clean or under
+        /// the fault shape of a fault-injected serving run — a CMem
+        /// transient plan, NoC corruption with CRC retransmission, ECC
+        /// correction, remap recovery and, optionally, a dead slice on the
+        /// first computing core. The partitioned engine's merge order
+        /// makes this hold by construction, and this proptest keeps it
+        /// honest: results or typed errors, and every fault, ECC and
+        /// recovery statistic, must match.
         #[test]
         fn prop_parallel_matches_sequential(
             in_c in 4usize..12,
             out_c in 1usize..4,
             hw in 5usize..7,
             salt in 0usize..8,
-            threads in 2usize..9,
             cycle_accurate in any::<bool>(),
             two_layers in any::<bool>(),
+            faults in any::<bool>(),
+            dead_tile in any::<bool>(),
         ) {
             let layers = if two_layers {
                 vec![test_layer(in_c, out_c, salt), test_layer(out_c, 2, salt + 1)]
@@ -2557,14 +2579,50 @@ mod tests {
             } else {
                 Engine::EventDriven
             };
-            let mut seq = StreamSim::new(&cfg).unwrap();
-            seq.set_engine(engine);
-            let s = seq.run(4_000_000).unwrap();
-            let mut par = StreamSim::new(&cfg).unwrap();
-            par.set_engine(engine);
-            par.set_parallelism(threads);
-            let p = par.run(4_000_000).unwrap();
-            prop_assert_eq!(p, s, "{} threads ({:?})", threads, engine);
+            let build = |threads: usize| {
+                let mut sim = StreamSim::new(&cfg).unwrap();
+                sim.set_engine(engine);
+                sim.set_parallelism(threads);
+                if faults {
+                    let seed = salt as u64;
+                    sim.attach_cmem_fault_plan(&FaultPlan::with_seed(seed + 41).transient(1e-2));
+                    sim.attach_noc_fault_plan(
+                        NocFaultPlan::with_seed(seed ^ 0x5EED).corrupt_rate(1e-2),
+                    );
+                    sim.set_ecc_mode(EccMode::Correct);
+                    sim.set_noc_retry_policy(Some(RetryPolicy::default()));
+                    sim.set_recovery_policy(Some(RecoveryPolicy {
+                        max_replays: 8,
+                        remap: true,
+                        checkpoint_values: 8,
+                    }));
+                    if dead_tile {
+                        sim.attach_cmem_fault_plan_to(0, &FaultPlan::none().dead_slice(1));
+                    }
+                }
+                sim
+            };
+            let observe = |sim: &StreamSim| {
+                (
+                    sim.cmem_fault_stats(),
+                    sim.noc_fault_stats(),
+                    sim.recovery_stats(),
+                    sim.ecc_stats(),
+                    sim.retired_tiles().to_vec(),
+                )
+            };
+            let mut seq = build(1);
+            let s = seq.run_reference(4_000_000).map_err(|e| e.to_string());
+            let s_obs = observe(&seq);
+            if !faults {
+                prop_assert_eq!(s.as_ref().map(|r| &r.ofmap), Ok(&cfg.golden()));
+            }
+            for threads in [1, 2, 4, 8] {
+                let mut par = build(threads);
+                let p = par.run(4_000_000).map_err(|e| e.to_string());
+                prop_assert_eq!(&p, &s, "{} threads ({:?})", threads, engine);
+                prop_assert_eq!(observe(&par), s_obs, "{} threads ({:?})", threads, engine);
+            }
         }
 
         /// Satellite regression: with empty fault plans attached, the

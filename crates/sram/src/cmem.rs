@@ -498,12 +498,17 @@ impl Cmem {
     /// `MAC.C`: inner product of two transposed vectors in one slice;
     /// the scalar result is destined for a core register.
     ///
-    /// With no fault plan attached this dispatches to the word-parallel
-    /// [`CmemSlice::mac_fast`] host shortcut; with a plan attached it runs
-    /// the activation-accurate [`CmemSlice::mac`] loop so per-activation
-    /// fault semantics are preserved. Either way the result, the energy
-    /// accounting (`count_mac`), and the analytic cycle cost
-    /// (`timing::mac_cycles`) are identical.
+    /// The slice-level product always runs on the word-parallel
+    /// [`CmemSlice::mac_fast`], fault plan or not: every fault effect acts
+    /// outside it. A dead slice is rejected before it, ECC repairs are
+    /// written into the array around it, stuck cells were forced into the
+    /// array when it was written, and a transient flip is drawn once per
+    /// MAC on the accumulated result after it. `mac_fast` reads the same
+    /// array state the activation-accurate [`CmemSlice::mac`] would, so
+    /// the value, the energy accounting (`count_mac`), the analytic cycle
+    /// cost (`timing::mac_cycles`) and every fault and ECC statistic are
+    /// identical to the bit-serial loop, which is kept as the test
+    /// reference.
     ///
     /// # Errors
     ///
@@ -524,11 +529,7 @@ impl Cmem {
         let mut repairs = self.ecc_check(slice, base_a..base_a + span)?;
         repairs.extend(self.ecc_check(slice, base_b..base_b + span)?);
         let restore = self.ecc_apply_repairs(slice, &repairs);
-        let result = if self.fault.is_none() {
-            self.slices[slice].mac_fast(base_a, base_b, bits, signed)
-        } else {
-            self.slices[slice].mac(base_a, base_b, bits, signed)
-        };
+        let result = self.slices[slice].mac_fast(base_a, base_b, bits, signed);
         self.ecc_restore(slice, &restore, None);
         let mut r = result?;
         // Accumulator width: 2·bits product + 8 bits of 256-lane
@@ -1169,26 +1170,45 @@ mod tests {
             mask in any::<u8>(),
             a in proptest::collection::vec(any::<u16>(), 256),
             b in proptest::collection::vec(any::<u16>(), 256),
+            stuck in proptest::collection::vec(
+                (any::<usize>(), 0usize..crate::BITLINES, any::<bool>()), 1..8),
         ) {
-            // A quiet plan forces the bit-serial slow path; no plan takes
-            // the word-parallel fast path. Result, energy meter, fault
-            // stats, and (analytic) cycle cost must all be identical.
-            let mut fast = Cmem::new();
-            let mut slow = Cmem::with_fault_plan(crate::fault::FaultPlan::none());
-            let trunc: Vec<u16> = a.iter().map(|&x| x & ((1u32 << bits) - 1) as u16).collect();
-            let truncb: Vec<u16> = b.iter().map(|&x| x & ((1u32 << bits) - 1) as u16).collect();
-            for c in [&mut fast, &mut slow] {
-                c.slice_mut(2).unwrap().write_vector(0, &trunc, bits).unwrap();
-                c.slice_mut(2).unwrap().write_vector(bits, &truncb, bits).unwrap();
-                c.slice_mut(2).unwrap().set_mask(mask);
+            // `Cmem::mac` runs the word-parallel slice MAC under any plan.
+            // Arm one with stuck cells in the operand rows and flip rate 0:
+            // its value must equal the bit-serial `CmemSlice::mac` on the
+            // same stuck-forced slice, and its accounting that of a clean
+            // CMem fed the same writes — one MAC charged, and no fault
+            // event beyond the bits forced at write time.
+            use crate::fault::{FaultPlan, StuckAt};
+            let mut plan = FaultPlan::with_seed(7);
+            for &(row, col, one) in &stuck {
+                let value = if one { StuckAt::One } else { StuckAt::Zero };
+                plan = plan.stuck(2, row % (2 * bits), col, value);
             }
-            prop_assert_eq!(
-                fast.mac(2, 0, bits, bits, signed).unwrap(),
-                slow.mac(2, 0, bits, bits, signed).unwrap()
-            );
-            prop_assert_eq!(fast.energy().macs(), slow.energy().macs());
-            prop_assert_eq!(fast.energy().total_pj(), slow.energy().total_pj());
-            prop_assert_eq!(slow.fault_stats().total(), 0);
+            let mut clean = Cmem::new();
+            let mut faulty = Cmem::with_fault_plan(plan);
+            let trunc = |v: &[u16]| -> Vec<u16> {
+                v.iter().map(|&x| x & ((1u32 << bits) - 1) as u16).collect()
+            };
+            for c in [&mut clean, &mut faulty] {
+                c.slice_mut(2).unwrap().set_mask(mask);
+                for (base, words) in [(0, trunc(&a)), (bits, trunc(&b))] {
+                    for i in 0..bits {
+                        let plane = crate::transpose::pack_bitplane(&words, i, crate::BITLINES);
+                        c.write_row_remote(2, base + i, &plane).unwrap();
+                    }
+                }
+            }
+            let forced = faulty.fault_stats();
+            let got = faulty.mac(2, 0, bits, bits, signed).unwrap();
+            let reference = faulty.slice(2).unwrap().mac(0, bits, bits, signed).unwrap();
+            prop_assert_eq!(got, reference, "array MAC diverged from the bit-serial loop");
+            clean.mac(2, 0, bits, bits, signed).unwrap();
+            prop_assert_eq!(clean.energy().macs(), faulty.energy().macs());
+            prop_assert_eq!(clean.energy().total_pj(), faulty.energy().total_pj());
+            prop_assert_eq!(faulty.fault_stats(), forced, "the MAC itself fired a fault");
+            prop_assert_eq!(forced.total(), forced.stuck_bits_forced);
+            prop_assert_eq!(faulty.energy().fault_events(), forced.stuck_bits_forced);
             // cycle cost is analytic and path-independent by construction
             prop_assert_eq!(
                 crate::timing::mac_cycles(bits),

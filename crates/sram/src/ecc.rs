@@ -24,8 +24,7 @@
 //!
 //! [`EccMode::Off`] (the default) keeps the entire layer out of the way:
 //! no bookkeeping, no counters, no cycle or energy surcharge — bit- and
-//! cycle-identical to the unprotected model, for both the `mac_fast` host
-//! shortcut and the bit-serial path.
+//! cycle-identical to the unprotected model.
 //!
 //! The cycle surcharge is analytic ([`crate::timing::ecc_check_cycles`]
 //! and friends) and accumulated in [`EccStats::cycle_surcharge`]; the

@@ -244,9 +244,12 @@ impl CmemSlice {
     ///
     /// Note this is a *host-side* shortcut only: latency and energy are
     /// charged analytically by the caller (see `maicc_sram::timing` and
-    /// `Cmem::mac`), so accounting is unchanged. The fast path must not be
-    /// used when per-activation fault injection is armed — `Cmem::mac`
-    /// falls back to [`Self::mac`] whenever a `FaultPlan` is attached.
+    /// `Cmem::mac`), so accounting is unchanged. `Cmem::mac` calls it
+    /// under fault plans too: no fault is drawn per activation — stuck
+    /// cells are forced into the array when it is written and transient
+    /// flips land on the MAC result — so there is nothing per activation
+    /// for the bit-serial [`Self::mac`] to observe. That loop stays as the
+    /// reference the property tests check this one against.
     ///
     /// # Errors
     ///
