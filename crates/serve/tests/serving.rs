@@ -344,3 +344,69 @@ fn malformed_trace_json_is_a_typed_error() {
         }
     }
 }
+
+/// `Trace.requests` is public, so a caller can hand the loop a trace
+/// that breaks its invariant. Arrivals that run backwards (which would
+/// move simulated time backwards) and ids that are not dense in trace
+/// order are typed errors.
+#[test]
+fn trace_out_of_arrival_order_or_with_sparse_ids_is_rejected() {
+    let (registry, _) = three_model_mix();
+    let req = |id: u64, arrival: u64| Request {
+        id,
+        tenant: "t".into(),
+        model: "small".into(),
+        arrival,
+        deadline: None,
+    };
+    let cases = [
+        (vec![req(0, 500_000), req(1, 100)], "before request 0"),
+        (vec![req(0, 100), req(2, 500_000)], "dense"),
+    ];
+    for (requests, needle) in cases {
+        let trace = Trace { requests };
+        match serve(&registry, &trace, &cfg(Policy::Fcfs, 3)) {
+            Err(ServeError::BadTrace { reason }) => {
+                assert!(reason.contains(needle), "{reason}")
+            }
+            other => panic!("expected BadTrace, got {other:?}"),
+        }
+    }
+}
+
+/// A retry budget applies under every policy, not only with overload
+/// hardening: the unrecoverable first attempt re-runs after its backoff
+/// on clean hardware and completes.
+#[test]
+fn retry_budget_applies_without_overload_hardening() {
+    use maicc_serve::overload::RetryBudget;
+    let (registry, _) = three_model_mix();
+    let trace = Trace::from_requests(vec![Request {
+        id: 0,
+        tenant: "solo".into(),
+        model: "small".into(),
+        arrival: 0,
+        deadline: None,
+    }]);
+    for policy in Policy::ALL {
+        let config = ServeConfig {
+            recovery: Some(RecoveryPolicy {
+                max_replays: 8,
+                remap: false,
+                checkpoint_values: 8,
+            }),
+            fault: Some(FaultConfig {
+                fail_at_requests: vec![0],
+                ..FaultConfig::default()
+            }),
+            retry_budget: Some(RetryBudget::default()),
+            ..cfg(policy, 10)
+        };
+        let report = serve(&registry, &trace, &config).unwrap();
+        assert_eq!(report.completed, 1, "{policy:?}");
+        assert_eq!(report.retries, 1, "{policy:?}");
+        let o = &report.outcomes[0];
+        assert!(o.ok && o.tier.is_none(), "{policy:?}");
+        assert_eq!(o.admitted, RetryBudget::default().base_backoff_cycles, "{policy:?}");
+    }
+}
