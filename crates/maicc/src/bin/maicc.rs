@@ -380,7 +380,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
 
     // `--overload` swaps in the 2×-rate mix with priority tiers and the
-    // full hardening kit; otherwise the fair-weather three-model mix.
+    // full hardening kit; otherwise the plain three-model mix.
     let (registry, loads, overload_cfg) = if overload {
         let (r, l, o) = overload_mix();
         (r, l, Some(o))

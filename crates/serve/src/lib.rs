@@ -14,15 +14,22 @@
 //! and an [SLO accountant](slo) folds the outcomes into per-tenant
 //! p50/p95/p99 latency, queueing delay, deadline misses, fabric
 //! utilization, and energy per request. Attaching an
-//! [`overload::OverloadConfig`] hardens the loop for sustained overload:
+//! [`overload::OverloadConfig`] hardens admission for sustained overload:
 //! bounded per-tenant admission queues, deadline-aware shedding, priority
 //! tiers with checkpoint-based preemption, bounded-backoff retry of
 //! unrecoverable runs, and a brownout mode that squeezes best-effort
 //! tile grants first.
 //!
-//! The serving loop is a discrete-event simulation in *fabric cycles*: it
-//! jumps between request arrivals and completions, so its determinism
-//! reduces to [`StreamSim`]'s — which is proven bit-identical across
+//! There is one serving loop, in [`cluster`]: a discrete-event
+//! simulation in *fabric cycles* over N fabrics (fault domains) behind a
+//! health-checked router. [`server::serve`] is its one-fabric case. At
+//! each event the loop retires finished runs, applies fabric faults,
+//! drains and rejoins, routes arrivals, samples brownout occupancy, and
+//! runs each fabric's admission step (preemption, policy picks, deadline
+//! shedding, prefetch); every policy, the overload hardening, the weight
+//! [`cache`] and interval telemetry are parts of that step. The loop
+//! jumps between events, so its determinism reduces to [`StreamSim`]'s —
+//! which is proven bit-identical across
 //! [`Engine`](maicc_sim::stream::Engine)s and node-stepping thread
 //! counts. A serving report is therefore byte-identical for a fixed trace
 //! seed no matter how the underlying simulations are driven

@@ -1,13 +1,16 @@
 //! Overload-robustness configuration: admission control, priority tiers,
 //! preemption, request retry, and brownout.
 //!
-//! The fair-weather serving loop queues every arrival forever and treats
-//! all tenants alike; under sustained overload (offered tile-demand above
-//! pool capacity) its queues grow without bound and every tenant's tail
-//! collapses together. Attaching an [`OverloadConfig`] to a
-//! [`ServeConfig`](crate::server::ServeConfig) switches `serve()` to the
-//! overload-hardened event loop, which at every event applies the phases
-//! **retire → preempt → admit → shed** (documented in DESIGN.md §13):
+//! Without hardening the serving loop queues every arrival forever and
+//! treats all tenants alike; under sustained overload (offered
+//! tile-demand above pool capacity) its queues grow without bound and
+//! every tenant's tail collapses together. Attaching an [`OverloadConfig`]
+//! to a [`ServeConfig`](crate::server::ServeConfig) turns on the overload
+//! phases of the loop ([`crate::cluster`]): the queue cap when an arrival
+//! reaches its fabric, a brownout sample once per event, and in each
+//! fabric's admission step **preempt → admit → shed** (documented in
+//! DESIGN.md §13). They apply on every fabric of a cluster, alongside
+//! failover:
 //!
 //! * **bounded admission queues** — each tenant's queue holds at most
 //!   [`OverloadConfig::queue_cap`] waiting requests; an arrival past the
@@ -27,14 +30,16 @@
 //!   cycle, and the victim re-enters its tenant queue carrying that much
 //!   progress instead of restarting from zero;
 //! * **request retry** — a run that ends unrecoverable re-enters
-//!   admission after a bounded exponential backoff
-//!   ([`RetryBudget`]), at one tier above its own so churned requests
-//!   drain instead of starving, counted against a per-tenant budget;
+//!   admission on its fabric after a bounded exponential backoff
+//!   ([`RetryBudget`], honored with or without the rest of this
+//!   config), at one tier above its own so churned requests drain
+//!   instead of starving, counted against a per-tenant budget; once the
+//!   budget is spent the cluster router takes over;
 //! * **brownout** — when pool occupancy stays at or above a high-water
 //!   mark for a configured window ([`BrownoutConfig`]), aggregate
-//!   `BestEffort` tile grants are capped at a fraction of the pool, so
-//!   degradation lands on the best-effort tier before `Soft`/`Hard`
-//!   tenants feel it.
+//!   `BestEffort` tile grants on a busy fabric are capped at a fraction
+//!   of the pool, so degradation lands on the best-effort tier before
+//!   `Soft`/`Hard` tenants feel it.
 //!
 //! Everything here is deterministic in fabric cycles: the same trace,
 //! registry, and config produce byte-identical SLO JSON regardless of
@@ -164,8 +169,8 @@ impl Default for BrownoutConfig {
 }
 
 /// The full overload-hardening configuration; attach to
-/// [`ServeConfig::overload`](crate::server::ServeConfig) to switch
-/// `serve()` to the overload-aware event loop.
+/// [`ServeConfig::overload`](crate::server::ServeConfig) to turn on the
+/// overload phases of the serving loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// Per-tenant admission-queue bound (0 = unbounded).

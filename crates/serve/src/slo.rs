@@ -28,8 +28,10 @@ pub struct RequestOutcome {
     pub finished: u64,
     /// Absolute deadline, if the request carried one.
     pub deadline: Option<u64>,
-    /// The tenant's priority tier under the overload loop; `None` for
-    /// fair-weather serving.
+    /// The request's priority tier, present when overload hardening or
+    /// cluster tiers are configured (`None` otherwise). Under overload
+    /// hardening it is the tier the request last queued at, so a retry
+    /// shows the tier it was elevated to.
     pub tier: Option<Tier>,
     /// Whether the ofmap matched the golden reference.
     pub ok: bool,
