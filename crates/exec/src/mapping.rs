@@ -40,21 +40,7 @@ impl Tile {
 /// The serpentine visit order of the whole compute region.
 #[must_use]
 pub fn zigzag_order() -> Vec<Tile> {
-    let mut out = Vec::with_capacity(ARRAY_W * ARRAY_H);
-    for y in 0..ARRAY_H {
-        let xs: Vec<usize> = if y % 2 == 0 {
-            (0..ARRAY_W).collect()
-        } else {
-            (0..ARRAY_W).rev().collect()
-        };
-        for x in xs {
-            out.push(Tile {
-                x: x as u8,
-                y: y as u8,
-            });
-        }
-    }
-    out
+    healthy_order(&[])
 }
 
 /// Placement of one node group: the data-collection core followed by its
@@ -84,13 +70,35 @@ impl GroupPlacement {
 }
 
 /// The serpentine visit order with failed tiles removed: the healthy
-/// tiles, still in zig-zag order.
+/// tiles, still in zig-zag order. Tiles outside the 15×14 array are
+/// ignored and duplicates count once.
+///
+/// Costs O(|failed| + 210): `failed` is marked once in a membership
+/// table, then the serpentine is walked once. The serving loop probes
+/// several times per request with avoid lists of about 200 tiles, where
+/// a lookup into `failed` for each serpentine tile would be quadratic.
 #[must_use]
 pub fn healthy_order(failed: &[Tile]) -> Vec<Tile> {
-    zigzag_order()
-        .into_iter()
-        .filter(|t| !failed.contains(t))
-        .collect()
+    let mut dead = [false; ARRAY_W * ARRAY_H];
+    for t in failed {
+        let (x, y) = (usize::from(t.x), usize::from(t.y));
+        if x < ARRAY_W && y < ARRAY_H {
+            dead[y * ARRAY_W + x] = true;
+        }
+    }
+    let mut order = Vec::with_capacity(ARRAY_W * ARRAY_H);
+    for y in 0..ARRAY_H {
+        for i in 0..ARRAY_W {
+            let x = if y % 2 == 0 { i } else { ARRAY_W - 1 - i };
+            if !dead[y * ARRAY_W + x] {
+                order.push(Tile {
+                    x: x as u8,
+                    y: y as u8,
+                });
+            }
+        }
+    }
+    order
 }
 
 /// Places consecutive node groups (sized `1 + computing_cores` each) along
@@ -320,6 +328,65 @@ mod tests {
             place_groups_avoiding(&sizes, &[]).unwrap(),
             place_groups(&sizes).unwrap()
         );
+    }
+
+    /// The scan [`healthy_order`] replaced: each serpentine tile looked
+    /// up in `failed` on its own. The probe must reproduce it exactly.
+    fn healthy_order_reference(failed: &[Tile]) -> Vec<Tile> {
+        zigzag_order()
+            .into_iter()
+            .filter(|t| !failed.contains(t))
+            .collect()
+    }
+
+    #[test]
+    fn off_array_tiles_remove_nothing() {
+        // A flat index without the bounds check would alias (15, 0) onto
+        // (0, 1) and read past the table for the other two.
+        let off = [
+            Tile { x: 15, y: 0 },
+            Tile { x: 0, y: 14 },
+            Tile { x: 255, y: 255 },
+        ];
+        assert_eq!(healthy_order(&off), zigzag_order());
+        assert_eq!(healthy_order(&off), healthy_order_reference(&off));
+    }
+
+    /// Any tile of the `u8 × u8` range, drawn mostly inside the array or
+    /// across its right and bottom edges, so in-array tiles, duplicates
+    /// and off-array neighbours all occur.
+    fn any_tile() -> impl Strategy<Value = Tile> {
+        let (w, h) = (ARRAY_W as u8, ARRAY_H as u8);
+        prop_oneof![
+            (0..w, 0..h),
+            ((w - 1)..=(w + 1), 0..=(h + 1)),
+            (any::<u8>(), any::<u8>()),
+        ]
+        .prop_map(|(x, y)| Tile { x, y })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_healthy_order_matches_reference_scan(
+            failed in proptest::collection::vec(any_tile(), 0..=300),
+        ) {
+            prop_assert_eq!(healthy_order(&failed), healthy_order_reference(&failed));
+        }
+
+        #[test]
+        fn prop_healthy_order_matches_reference_on_serving_avoid_sets(
+            busy in proptest::collection::vec(0usize..16, 0..16),
+            retired in proptest::collection::vec(any_tile(), 0..8),
+        ) {
+            // The serving loop's shape under a 16-tile pool: the 194
+            // tiles outside the pool, then tiles held by running
+            // requests, then retired tiles.
+            let order = zigzag_order();
+            let mut avoid = order[16..].to_vec();
+            avoid.extend(busy.iter().map(|&i| order[i]));
+            avoid.extend(retired);
+            prop_assert_eq!(healthy_order(&avoid), healthy_order_reference(&avoid));
+        }
     }
 
     proptest! {

@@ -542,10 +542,7 @@ fn serve_cluster_impl(
         cfg.base.pool_tiles.min(healthy.len())
     };
     let pool: Vec<Tile> = healthy[..pool_size].to_vec();
-    let mask: Vec<Tile> = zigzag_order()
-        .into_iter()
-        .filter(|t| !pool.contains(t))
-        .collect();
+    let mask = healthy_order(&pool);
     for r in &trace.requests {
         let entry = registry.get(&r.model).expect("validated above");
         if entry.tiles > pool_size {
@@ -747,14 +744,9 @@ fn validate_cluster(cfg: &ClusterConfig) -> Result<(), ServeError> {
 }
 
 /// The weight cache's placement probe on top of the busy set `base`:
-/// the first `need` healthy tiles outside `base` and `extra`.
+/// [`placement_for`] outside `base` and `extra`.
 fn placer(base: &[Tile]) -> impl Fn(usize, &[Tile]) -> Option<Vec<Tile>> + '_ {
-    move |need, extra| {
-        let mut avoid = base.to_vec();
-        avoid.extend_from_slice(extra);
-        let order = healthy_order(&avoid);
-        (order.len() >= need).then(|| order[..need].to_vec())
-    }
+    move |need, extra| placement_for(need, &[base, extra].concat())
 }
 
 /// Converts the weight cache's counters into the recorder's snapshot
@@ -813,7 +805,7 @@ impl<'a> Cluster<'a> {
                 if !self.is_replica(mi, fi) {
                     continue;
                 }
-                let Some(tiles) = placement_for(entry, &used) else {
+                let Some(tiles) = placement_for(entry.tiles, &used) else {
                     continue; // fabric full: later homes stay cold
                 };
                 let cache = self.fabrics[fi].cache.as_mut().expect("checked");
@@ -1363,7 +1355,7 @@ impl<'a> Cluster<'a> {
             } else {
                 self.avoid_now(fi)
             };
-            if !idle && placement_for(self.entry(f.queue[pos].idx), &avoid).is_none() {
+            if !idle && placement_for(self.entry(f.queue[pos].idx).tiles, &avoid).is_none() {
                 continue; // the region shrank; wait for a re-carve
             }
             self.cursor = (ti + 1) % n;
@@ -1459,7 +1451,7 @@ impl<'a> Cluster<'a> {
             return;
         }
         let entry = self.entry(f.queue[pos].idx);
-        if placement_for(entry, &self.avoid_now(fi)).is_some() {
+        if placement_for(entry.tiles, &self.avoid_now(fi)).is_some() {
             return; // fits without violence
         }
         // Pointless-eviction guard: would it fit even with every
@@ -1473,10 +1465,10 @@ impl<'a> Cluster<'a> {
         {
             avoid_no_be.extend_from_slice(&r.tiles);
         }
-        if placement_for(entry, &avoid_no_be).is_none() {
+        if placement_for(entry.tiles, &avoid_no_be).is_none() {
             return;
         }
-        while placement_for(entry, &self.avoid_now(fi)).is_none() {
+        while placement_for(entry.tiles, &self.avoid_now(fi)).is_none() {
             let running = &self.fabrics[fi].running;
             let Some(vi) = (0..running.len())
                 .filter(|&i| running[i].queued.tier == Tier::BestEffort)
@@ -1553,7 +1545,7 @@ impl<'a> Cluster<'a> {
                 .map(|c| c.plan(entry, now, &avoid, placer(&avoid)));
             let fits = match &plan {
                 Some(plan) => plan.is_some(),
-                None => placement_for(entry, &avoid).is_some(),
+                None => placement_for(entry.tiles, &avoid).is_some(),
             };
             if !fits {
                 if !idle {
@@ -1617,15 +1609,12 @@ impl<'a> Cluster<'a> {
                     .as_mut()
                     .expect("a plan needs a cache");
                 cache.commit(&plan, entry, now);
-                let avoid = zigzag_order()
-                    .into_iter()
-                    .filter(|t| !plan.tiles.contains(t))
-                    .collect();
-                (avoid, plan.warm, plan.load)
+                (healthy_order(&plan.tiles), plan.warm, plan.load)
             }
             None => (avoid, false, maicc_mem::tier::LoadCost::default()),
         };
-        let tiles = placement_for(entry, &avoid).expect("caller checked fit before admitting");
+        let tiles =
+            placement_for(entry.tiles, &avoid).expect("caller checked fit before admitting");
         let req_id = self.trace.requests[e.idx].id;
         let out = match run_request(
             &self.cfg.base,
@@ -1664,7 +1653,7 @@ impl<'a> Cluster<'a> {
         } else {
             let mut post = avoid;
             post.extend(f.degraded.iter().copied());
-            placement_for(entry, &post).unwrap_or_else(|| {
+            placement_for(entry.tiles, &post).unwrap_or_else(|| {
                 tiles
                     .into_iter()
                     .filter(|t| !f.degraded.contains(t))

@@ -313,15 +313,16 @@ pub(crate) fn validate_requests(registry: &ModelRegistry, trace: &Trace) -> Resu
     Ok(())
 }
 
-/// Where the simulator would place this model given an avoid set (the
-/// first `footprint` tiles of the healthy serpentine), or `None` if it
-/// does not fit.
-pub(crate) fn placement_for(entry: &ModelEntry, avoid: &[Tile]) -> Option<Vec<Tile>> {
-    let order = healthy_order(avoid);
-    if order.len() < entry.tiles {
+/// Where the simulator would place a model of `tiles` tiles given an
+/// avoid set: the first `tiles` tiles of the healthy serpentine, the rule
+/// `StreamSim::new_avoiding` applies. `None` if fewer remain.
+pub(crate) fn placement_for(tiles: usize, avoid: &[Tile]) -> Option<Vec<Tile>> {
+    let mut order = healthy_order(avoid);
+    if order.len() < tiles {
         return None;
     }
-    Some(order[..entry.tiles].to_vec())
+    order.truncate(tiles);
+    Some(order)
 }
 
 /// Executes one admitted request on the fabric, confined to the tiles
@@ -340,7 +341,7 @@ pub(crate) fn run_request(
     attempt: u32,
     warm: bool,
 ) -> Result<RunOutput, ServeError> {
-    let placement = placement_for(entry, avoid).expect("caller checked fit before running");
+    let placement = placement_for(entry.tiles, avoid).expect("caller checked fit before running");
     let key: RunKey = (
         entry.name.clone(),
         placement.iter().map(|t| (t.x, t.y)).collect(),

@@ -1,6 +1,7 @@
 //! End-to-end serving tests: policies, SLO accounting, error paths, and
 //! fault-driven pool degradation.
 
+use maicc_exec::mapping::{zigzag_order, Tile};
 use maicc_serve::registry::three_model_mix;
 use maicc_serve::server::{serve, FaultConfig, Policy, ServeConfig};
 use maicc_serve::trace::{Request, Trace};
@@ -129,6 +130,77 @@ fn model_wider_than_pool_is_rejected_up_front() {
     match serve(&registry, &trace, &cfg(Policy::Fcfs, 3)) {
         Err(ServeError::PoolTooSmall { reason }) => {
             assert!(reason.contains("resnet18_segment"), "{reason}");
+        }
+        other => panic!("expected PoolTooSmall, got {other:?}"),
+    }
+}
+
+fn tile(x: u8, y: u8) -> Tile {
+    Tile { x, y }
+}
+
+#[test]
+fn initial_failed_ignores_repeats_and_off_array_tiles() {
+    // With `pool_tiles: 0` the pool is every healthy tile, so its size,
+    // and through it `utilization`, depends on each excluded tile.
+    let (registry, loads) = three_model_mix();
+    let trace = Trace::poisson(&loads, 150_000, 7);
+    let report = |failed: Vec<Tile>| {
+        let config = ServeConfig {
+            initial_failed: failed,
+            ..cfg(Policy::Fcfs, 0)
+        };
+        serve(&registry, &trace, &config).unwrap().to_json()
+    };
+    let one = report(vec![tile(3, 0)]);
+    assert_ne!(one, report(Vec::new()), "the excluded tile must show");
+    // A repeat excludes nothing more, and neither do tiles outside the
+    // 15×14 array; (15, 0) must not alias (0, 1).
+    let noisy = report(vec![
+        tile(3, 0),
+        tile(3, 0),
+        tile(15, 0),
+        tile(0, 14),
+        tile(255, 255),
+    ]);
+    assert_eq!(one, noisy);
+}
+
+#[test]
+fn initial_failed_leaving_too_few_tiles_is_rejected_up_front() {
+    let (registry, _) = three_model_mix();
+    let healthy = [
+        tile(0, 0),
+        tile(14, 0),
+        tile(7, 6),
+        tile(0, 13),
+        tile(14, 13),
+    ];
+    let failed: Vec<Tile> = zigzag_order()
+        .into_iter()
+        .filter(|t| !healthy.contains(t))
+        .collect();
+    let request = |tenant: &str, model: &str, arrival| Request {
+        id: 0,
+        tenant: tenant.into(),
+        model: model.into(),
+        arrival,
+        deadline: None,
+    };
+    // `small` (3 tiles) fits the 5 healthy tiles; `resnet18_segment`
+    // (7 tiles) does not.
+    let trace = Trace::from_requests(vec![
+        request("keyword", "small", 0),
+        request("vision", "resnet18_segment", 10),
+    ]);
+    let config = ServeConfig {
+        initial_failed: failed,
+        ..cfg(Policy::Fcfs, 0)
+    };
+    match serve(&registry, &trace, &config) {
+        Err(ServeError::PoolTooSmall { reason }) => {
+            assert!(reason.contains("resnet18_segment"), "{reason}");
+            assert!(reason.contains("needs 7 tiles, pool holds 5"), "{reason}");
         }
         other => panic!("expected PoolTooSmall, got {other:?}"),
     }
