@@ -1,10 +1,12 @@
 //! The cycle-stepped wormhole mesh.
 //!
-//! Movement is evaluated in two phases per cycle — arbitration, then a
-//! simultaneous move of at most one flit per link — so results are
-//! independent of router iteration order. Backpressure is buffer-credit:
-//! a flit advances only if the downstream input FIFO has space after all
-//! moves planned this cycle.
+//! Movement is evaluated in two steps per cycle — arbitration and move
+//! planning, then a simultaneous move of at most one flit per link — so
+//! every move of a tick sees the same start-of-tick queues. Backpressure
+//! is buffer-credit: a flit advances only if the downstream input FIFO
+//! had space at the start of the tick. No other move can claim that
+//! space in the same tick: every non-local input port has exactly one
+//! upstream link, and every output moves at most one flit per tick.
 
 use crate::fault::{DropRng, NocError, NocFaultPlan, NocFaultState, NocFaultStats, RetryPolicy};
 use crate::router::{Coord, Direction, Flit, Router};
@@ -118,58 +120,39 @@ type IdBuild = BuildHasherDefault<IdHasher>;
 /// allocates. All contents are cleared (capacity retained) at tick end.
 #[derive(Default)]
 struct TickScratch {
-    /// Packet ids that made progress this tick.
+    /// Packet ids that made progress this tick (recorded only with a
+    /// fault plan attached: the retry horizon is their one reader).
     progressed: Vec<u64>,
-    /// Parallel to `active`: whether that router drained an injection.
-    drained: Vec<bool>,
-    /// Routers holding buffered flits or pending injections, ascending.
+    /// Routers holding buffered flits or pending injections, ascending;
+    /// then the routers a move first occupied this tick.
     active: Vec<usize>,
-    /// Membership bitmap for `active` (plus move destinations).
+    /// Parallel to `active`: the stall slots whose queue moved a flit
+    /// this tick (bit `port` for an input, bit `INJECT_SLOT` for an
+    /// injection drain).
+    moved: Vec<u8>,
+    /// Membership bitmap for `active`.
     is_active: Vec<bool>,
-    /// Routers first occupied by a move this tick (stall-trace aging).
-    stall_extra: Vec<usize>,
-    /// Planned occupancy per input-port slot (`router * 5 + port`) for
-    /// credit checks, reset via `planned_touched`.
-    planned_in: Vec<u16>,
-    /// Slots of `planned_in` written this tick.
-    planned_touched: Vec<usize>,
-    /// (router, input_port, output_dir) moves planned this tick.
-    moves: Vec<(usize, usize, Direction)>,
-    /// Source slots (`router * 5 + port`) that moved a flit this tick.
-    moved: Vec<bool>,
-    /// Cached input-queue heads per active router, as (packet id, routed
-    /// output, is-head) per port; `None` for empty queues. Phases 1 and 2
-    /// only inspect queue fronts, which phase 0 finalizes, so reading
-    /// them once per tick is exact.
-    heads: Vec<[Option<(u64, Direction, bool)>; 5]>,
+    /// (router, input port, output port, downstream router) moves planned
+    /// this tick; the downstream router of a local move is the router
+    /// itself.
+    moves: Vec<(usize, usize, usize, usize)>,
 }
 
 impl TickScratch {
     fn begin(&mut self, n: usize) {
         if self.is_active.len() != n {
             self.is_active = vec![false; n];
-            self.moved = vec![false; n * 5];
-            self.planned_in = vec![0; n * 5];
         }
     }
 
     fn end(&mut self) {
-        for &i in self.active.iter().chain(&self.stall_extra) {
+        for &i in &self.active {
             self.is_active[i] = false;
         }
-        for &(i, ii, _) in &self.moves {
-            self.moved[i * 5 + ii] = false;
-        }
-        for &k in &self.planned_touched {
-            self.planned_in[k] = 0;
-        }
         self.progressed.clear();
-        self.drained.clear();
         self.active.clear();
-        self.stall_extra.clear();
-        self.planned_touched.clear();
+        self.moved.clear();
         self.moves.clear();
-        self.heads.clear();
     }
 }
 
@@ -386,16 +369,6 @@ impl<T> Mesh<T> {
 
     fn idx(&self, c: Coord) -> usize {
         c.y as usize * self.width as usize + c.x as usize
-    }
-
-    fn neighbor(&self, c: Coord, d: Direction) -> Option<Coord> {
-        match d {
-            Direction::North => (c.y > 0).then(|| Coord::new(c.x, c.y - 1)),
-            Direction::South => (c.y + 1 < self.height).then(|| Coord::new(c.x, c.y + 1)),
-            Direction::East => (c.x + 1 < self.width).then(|| Coord::new(c.x + 1, c.y)),
-            Direction::West => (c.x > 0).then(|| Coord::new(c.x - 1, c.y)),
-            Direction::Local => None,
-        }
     }
 
     /// Injects a packet; flits enter the network as buffer space allows.
@@ -625,9 +598,8 @@ impl<T> Mesh<T> {
         let mut s = std::mem::take(&mut self.scratch);
         s.begin(n);
         // Routers that can possibly act this cycle: those holding buffered
-        // flits or pending injections. Ascending index order matters —
-        // phase-2 credit competition resolves in favour of lower indices,
-        // so the active set must preserve it.
+        // flits or pending injections, in ascending index order — moves,
+        // deliveries and fault-RNG draws are applied in that order.
         if sparse {
             let mut cand = self.tracked.take().expect("sparse tick is armed");
             cand.sort_unstable();
@@ -647,285 +619,239 @@ impl<T> Mesh<T> {
                 }
             }
         }
-        s.drained.resize(s.active.len(), false);
 
-        // phase 0: drain injection queues into local input ports
-        for (k, &i) in s.active.iter().enumerate() {
-            let dead = self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.router_failed(self.routers[i].coord));
-            while !dead
-                && !self.inject[i].is_empty()
-                && self.routers[i].inputs[Direction::Local.index()].len() < self.buffer_cap
-            {
-                let f = self.inject[i].pop_front().expect("checked non-empty");
-                s.progressed.push(f.packet);
-                s.drained[k] = true;
-                self.occ[i] += 1;
-                self.routers[i].inputs[Direction::Local.index()].push_back(f);
-            }
-        }
-
-        // cache each active router's input heads (and their routed output
-        // direction) once; queue fronts are final after phase 0
+        // One pass per active router: phase 0 (drain the injection queue),
+        // the input-head read, phase 1 (arbitration) and phase 2 (move
+        // planning). Fusing them equals running each phase over all
+        // routers in turn, because a router's phases read only its own
+        // queues and output owners plus its neighbours' non-local input
+        // lengths; phase 0 writes only the router's own local port, and
+        // planning writes only the move list.
+        let fault = self.fault.as_ref();
+        let width = self.width as usize;
         for &i in &s.active {
-            let mut h = [None; 5];
-            if self.occ[i] > 0 {
-                let here = self.routers[i].coord;
-                for (p, q) in self.routers[i].inputs.iter().enumerate() {
-                    if let Some(f) = q.front() {
-                        h[p] = Some((f.packet, f.route_from(here), f.is_head));
-                    }
-                }
-            }
-            s.heads.push(h);
-        }
-
-        // phase 1: output arbitration (wormhole allocation); a router
-        // without buffered flits has no input heads to arbitrate
-        for (k, &i) in s.active.iter().enumerate() {
-            if self.occ[i] == 0 {
-                continue;
-            }
-            for out in Direction::ALL {
-                let oi = out.index();
-                if self.routers[i].outputs[oi].owner.is_some() {
-                    continue;
-                }
-                let rr = self.routers[i].outputs[oi].rr;
-                for step in 0..5 {
-                    let ii = (rr + step) % 5;
-                    if let Some((packet, dir, is_head)) = s.heads[k][ii] {
-                        if is_head && dir == out {
-                            self.routers[i].outputs[oi].owner = Some(packet);
-                            self.routers[i].outputs[oi].rr = (ii + 1) % 5;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        // phase 2: plan at most one flit move per output port, respecting
-        // downstream space after all moves planned this cycle
-        for (k, &i) in s.active.iter().enumerate() {
-            if self.occ[i] == 0 {
-                continue;
-            }
             let here = self.routers[i].coord;
-            // a dead router forwards nothing
-            if self.fault.as_ref().is_some_and(|f| f.router_failed(here)) {
-                continue;
+            let dead = fault.is_some_and(|f| f.router_failed(here));
+            let mut moved = 0u8;
+            // phase 0: drain the injection queue into the local input port
+            let local = &mut self.routers[i].inputs[Direction::Local.index()];
+            while !dead && local.len() < self.buffer_cap {
+                let Some(f) = self.inject[i].pop_front() else {
+                    break;
+                };
+                if fault.is_some() {
+                    s.progressed.push(f.packet);
+                }
+                moved |= 1 << INJECT_SLOT;
+                self.occ[i] += 1;
+                local.push_back(f);
             }
-            for out in Direction::ALL {
-                let oi = out.index();
-                let Some(owner) = self.routers[i].outputs[oi].owner else {
-                    continue;
-                };
-                // the owning packet's next flit must be at some input head
-                let Some(ii) = (0..5).find(|&ii| {
-                    s.heads[k][ii].is_some_and(|(p, dir, _)| p == owner && dir == out)
-                }) else {
-                    continue;
-                };
-                if out == Direction::Local {
-                    s.moves.push((i, ii, out));
-                } else {
-                    // a cut link or dead neighbour blocks the move; the
-                    // flit waits and the stall trace ages
-                    if self.fault.as_ref().is_some_and(|f| f.link_failed(here, out)) {
-                        continue;
-                    }
-                    let nb = self.neighbor(here, out).expect("routing stays in mesh");
-                    let nbi = self.idx(nb);
-                    if self.fault.as_ref().is_some_and(|f| f.router_failed(nb)) {
-                        continue;
-                    }
-                    let in_port = match out {
-                        Direction::North => Direction::South,
-                        Direction::South => Direction::North,
-                        Direction::East => Direction::West,
-                        Direction::West => Direction::East,
-                        Direction::Local => unreachable!(),
-                    };
-                    let key = nbi * 5 + in_port.index();
-                    let planned = usize::from(s.planned_in[key]);
-                    if self.routers[nbi].inputs[in_port.index()].len() + planned < self.buffer_cap
-                    {
-                        if s.planned_in[key] == 0 {
-                            s.planned_touched.push(key);
+            // a router without buffered flits has no input heads
+            if self.occ[i] > 0 {
+                // input heads: per output, the inputs whose head flit
+                // routes there (`wants`) and those that head a packet
+                // (`requests`)
+                let router = &mut self.routers[i];
+                let mut packet = [0u64; 5];
+                let mut wants = [0u8; 5];
+                let mut requests = [0u8; 5];
+                for (p, q) in router.inputs.iter().enumerate() {
+                    if let Some(f) = q.front() {
+                        let o = f.route_from(here).index();
+                        packet[p] = f.packet;
+                        wants[o] |= 1 << p;
+                        if f.is_head {
+                            requests[o] |= 1 << p;
                         }
-                        s.planned_in[key] += 1;
-                        s.moves.push((i, ii, out));
                     }
                 }
+                // phase 1: wormhole allocation of each free output to the
+                // first requesting input at or after its round-robin
+                // pointer
+                for (o, out) in router.outputs.iter_mut().enumerate() {
+                    if out.owner.is_none() && requests[o] != 0 {
+                        let m = u32::from(requests[o]);
+                        let rotated = (m >> out.rr | m << (5 - out.rr)) & 0x1f;
+                        let ii = (out.rr + rotated.trailing_zeros() as usize) % 5;
+                        out.owner = Some(packet[ii]);
+                        out.rr = (ii + 1) % 5;
+                    }
+                }
+                // phase 2: plan at most one flit move per output port; a
+                // dead router forwards nothing
+                for (o, want) in wants.into_iter().enumerate() {
+                    let Some(owner) = self.routers[i].outputs[o].owner.filter(|_| !dead) else {
+                        continue;
+                    };
+                    // the owning packet's next flit must be at an input head
+                    let Some(ii) = (0..5).find(|&p| want & 1 << p != 0 && packet[p] == owner)
+                    else {
+                        continue;
+                    };
+                    let out = Direction::ALL[o];
+                    let nbi = match out {
+                        Direction::North => i - width,
+                        Direction::South => i + width,
+                        Direction::East => i + 1,
+                        Direction::West => i - 1,
+                        Direction::Local => i,
+                    };
+                    if out != Direction::Local {
+                        debug_assert_eq!(
+                            here.hops_to(self.routers[nbi].coord),
+                            1,
+                            "routing stays in mesh"
+                        );
+                        // a cut link or dead neighbour blocks the move; so
+                        // does a full downstream port (its one upstream
+                        // link is this output, so its length is still the
+                        // start-of-tick one). The flit waits and the stall
+                        // trace ages. Ports facing each other across a link
+                        // are index pairs: North 0 / South 1, East 2 / West 3.
+                        if fault.is_some_and(|f| {
+                            f.link_failed(here, out) || f.router_failed(self.routers[nbi].coord)
+                        }) || self.routers[nbi].inputs[o ^ 1].len() >= self.buffer_cap
+                        {
+                            continue;
+                        }
+                    }
+                    moved |= 1 << ii;
+                    s.moves.push((i, ii, o, nbi));
+                }
             }
+            s.moved.push(moved);
         }
 
         // phase 3: apply moves simultaneously
         for mi in 0..s.moves.len() {
-            let (i, ii, out) = s.moves[mi];
+            let (i, ii, o, nbi) = s.moves[mi];
             let f = self.routers[i].inputs[ii]
                 .pop_front()
                 .expect("planned move has a flit");
-            s.moved[i * 5 + ii] = true;
             self.occ[i] -= 1;
             if f.is_tail {
-                self.routers[i].outputs[out.index()].owner = None;
+                self.routers[i].outputs[o].owner = None;
             }
-            match out {
-                Direction::Local => {
+            if o == Direction::Local.index() {
+                if self.fault.is_some() {
                     s.progressed.push(f.packet);
-                    let fl = self
-                        .flights
-                        .get_mut(&f.packet)
-                        .expect("flit belongs to a live packet");
-                    fl.delivered_flits += 1;
-                    if f.is_tail {
-                        // packet CRC check at the receiver: a corrupted
-                        // wormhole is NACKed back for retransmission when
-                        // a policy is attached, delivered flagged when not
-                        if fl.crc_damaged {
-                            if let Some(policy) = self.retry_policy {
-                                if fl.retries < policy.max_retries {
-                                    fl.retries += 1;
-                                    fl.crc_damaged = false;
-                                    fl.damaged = false;
-                                    fl.delivered_flits = 0;
-                                    fl.yx = !fl.yx;
-                                    fl.last_progress = self.cycle;
-                                    fl.release_at =
-                                        Some(self.cycle + policy.backoff(fl.retries - 1));
-                                    if let Some(fs) = self.fault.as_mut() {
-                                        fs.stats.crc_rejects += 1;
-                                    }
-                                } else {
-                                    let fl = self.flights.remove(&f.packet).expect("present");
-                                    if let Some(fs) = self.fault.as_mut() {
-                                        fs.stats.packets_lost += 1;
-                                    }
-                                    self.errors.push(NocError::PacketLost {
-                                        packet: f.packet,
-                                        src: fl.packet.src,
-                                        dst: fl.packet.dst,
-                                        retries: fl.retries,
-                                    });
-                                }
-                                continue;
-                            }
-                        }
-                        let fl = self.flights.remove(&f.packet).expect("present");
-                        debug_assert_eq!(fl.delivered_flits, fl.packet.flits);
-                        self.stats.packets_delivered += 1;
-                        self.stats.total_latency += self.cycle - fl.sent_at;
-                        delivered.push(Delivered {
-                            packet: fl.packet,
-                            sent_at: fl.sent_at,
-                            arrived_at: self.cycle,
-                            corrupted: fl.crc_damaged,
-                        });
-                    }
                 }
-                _ => {
-                    // transient link fault: the flit vanishes in transit
-                    // and the wormhole is recalled at maintenance time
-                    if let Some(fs) = self.fault.as_mut() {
-                        if fs.rng.chance(fs.plan.drop_rate) {
-                            fs.stats.flits_dropped += 1;
-                            if let Some(fl) = self.flights.get_mut(&f.packet) {
-                                fl.damaged = true;
+                let fl = self
+                    .flights
+                    .get_mut(&f.packet)
+                    .expect("flit belongs to a live packet");
+                fl.delivered_flits += 1;
+                if f.is_tail {
+                    // packet CRC check at the receiver: a corrupted
+                    // wormhole is NACKed back for retransmission when a
+                    // policy is attached, delivered flagged when not
+                    if fl.crc_damaged {
+                        if let Some(policy) = self.retry_policy {
+                            if fl.retries < policy.max_retries {
+                                fl.retries += 1;
+                                fl.crc_damaged = false;
+                                fl.damaged = false;
+                                fl.delivered_flits = 0;
+                                fl.yx = !fl.yx;
+                                fl.last_progress = self.cycle;
+                                fl.release_at = Some(self.cycle + policy.backoff(fl.retries - 1));
+                                if let Some(fs) = self.fault.as_mut() {
+                                    fs.stats.crc_rejects += 1;
+                                }
+                            } else {
+                                let fl = self.flights.remove(&f.packet).expect("present");
+                                if let Some(fs) = self.fault.as_mut() {
+                                    fs.stats.packets_lost += 1;
+                                }
+                                self.errors.push(NocError::PacketLost {
+                                    packet: f.packet,
+                                    src: fl.packet.src,
+                                    dst: fl.packet.dst,
+                                    retries: fl.retries,
+                                });
                             }
                             continue;
                         }
-                        // a corrupted flit keeps moving; the destination's
-                        // packet CRC rejects the wormhole on arrival
-                        if fs.rng.chance(fs.plan.corrupt_rate) {
-                            fs.stats.flits_corrupted += 1;
-                            if let Some(fl) = self.flights.get_mut(&f.packet) {
-                                fl.crc_damaged = true;
-                            }
-                        }
                     }
-                    s.progressed.push(f.packet);
-                    let nb = self
-                        .neighbor(self.routers[i].coord, out)
-                        .expect("checked in planning");
-                    let nbi = self.idx(nb);
-                    let in_port = match out {
-                        Direction::North => Direction::South,
-                        Direction::South => Direction::North,
-                        Direction::East => Direction::West,
-                        Direction::West => Direction::East,
-                        Direction::Local => unreachable!(),
-                    };
-                    if !s.is_active[nbi] {
-                        s.is_active[nbi] = true;
-                        s.stall_extra.push(nbi);
-                    }
-                    self.routers[nbi].inputs[in_port.index()].push_back(f);
-                    self.occ[nbi] += 1;
-                    self.stats.flit_hops += 1;
-                    self.link_load[i * 5 + out.index()] += 1;
+                    let fl = self.flights.remove(&f.packet).expect("present");
+                    debug_assert_eq!(fl.delivered_flits, fl.packet.flits);
+                    self.stats.packets_delivered += 1;
+                    self.stats.total_latency += self.cycle - fl.sent_at;
+                    delivered.push(Delivered {
+                        packet: fl.packet,
+                        sent_at: fl.sent_at,
+                        arrived_at: self.cycle,
+                        corrupted: fl.crc_damaged,
+                    });
                 }
+                continue;
             }
+            if let Some(fs) = self.fault.as_mut() {
+                // transient link fault: the flit vanishes in transit and
+                // the wormhole is recalled at maintenance time
+                if fs.rng.chance(fs.plan.drop_rate) {
+                    fs.stats.flits_dropped += 1;
+                    if let Some(fl) = self.flights.get_mut(&f.packet) {
+                        fl.damaged = true;
+                    }
+                    continue;
+                }
+                // a corrupted flit keeps moving; the destination's packet
+                // CRC rejects the wormhole on arrival
+                if fs.rng.chance(fs.plan.corrupt_rate) {
+                    fs.stats.flits_corrupted += 1;
+                    if let Some(fl) = self.flights.get_mut(&f.packet) {
+                        fl.crc_damaged = true;
+                    }
+                }
+                s.progressed.push(f.packet);
+            }
+            if !s.is_active[nbi] {
+                s.is_active[nbi] = true;
+                s.active.push(nbi);
+                s.moved.push(0);
+            }
+            self.routers[nbi].inputs[o ^ 1].push_back(f);
+            self.occ[nbi] += 1;
+            self.stats.flit_hops += 1;
+            self.link_load[i * 5 + o] += 1;
         }
 
-        // credit-stall tracing: age every non-empty queue whose head could
-        // not move this cycle; reset the rest. Routers outside the active
-        // set (and not reached by a move) have empty queues, whose slots
-        // were zeroed when they drained.
-        for (k, &i) in s.active.iter().enumerate() {
-            for p in 0..5 {
-                let slot = i * STALL_SLOTS + p;
-                if self.routers[i].inputs[p].is_empty() || s.moved[i * 5 + p] {
-                    self.stall[slot] = 0;
-                } else {
-                    self.stall[slot] += 1;
-                }
-            }
-            let slot = i * STALL_SLOTS + INJECT_SLOT;
-            if self.inject[i].is_empty() || s.drained[k] {
-                self.stall[slot] = 0;
-            } else {
-                self.stall[slot] += 1;
-            }
+        // One pass ages the credit-stall trace and refreshes the candidate
+        // set. A non-empty queue whose head could not move ages; every
+        // other slot resets. Routers outside `active` have empty queues,
+        // whose slots were zeroed when they drained. The candidates for the
+        // next tick are the routers still holding work: `active` held every
+        // router with work this tick plus every router a move reached, so
+        // this stays a superset, and the retry maintenance below only adds
+        // the sources it re-injects at (its purges only remove flits).
+        if let Some(cand) = self.tracked.as_mut() {
+            cand.clear();
         }
-        for &i in &s.stall_extra {
-            // these routers were empty at tick start, so their injection
-            // queue is empty and only the freshly-occupied inputs age
-            for p in 0..5 {
-                let slot = i * STALL_SLOTS + p;
-                if self.routers[i].inputs[p].is_empty() || s.moved[i * 5 + p] {
-                    self.stall[slot] = 0;
+        for (&i, &moved) in s.active.iter().zip(&s.moved) {
+            for p in 0..STALL_SLOTS {
+                let empty = if p == INJECT_SLOT {
+                    self.inject[i].is_empty()
                 } else {
-                    self.stall[slot] += 1;
+                    self.routers[i].inputs[p].is_empty()
+                };
+                let stuck = !empty && moved & 1 << p == 0;
+                let age = &mut self.stall[i * STALL_SLOTS + p];
+                *age = if stuck { *age + 1 } else { 0 };
+            }
+            if let Some(cand) = self.tracked.as_mut() {
+                if self.occ[i] > 0 || !self.inject[i].is_empty() {
+                    cand.push(i);
                 }
             }
         }
 
         // phase 4 (fault mode only): recall packets that lost a flit or
         // made no progress for the plan's retry horizon
-        if self.fault.is_some() {
-            for &id in &s.progressed {
-                if let Some(fl) = self.flights.get_mut(&id) {
-                    fl.last_progress = self.cycle;
-                }
+        for &id in &s.progressed {
+            if let Some(fl) = self.flights.get_mut(&id) {
+                fl.last_progress = self.cycle;
             }
-        }
-        // refresh the candidate set for the next tick: routers still
-        // holding work, plus routers a move just occupied. `s.active` was
-        // the complete active set this tick, so this stays a superset
-        // invariantly; the retry maintenance below only adds the sources
-        // it re-injects at (its purges only remove flits).
-        if let Some(cand) = self.tracked.as_mut() {
-            cand.clear();
-            for &i in &s.active {
-                if self.occ[i] > 0 || !self.inject[i].is_empty() {
-                    cand.push(i);
-                }
-            }
-            cand.extend_from_slice(&s.stall_extra);
         }
         s.end();
         self.scratch = s;
@@ -1382,21 +1308,35 @@ mod tests {
         assert_eq!(mesh.max_link_load(), 7);
     }
 
-    /// No plan, or a drop/corrupt plan with a short recall horizon.
-    fn drop_corrupt_plans() -> impl Strategy<Value = Option<NocFaultPlan>> {
+    /// No plan, or a plan with drop and corrupt rates, 0–2 dead routers,
+    /// 0–3 cut links and a short recall horizon.
+    fn fault_plans() -> impl Strategy<Value = Option<NocFaultPlan>> {
+        let tile = || (0u8..6, 0u8..6);
         prop_oneof![
             Just(None),
-            (any::<u64>(), 0.0f64..0.05, 0.0f64..0.05, 8u64..64, 0u32..3).prop_map(
-                |(seed, drop, corrupt, after, retries)| {
-                    Some(
-                        NocFaultPlan::with_seed(seed)
-                            .drop_rate(drop)
-                            .corrupt_rate(corrupt)
-                            .retry_after(after)
-                            .max_retries(retries),
-                    )
-                }
-            ),
+            (
+                any::<u64>(),
+                0.0f64..0.05,
+                0.0f64..0.05,
+                8u64..64,
+                0u32..3,
+                proptest::collection::vec(tile(), 0..3),
+                proptest::collection::vec((tile(), 0usize..4), 0..4),
+            )
+                .prop_map(|(seed, drop, corrupt, after, retries, routers, links)| {
+                    let mut plan = NocFaultPlan::with_seed(seed)
+                        .drop_rate(drop)
+                        .corrupt_rate(corrupt)
+                        .retry_after(after)
+                        .max_retries(retries);
+                    for (x, y) in routers {
+                        plan = plan.fail_router(Coord::new(x, y));
+                    }
+                    for ((x, y), d) in links {
+                        plan = plan.fail_link(Coord::new(x, y), Direction::ALL[d]);
+                    }
+                    Some(plan)
+                }),
         ]
     }
 
@@ -1448,18 +1388,22 @@ mod tests {
         /// The candidate-tracked partitioned tick must be byte-identical
         /// to the full-scan oracle tick, cycle by cycle, under randomized
         /// staggered traffic (including same-destination contention and
-        /// multi-flit wormholes) — with and without a drop/corrupt fault
-        /// plan and a retransmission policy, attached to both meshes
-        /// alike, so recalls, releases and purges run under tracking.
+        /// multi-flit wormholes) at buffer depths 1–4 — with and without a
+        /// fault plan (drops, corruption, dead routers, cut links) and a
+        /// retransmission policy, attached to both meshes alike, so
+        /// recalls, releases and purges run under tracking. The stall
+        /// trace is compared too: it reaches users through the wedge
+        /// report.
         #[test]
         fn prop_partitioned_tick_matches_full_scan(
             seeds in proptest::collection::vec(
                 (0u8..6, 0u8..6, 0u8..6, 0u8..6, 1usize..10, 0u64..40), 1..30),
-            plan in drop_corrupt_plans(),
+            plan in fault_plans(),
             retry in retry_policies(),
+            cap in 1usize..=4,
         ) {
-            let mut full: Mesh<usize> = Mesh::new(6, 6);
-            let mut part: Mesh<usize> = Mesh::new(6, 6);
+            let mut full: Mesh<usize> = Mesh::with_buffer(6, 6, cap);
+            let mut part: Mesh<usize> = Mesh::with_buffer(6, 6, cap);
             for mesh in [&mut full, &mut part] {
                 if let Some(plan) = &plan {
                     mesh.attach_fault_plan(plan.clone());
@@ -1484,6 +1428,9 @@ mod tests {
                 prop_assert_eq!(&df, &out, "delivery divergence at cycle {}", cycle);
                 prop_assert_eq!(full.stats(), part.stats());
                 prop_assert_eq!(full.fault_stats(), part.fault_stats());
+                prop_assert_eq!(full.take_errors(), part.take_errors());
+                prop_assert_eq!(full.wedge_report(), part.wedge_report());
+                prop_assert_eq!(full.link_loads(), part.link_loads());
                 prop_assert_eq!(full.is_idle(), part.is_idle());
                 if queue.is_empty() && full.is_idle() {
                     break;

@@ -74,7 +74,7 @@ impl Direction {
 /// X-Y routing decision: which output port at `here` leads to `dst`
 /// (X first, then Y; `Local` when arrived).
 #[must_use]
-pub fn xy_route(here: Coord, dst: Coord) -> Direction {
+pub(crate) fn xy_route(here: Coord, dst: Coord) -> Direction {
     if dst.x > here.x {
         Direction::East
     } else if dst.x < here.x {
@@ -91,7 +91,7 @@ pub fn xy_route(here: Coord, dst: Coord) -> Direction {
 /// Y-X routing decision: the alternate dimension order (Y first, then X),
 /// used when a recalled packet retries around a failed X-path link.
 #[must_use]
-pub fn yx_route(here: Coord, dst: Coord) -> Direction {
+pub(crate) fn yx_route(here: Coord, dst: Coord) -> Direction {
     if dst.y > here.y {
         Direction::South
     } else if dst.y < here.y {
@@ -108,7 +108,7 @@ pub fn yx_route(here: Coord, dst: Coord) -> Direction {
 /// One flit in flight. Head flits carry the destination; body/tail flits
 /// follow their packet's wormhole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Owning packet.
     pub packet: u64,
     /// Destination tile (copied to every flit for simplicity).
@@ -137,7 +137,7 @@ impl Flit {
 
 /// Per-output wormhole allocation state.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OutputState {
+pub(crate) struct OutputState {
     /// The packet currently owning this output, if any.
     pub owner: Option<u64>,
     /// Round-robin pointer over input ports.
@@ -147,7 +147,7 @@ pub struct OutputState {
 /// One five-port router: an input buffer per port plus output allocation
 /// state.
 #[derive(Debug, Clone)]
-pub struct Router {
+pub(crate) struct Router {
     /// This router's coordinate.
     pub coord: Coord,
     /// Input FIFO per port.
@@ -165,12 +165,6 @@ impl Router {
             inputs: Default::default(),
             outputs: Default::default(),
         }
-    }
-
-    /// Total buffered flits (for idleness checks).
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.inputs.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -202,12 +196,6 @@ mod tests {
             assert!(seen.insert(d.index()));
         }
         assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
-    fn router_starts_empty() {
-        let r = Router::new(Coord::new(1, 1));
-        assert_eq!(r.occupancy(), 0);
     }
 
     #[test]
