@@ -33,7 +33,7 @@ pub struct RequantParams {
 /// The sequence is branch-light: one branch selects the rounding nudge's
 /// sign (gemmlowp's `SaturatingRoundingDoublingHighMul`), everything else
 /// is straight-line RV32IM.
-pub fn emit_requantize(a: &mut Assembler, acc: Reg, p: RequantParams, unique: usize) {
+pub(crate) fn emit_requantize(a: &mut Assembler, acc: Reg, p: RequantParams, unique: usize) {
     if p.multiplier == 0 {
         a.li32(acc, p.zero_point.clamp(-128, 127));
         return;
@@ -160,7 +160,7 @@ pub fn emit_requantize(a: &mut Assembler, acc: Reg, p: RequantParams, unique: us
 }
 
 /// Emits `acc = clamp(acc, -128, 127)` using two compare-and-branches.
-pub fn emit_clamp_i8(a: &mut Assembler, acc: Reg, unique: usize) {
+pub(crate) fn emit_clamp_i8(a: &mut Assembler, acc: Reg, unique: usize) {
     let hi_ok = format!("cl_hi_{unique}");
     let lo_ok = format!("cl_lo_{unique}");
     a.inst(I::li(Reg::T0, 127));
@@ -174,7 +174,7 @@ pub fn emit_clamp_i8(a: &mut Assembler, acc: Reg, unique: usize) {
 }
 
 /// Emits `acc = max(acc, 0)` (ReLU) branchlessly: `acc &= ~(acc >> 31)`.
-pub fn emit_relu(a: &mut Assembler, acc: Reg) {
+pub(crate) fn emit_relu(a: &mut Assembler, acc: Reg) {
     a.inst(I::OpImm {
         kind: OpImmKind::Srai,
         rd: Reg::T0,
@@ -214,7 +214,7 @@ mod tests {
     use crate::node::{Node, NullPort};
 
     fn run(p: RequantParams, relu: bool, acc: i32) -> i32 {
-        let mut node = Node::new(requantize_program(p, relu), Box::new(NullPort::default()));
+        let mut node = Node::new(requantize_program(p, relu), NullPort::default());
         node.set_reg(Reg::A0, acc as u32);
         node.run(10_000).unwrap();
         node.reg(Reg::A0) as i32

@@ -73,19 +73,20 @@ impl ConvWorkload {
 
     /// Valid-convolution output height.
     #[must_use]
-    pub fn out_h(&self) -> usize {
+    pub(crate) fn out_h(&self) -> usize {
         self.h - self.r + 1
     }
 
     /// Valid-convolution output width.
     #[must_use]
-    pub fn out_w(&self) -> usize {
+    pub(crate) fn out_w(&self) -> usize {
         self.w - self.s + 1
     }
 
     /// Total multiply-accumulates.
+    #[cfg(test)]
     #[must_use]
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         (self.out_h() * self.out_w() * self.filters * self.r * self.s * self.c) as u64
     }
 
@@ -135,7 +136,7 @@ impl ConvWorkload {
 
 /// Placement of one filter vector in the CMem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterVec {
+pub(crate) struct FilterVec {
     /// Filter index.
     pub filter: usize,
     /// Filter-pixel row `ky`.
@@ -218,21 +219,10 @@ impl CmemConvKernel {
         Ok(CmemConvKernel { program, ..kernel })
     }
 
-    /// The workload this kernel computes.
-    #[must_use]
-    pub fn workload(&self) -> &ConvWorkload {
-        &self.workload
-    }
-
-    /// The element precision the kernel computes at.
-    #[must_use]
-    pub fn width(&self) -> VecWidth {
-        self.width
-    }
-
     /// Filter-vector placement (for inspecting the layout).
+    #[cfg(test)]
     #[must_use]
-    pub fn placement(&self) -> &[FilterVec] {
+    pub(crate) fn placement(&self) -> &[FilterVec] {
         &self.placement
     }
 
@@ -250,7 +240,7 @@ impl CmemConvKernel {
 
     /// Data-memory bytes the kernel needs.
     #[must_use]
-    pub fn data_mem_bytes(&self) -> usize {
+    pub(crate) fn data_mem_bytes(&self) -> usize {
         let ofmap = self.workload.filters * self.workload.out_h() * self.workload.out_w();
         ((2 * self.guard_elems as usize + ofmap) * 4).max(4096)
     }
@@ -446,7 +436,7 @@ impl CmemConvKernel {
             }
         }
         let program = self.program.clone();
-        let mut node = Node::with_data_mem(program, Box::new(port), self.data_mem_bytes());
+        let mut node = Node::with_data_mem(program, port, self.data_mem_bytes());
         self.load_filters(&mut node, weights)?;
         Ok(node)
     }
@@ -456,7 +446,7 @@ impl CmemConvKernel {
     /// # Errors
     ///
     /// Propagates CMem range errors.
-    pub fn load_filters(&self, node: &mut Node, weights: &[i8]) -> Result<(), CoreError> {
+    pub(crate) fn load_filters(&self, node: &mut Node, weights: &[i8]) -> Result<(), CoreError> {
         let w = &self.workload;
         let n = self.width.bits();
         let mask = if n >= 16 { 0xFFFF } else { (1u16 << n) - 1 };
@@ -540,18 +530,6 @@ impl ScalarConvKernel {
         };
         k.program = k.emit();
         k
-    }
-
-    /// The generated program.
-    #[must_use]
-    pub fn program(&self) -> &[I] {
-        &self.program
-    }
-
-    /// Bytes of data memory the baseline node maps.
-    #[must_use]
-    pub fn mem_bytes(&self) -> usize {
-        self.mem_bytes
     }
 
     fn emit(&self) -> Vec<I> {
@@ -661,11 +639,8 @@ impl ScalarConvKernel {
     ///
     /// Propagates local-memory write errors.
     pub fn prepare(&self, ifmap: &[i8], weights: &[i8]) -> Result<Node, CoreError> {
-        let mut node = Node::with_data_mem(
-            self.program.clone(),
-            Box::new(NullPort::default()),
-            self.mem_bytes,
-        );
+        let mut node =
+            Node::with_data_mem(self.program.clone(), NullPort::default(), self.mem_bytes);
         for (i, &b) in ifmap.iter().enumerate() {
             node.write_local(self.ifmap_base + i as u32, b as u8 as u32, 1)?;
         }
@@ -939,247 +914,5 @@ mod table4_scalar_smoke {
         let nc = maicc_sram::neural_cache::NcConvCost::evaluate(5, 3, 3, 256, 9, 9, 8, 5);
         eprintln!("neural cache table4: {} (mul={} accum={} reduce={} load={}) reduction_share={:.3}",
             nc.total(), nc.mul_cycles, nc.accum_cycles, nc.reduce_cycles, nc.load_cycles, nc.reduction_share());
-    }
-}
-
-/// A fully connected (matrix-vector) kernel on one node — the FC operator
-/// of §2.1 executed the CMem way: up to 49 output neurons' weight rows sit
-/// transposed in the computing slices, the input vector is broadcast once,
-/// and each neuron costs a single `MAC.C`.
-#[derive(Debug, Clone)]
-pub struct LinearKernel {
-    in_features: usize,
-    out_features: usize,
-    program: Vec<I>,
-    /// (slice, row) of each output neuron's weight vector.
-    placement: Vec<(u8, u8)>,
-    out_base: u32,
-}
-
-impl LinearKernel {
-    /// Builds the kernel for `out_features ≤ 49` neurons of
-    /// `in_features ≤ 256` inputs at 8-bit precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::AccessFault`] when the layer exceeds one node's
-    /// CMem (larger layers shard across nodes — see `maicc-exec`).
-    pub fn new(in_features: usize, out_features: usize) -> Result<Self, CoreError> {
-        if in_features > 256 || out_features > 49 {
-            return Err(CoreError::AccessFault {
-                addr: out_features as u32,
-                what: "linear capacity",
-            });
-        }
-        let placement: Vec<(u8, u8)> = (0..out_features)
-            .map(|v| (1 + (v % 7) as u8, (8 + 8 * (v / 7)) as u8))
-            .collect();
-        let mut k = LinearKernel {
-            in_features,
-            out_features,
-            program: Vec::new(),
-            placement,
-            out_base: 0,
-        };
-        k.program = k.emit();
-        Ok(k)
-    }
-
-    /// The generated program.
-    #[must_use]
-    pub fn program(&self) -> &[I] {
-        &self.program
-    }
-
-    /// The statically scheduled program.
-    #[must_use]
-    pub fn scheduled_program(&self) -> Vec<I> {
-        schedule_program(&self.program)
-    }
-
-    fn emit(&self) -> Vec<I> {
-        let mut a = Assembler::new();
-        // receive the transposed input vector (8 rows) from the feeder
-        a.li32(Reg::S3, RowPtr::Dram { offset: 0 }.pack() as i32);
-        for row in 0..8u8 {
-            a.inst(I::LoadRowRC {
-                rs1: Reg::S3,
-                slice: 0,
-                row,
-            });
-            a.inst(I::addi(Reg::S3, Reg::S3, 32));
-        }
-        let used: Vec<u8> = {
-            let mut s: Vec<u8> = self.placement.iter().map(|&(s, _)| s).collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
-        for &slice in &used {
-            a.inst(I::MoveC {
-                src_slice: 0,
-                src_row: 0,
-                dst_slice: slice,
-                dst_row: 0,
-                width: VecWidth::W8,
-            });
-        }
-        // one MAC per neuron, 4-deep software pipelined stores
-        let rot = [Reg::A0, Reg::A7, Reg::S7, Reg::S8, Reg::S9];
-        a.li32(Reg::S2, self.out_base as i32);
-        let store = |a: &mut Assembler, v: usize| {
-            a.inst(I::sw(rot[v % rot.len()], Reg::S2, (v * 4) as i32));
-        };
-        const DEPTH: usize = 4;
-        for (v, &(slice, row)) in self.placement.iter().enumerate() {
-            a.inst(I::MacC {
-                rd: rot[v % rot.len()],
-                slice,
-                row_a: 0,
-                row_b: row,
-                width: VecWidth::W8,
-            });
-            if v >= DEPTH {
-                store(&mut a, v - DEPTH);
-            }
-        }
-        let n = self.placement.len();
-        for v in n.saturating_sub(DEPTH)..n {
-            store(&mut a, v);
-        }
-        a.inst(I::Ebreak);
-        a.assemble().expect("linear kernel assembles")
-    }
-
-    /// Creates a node with the weight matrix (`[out, in]`, i8) resident and
-    /// the input vector waiting at the feeder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CMem range errors.
-    pub fn prepare(&self, input: &[i8], weights: &[i8]) -> Result<Node, CoreError> {
-        assert_eq!(input.len(), self.in_features, "input length");
-        assert_eq!(
-            weights.len(),
-            self.in_features * self.out_features,
-            "weight shape"
-        );
-        let mut port = NullPort::with_latency(4);
-        let vec: Vec<u16> = (0..256)
-            .map(|i| {
-                if i < self.in_features {
-                    input[i] as u8 as u16
-                } else {
-                    0
-                }
-            })
-            .collect();
-        for (i, plane) in transpose::pack_words(&vec, 8, 256).into_iter().enumerate() {
-            port.preload_row(
-                RowPtr::Dram {
-                    offset: (i * 32) as u32,
-                },
-                plane,
-            );
-        }
-        let mut node = Node::new(self.program.clone(), Box::new(port));
-        for (v, &(slice, row)) in self.placement.iter().enumerate() {
-            let wrow: Vec<i8> = (0..256)
-                .map(|i| {
-                    if i < self.in_features {
-                        weights[v * self.in_features + i]
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            node.cmem_mut().write_vector_i8(slice as usize, row as usize, &wrow)?;
-        }
-        Ok(node)
-    }
-
-    /// Reads the i32 output vector from a halted node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates local-memory range errors.
-    pub fn read_output(&self, node: &Node) -> Result<Vec<i32>, CoreError> {
-        (0..self.out_features)
-            .map(|v| {
-                node.read_local(self.out_base + (v * 4) as u32, 4)
-                    .map(|x| x as i32)
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod linear_tests {
-    use super::*;
-    use crate::pipeline::{PipelineConfig, Timing};
-
-    fn golden(input: &[i8], weights: &[i8], out: usize) -> Vec<i32> {
-        let k = input.len();
-        (0..out)
-            .map(|v| {
-                input
-                    .iter()
-                    .zip(&weights[v * k..(v + 1) * k])
-                    .map(|(&x, &w)| x as i32 * w as i32)
-                    .sum()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn matrix_vector_matches_golden() {
-        let (inf, outf) = (200, 30);
-        let input: Vec<i8> = (0..inf).map(|i| ((i * 7) % 15) as i8 - 7).collect();
-        let weights: Vec<i8> = (0..inf * outf).map(|i| ((i * 3) % 11) as i8 - 5).collect();
-        let k = LinearKernel::new(inf, outf).unwrap();
-        let mut node = k.prepare(&input, &weights).unwrap();
-        node.run(1_000_000).unwrap();
-        assert_eq!(k.read_output(&node).unwrap(), golden(&input, &weights, outf));
-    }
-
-    #[test]
-    fn full_49_neuron_node() {
-        let (inf, outf) = (256, 49);
-        let input: Vec<i8> = (0..inf).map(|i| (i % 13) as i8 - 6).collect();
-        let weights: Vec<i8> = (0..inf * outf).map(|i| ((i * 5) % 9) as i8 - 4).collect();
-        let k = LinearKernel::new(inf, outf).unwrap();
-        let mut node = k.prepare(&input, &weights).unwrap();
-        node.run(1_000_000).unwrap();
-        assert_eq!(k.read_output(&node).unwrap(), golden(&input, &weights, outf));
-    }
-
-    #[test]
-    fn scheduled_is_no_slower_and_identical() {
-        let (inf, outf) = (128, 21);
-        let input: Vec<i8> = (0..inf).map(|i| (i % 9) as i8 - 4).collect();
-        let weights: Vec<i8> = (0..inf * outf).map(|i| ((i * 11) % 7) as i8 - 3).collect();
-        let kern = LinearKernel::new(inf, outf).unwrap();
-
-        let time = |prog: Vec<I>| {
-            let mut k2 = kern.clone();
-            k2.program = prog;
-            let mut node = k2.prepare(&input, &weights).unwrap();
-            let mut t = Timing::new(PipelineConfig::default());
-            node.run_with(1_000_000, |e| t.on_retire(e)).unwrap();
-            (k2.read_output(&node).unwrap(), t.finish().total_cycles)
-        };
-        let (o1, c1) = time(kern.program().to_vec());
-        let (o2, c2) = time(kern.scheduled_program());
-        assert_eq!(o1, o2);
-        assert!(c2 <= c1, "{c2} vs {c1}");
-        // seven slices of 64-cycle MACs, 7 rounds → the floor is ~450 cycles
-        assert!(c2 < 1200, "linear kernel took {c2}");
-    }
-
-    #[test]
-    fn capacity_limits_enforced() {
-        assert!(LinearKernel::new(257, 10).is_err());
-        assert!(LinearKernel::new(256, 50).is_err());
-        assert!(LinearKernel::new(256, 49).is_ok());
     }
 }

@@ -22,7 +22,7 @@
 //! [`sched`] implements the compile-time instruction reordering the paper
 //! calls *static scheduling*; [`kernels`] generates the Algorithm-1
 //! convolution programs (CMem version and the scalar baseline) that Tables
-//! 4 and 5 measure, plus the single-node FC kernel; [`aux_codegen`] emits
+//! 4 and 5 measure; [`aux_codegen`] emits
 //! the auxiliary functions (ReLU, integer-only requantization) as RV32IM
 //! code for the scalar half of a mixed layer.
 //!
@@ -42,7 +42,7 @@
 //! a.inst(Instruction::Ebreak);
 //! let program = a.assemble()?;
 //!
-//! let mut node = Node::new(program, Box::new(NullPort::default()));
+//! let mut node = Node::new(program, NullPort::default());
 //! let trace = node.run(1_000)?;
 //! assert_eq!(node.reg(Reg::A0), 42);
 //!

@@ -10,30 +10,28 @@
 //! | `0x8000_0000 – 0xFFFF_FFFF` | 2 GB | many-core DRAM, striped over 32 channels |
 //!
 //! Row-granular remote transfers (`LoadRow.RC` / `StoreRow.RC`) address rows
-//! through [`RowPtr`], a packed pointer carried in `rs1`.
+//! through `RowPtr`, a packed pointer carried in `rs1`.
 
 use serde::{Deserialize, Serialize};
 
-/// Base of the local data memory.
-pub const LOCAL_DATA_BASE: u32 = 0x0000_0000;
 /// Size of the local data memory (4 KB).
-pub const LOCAL_DATA_SIZE: u32 = 0x1000;
+pub(crate) const LOCAL_DATA_SIZE: u32 = 0x1000;
 /// Base of the byte-addressable CMem slice 0 window.
-pub const SLICE0_BASE: u32 = 0x0000_1000;
+pub(crate) const SLICE0_BASE: u32 = 0x0000_1000;
 /// Size of the slice-0 window (2 KB).
-pub const SLICE0_SIZE: u32 = 0x800;
+pub(crate) const SLICE0_SIZE: u32 = 0x800;
 /// Base of the remote-core region.
-pub const REMOTE_BASE: u32 = 0x4000_0000;
+pub(crate) const REMOTE_BASE: u32 = 0x4000_0000;
 /// Base of the many-core DRAM region.
-pub const DRAM_BASE: u32 = 0x8000_0000;
+pub(crate) const DRAM_BASE: u32 = 0x8000_0000;
 /// Number of DRAM channels / LLC tiles (Table 1: 32).
-pub const DRAM_CHANNELS: u32 = 32;
+pub(crate) const DRAM_CHANNELS: u32 = 32;
 /// Bytes in each core's remote window (16 KB).
-pub const REMOTE_WINDOW: u32 = 0x4000;
+pub(crate) const REMOTE_WINDOW: u32 = 0x4000;
 
 /// Where an address lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Region {
+pub(crate) enum Region {
     /// Local data memory; payload is the offset.
     LocalData(u32),
     /// CMem slice 0; payload is the byte offset within the 2 KB window.
@@ -64,7 +62,7 @@ pub enum Region {
 /// a striped tensor hit different channels, matching "the DRAM is uniformly
 /// divided into 32 channels".
 #[must_use]
-pub fn classify(addr: u32) -> Region {
+pub(crate) fn classify(addr: u32) -> Region {
     if addr < LOCAL_DATA_SIZE {
         Region::LocalData(addr)
     } else if (SLICE0_BASE..SLICE0_BASE + SLICE0_SIZE).contains(&addr) {
@@ -93,8 +91,9 @@ pub fn classify(addr: u32) -> Region {
 /// # Panics
 ///
 /// Panics if `offset` exceeds the 16 KB window.
+#[cfg(test)]
 #[must_use]
-pub fn remote_addr(x: u8, y: u8, offset: u32) -> u32 {
+pub(crate) fn remote_addr(x: u8, y: u8, offset: u32) -> u32 {
     assert!(offset < REMOTE_WINDOW, "offset beyond 16 KB window");
     REMOTE_BASE | ((x as u32) << 22) | ((y as u32) << 14) | offset
 }
@@ -109,7 +108,7 @@ pub fn remote_addr(x: u8, y: u8, offset: u32) -> u32 {
 /// * DRAM row: bit 31 set — the pointer is the DRAM byte address of a
 ///   32-byte row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowPtr {
+pub(crate) enum RowPtr {
     /// A word-line in another core's CMem.
     Remote {
         /// Mesh x coordinate.
@@ -131,7 +130,7 @@ pub enum RowPtr {
 impl RowPtr {
     /// Packs into the 32-bit register representation.
     #[must_use]
-    pub fn pack(self) -> u32 {
+    pub(crate) fn pack(self) -> u32 {
         match self {
             RowPtr::Remote { x, y, slice, row } => {
                 REMOTE_BASE
@@ -148,7 +147,7 @@ impl RowPtr {
     ///
     /// Returns `None` for pointers outside the remote/DRAM regions.
     #[must_use]
-    pub fn unpack(v: u32) -> Option<RowPtr> {
+    pub(crate) fn unpack(v: u32) -> Option<RowPtr> {
         if v >= DRAM_BASE {
             Some(RowPtr::Dram {
                 offset: (v - DRAM_BASE) & !31,

@@ -2,7 +2,7 @@
 //! the Table-1 address space, with the CMem extension executing against the
 //! real bit-level computing memory of `maicc-sram`.
 //!
-//! The interpreter retires one instruction per [`Node::step`] and emits a
+//! The interpreter retires one instruction per `Node::step` and emits a
 //! [`TraceEntry`] carrying exactly what the timing model needs: the
 //! instruction, whether a branch was taken, and the external latency of any
 //! remote access. Semantics and timing stay decoupled this way — the same
@@ -17,26 +17,11 @@ use maicc_sram::slice::ShiftDir;
 use std::collections::HashMap;
 
 /// What the node sees beyond its own address space: other cores' windows
-/// and the many-core DRAM, reached through the NoC.
-///
-/// Implementations return the access latency in cycles so the timing model
-/// can charge NoC/DRAM time without the functional model knowing either.
-pub trait RemotePort {
-    /// Loads `size` bytes (1, 2 or 4) from a remote address.
-    fn load(&mut self, addr: u32, size: u8) -> (u32, u32);
-    /// Stores `size` bytes to a remote address; returns latency.
-    fn store(&mut self, addr: u32, value: u32, size: u8) -> u32;
-    /// Atomic read-modify-write on a remote word; returns (old value, latency).
-    fn amo(&mut self, kind: AmoKind, addr: u32, value: u32) -> (u32, u32);
-    /// Fetches one 256-bit row.
-    fn load_row(&mut self, ptr: RowPtr) -> (Vec<u64>, u32);
-    /// Sends one 256-bit row; returns latency.
-    fn store_row(&mut self, ptr: RowPtr, lanes: &[u64]) -> u32;
-}
-
-/// A stand-alone port: backs remote addresses with a private sparse memory
-/// and charges a fixed latency. Used for single-node experiments where the
-/// paper excludes communication (Table 5) or treats the feeder as ideal.
+/// and the many-core DRAM. This stand-alone port backs remote addresses
+/// with a private sparse memory and charges a fixed latency, so the timing
+/// model can charge remote time without the functional model knowing the
+/// NoC or DRAM. Used for single-node experiments where the paper excludes
+/// communication (Table 5) or treats the feeder as ideal.
 #[derive(Debug, Clone)]
 pub struct NullPort {
     latency: u32,
@@ -57,7 +42,7 @@ impl Default for NullPort {
 impl NullPort {
     /// Creates a port with the given fixed round-trip latency.
     #[must_use]
-    pub fn with_latency(latency: u32) -> Self {
+    pub(crate) fn with_latency(latency: u32) -> Self {
         NullPort {
             latency,
             ..Self::default()
@@ -66,24 +51,12 @@ impl NullPort {
 
     /// Pre-loads a row so `LoadRow.RC` finds data (the "feeder" of the
     /// single-node workloads).
-    pub fn preload_row(&mut self, ptr: RowPtr, lanes: Vec<u64>) {
+    pub(crate) fn preload_row(&mut self, ptr: RowPtr, lanes: Vec<u64>) {
         self.rows.insert(ptr.pack(), lanes);
     }
 
-    /// Reads back a row previously stored through the port.
-    #[must_use]
-    pub fn row(&self, ptr: RowPtr) -> Option<&Vec<u64>> {
-        self.rows.get(&ptr.pack())
-    }
-
-    /// Reads back a word previously stored through the port.
-    #[must_use]
-    pub fn word(&self, addr: u32) -> Option<u32> {
-        self.words.get(&(addr & !3)).copied()
-    }
-}
-
-impl RemotePort for NullPort {
+    /// Loads `size` bytes (1, 2 or 4) from a remote address; returns
+    /// (value, latency).
     fn load(&mut self, addr: u32, size: u8) -> (u32, u32) {
         let word = self.words.get(&(addr & !3)).copied().unwrap_or(0);
         let sh = (addr & 3) * 8;
@@ -95,6 +68,7 @@ impl RemotePort for NullPort {
         (v, self.latency)
     }
 
+    /// Stores `size` bytes to a remote address; returns latency.
     fn store(&mut self, addr: u32, value: u32, size: u8) -> u32 {
         let aligned = addr & !3;
         let word = self.words.entry(aligned).or_insert(0);
@@ -107,6 +81,8 @@ impl RemotePort for NullPort {
         self.latency
     }
 
+    /// Atomic read-modify-write on a remote word; returns (old value,
+    /// latency).
     fn amo(&mut self, kind: AmoKind, addr: u32, value: u32) -> (u32, u32) {
         let old = self.words.get(&(addr & !3)).copied().unwrap_or(0);
         let new = amo_result(kind, old, value);
@@ -116,6 +92,7 @@ impl RemotePort for NullPort {
         (old, self.latency)
     }
 
+    /// Fetches one 256-bit row; returns (lanes, latency).
     fn load_row(&mut self, ptr: RowPtr) -> (Vec<u64>, u32) {
         (
             self.rows.get(&ptr.pack()).cloned().unwrap_or_else(|| vec![0; 4]),
@@ -123,6 +100,7 @@ impl RemotePort for NullPort {
         )
     }
 
+    /// Sends one 256-bit row; returns latency.
     fn store_row(&mut self, ptr: RowPtr, lanes: &[u64]) -> u32 {
         self.rows.insert(ptr.pack(), lanes.to_vec());
         self.latency
@@ -131,7 +109,7 @@ impl RemotePort for NullPort {
 
 /// Applies an AMO's arithmetic (also used by the NoC receiver in `maicc-sim`).
 #[must_use]
-pub fn amo_result(kind: AmoKind, old: u32, value: u32) -> u32 {
+pub(crate) fn amo_result(kind: AmoKind, old: u32, value: u32) -> u32 {
     match kind {
         AmoKind::LrW => old,
         AmoKind::ScW | AmoKind::Swap => value,
@@ -173,7 +151,7 @@ pub struct Node {
     program: Vec<Instruction>,
     data_mem: Vec<u8>,
     cmem: Cmem,
-    port: Box<dyn RemotePort + Send>,
+    port: NullPort,
     halted: bool,
     reservation: Option<u32>,
     output: Vec<u32>,
@@ -193,7 +171,7 @@ impl std::fmt::Debug for Node {
 impl Node {
     /// Creates a node with the standard 4 KB data memory.
     #[must_use]
-    pub fn new(program: Vec<Instruction>, port: Box<dyn RemotePort + Send>) -> Self {
+    pub fn new(program: Vec<Instruction>, port: NullPort) -> Self {
         Self::with_data_mem(program, port, 4096)
     }
 
@@ -201,7 +179,7 @@ impl Node {
     /// Table-4 *scalar baseline*, which has no CMem and needs its 20 KB of
     /// SRAM as plain memory to hold the conv workload.
     #[must_use]
-    pub fn with_data_mem(program: Vec<Instruction>, port: Box<dyn RemotePort + Send>, bytes: usize) -> Self {
+    pub(crate) fn with_data_mem(program: Vec<Instruction>, port: NullPort, bytes: usize) -> Self {
         Node {
             regs: [0; 32],
             pc: 0,
@@ -240,18 +218,6 @@ impl Node {
         &mut self.cmem
     }
 
-    /// The remote port (for inspecting stored data after a run).
-    #[must_use]
-    pub fn port(&self) -> &dyn RemotePort {
-        self.port.as_ref()
-    }
-
-    /// Whether the core has executed `ebreak`.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
     /// Retired instruction count.
     #[must_use]
     pub fn instret(&self) -> u64 {
@@ -269,7 +235,7 @@ impl Node {
     /// # Errors
     ///
     /// Returns [`CoreError::AccessFault`] outside the data memory.
-    pub fn read_local(&self, addr: u32, size: u8) -> Result<u32, CoreError> {
+    pub(crate) fn read_local(&self, addr: u32, size: u8) -> Result<u32, CoreError> {
         if addr as usize + size as usize > self.data_mem.len() {
             return Err(CoreError::AccessFault { addr, what: "read" });
         }
@@ -285,7 +251,7 @@ impl Node {
     /// # Errors
     ///
     /// Returns [`CoreError::AccessFault`] outside the data memory.
-    pub fn write_local(&mut self, addr: u32, value: u32, size: u8) -> Result<(), CoreError> {
+    pub(crate) fn write_local(&mut self, addr: u32, value: u32, size: u8) -> Result<(), CoreError> {
         if addr as usize + size as usize > self.data_mem.len() {
             return Err(CoreError::AccessFault { addr, what: "write" });
         }
@@ -367,7 +333,7 @@ impl Node {
     ///
     /// Returns a [`CoreError`] for PC escapes, access faults, CMem domain
     /// errors and unknown ecalls.
-    pub fn step(&mut self) -> Result<Option<TraceEntry>, CoreError> {
+    pub(crate) fn step(&mut self) -> Result<Option<TraceEntry>, CoreError> {
         if self.halted {
             return Ok(None);
         }
@@ -708,7 +674,7 @@ mod tests {
         let mut a = Assembler::new();
         build(&mut a);
         a.inst(I::Ebreak);
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         node.run(1_000_000).unwrap();
         node
     }
@@ -836,7 +802,7 @@ mod tests {
             width: VecWidth::W8,
         });
         a.inst(I::Ebreak);
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         // filter vector: 1 at the first four columns
         node.cmem_mut()
             .write_vector_i8(1, 8, &{
@@ -857,7 +823,7 @@ mod tests {
         a.inst(I::sw(Reg::A1, Reg::A0, 0));
         a.inst(I::lw(Reg::A2, Reg::A0, 0));
         a.inst(I::Ebreak);
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::with_latency(9)));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::with_latency(9));
         let trace = node.run(1000).unwrap();
         assert_eq!(node.reg(Reg::A2), 77);
         // both the store and the load carried the port latency
@@ -891,7 +857,7 @@ mod tests {
             row: 9,
         });
         a.inst(I::Ebreak);
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         node.cmem_mut()
             .slice_mut(2)
             .unwrap()
@@ -965,7 +931,7 @@ mod tests {
         let mut a = Assembler::new();
         a.inst(I::li(Reg::A7, 99));
         a.inst(I::Ecall);
-        let mut bad = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut bad = Node::new(a.assemble().unwrap(), NullPort::default());
         assert!(matches!(
             bad.run(10),
             Err(CoreError::UnknownEcall { service: 99 })
@@ -977,7 +943,7 @@ mod tests {
         let mut a = Assembler::new();
         a.label("spin");
         a.jump("spin");
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         assert!(matches!(
             node.run(100),
             Err(CoreError::StepLimit { max_steps: 100 })
@@ -986,7 +952,7 @@ mod tests {
 
     #[test]
     fn pc_escape_detected() {
-        let mut node = Node::new(vec![I::nop()], Box::new(NullPort::default()));
+        let mut node = Node::new(vec![I::nop()], NullPort::default());
         node.step().unwrap();
         assert!(matches!(node.step(), Err(CoreError::PcOutOfRange { .. })));
     }
@@ -996,7 +962,7 @@ mod tests {
         let mut a = Assembler::new();
         a.li32(Reg::A0, 0x2000);
         a.inst(I::lw(Reg::A1, Reg::A0, 0));
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         assert!(matches!(
             node.run(10),
             Err(CoreError::AccessFault { .. })
@@ -1010,7 +976,7 @@ mod tests {
             a.inst(I::nop());
         }
         a.inst(I::Ebreak);
-        let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+        let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
         let mut count = 0;
         node.run_with(1000, |_| count += 1).unwrap();
         assert_eq!(count, 11);

@@ -76,12 +76,6 @@ impl TimingReport {
             self.instructions as f64 / self.total_cycles as f64
         }
     }
-
-    /// Wall-clock seconds at the configured frequency.
-    #[must_use]
-    pub fn seconds(&self, cfg: &PipelineConfig) -> f64 {
-        self.total_cycles as f64 / (cfg.frequency_ghz * 1e9)
-    }
 }
 
 impl std::fmt::Display for TimingReport {
@@ -142,12 +136,6 @@ impl Timing {
             horizon: 0,
             report: TimingReport::default(),
         }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
     }
 
     fn alloc_wb(&mut self, earliest: u64) -> u64 {
@@ -499,15 +487,5 @@ mod tests {
         assert!(s.contains("100 cycles"));
         assert!(s.contains("IPC 0.50"));
         assert!(s.contains("3 CMem"));
-    }
-
-    #[test]
-    fn report_seconds_scales_with_frequency() {
-        let cfg = PipelineConfig::default();
-        let r = TimingReport {
-            total_cycles: 1_000_000_000,
-            ..TimingReport::default()
-        };
-        assert!((r.seconds(&cfg) - 1.0).abs() < 1e-9);
     }
 }

@@ -76,13 +76,16 @@ fn depends(a: &Instruction, b: &Instruction, disjoint_memory: bool) -> bool {
 /// of dependent instructions is preserved; independent instructions are
 /// emitted critical-path-first.
 #[must_use]
-pub fn schedule_block(block: &[Instruction]) -> Vec<Instruction> {
+pub(crate) fn schedule_block(block: &[Instruction]) -> Vec<Instruction> {
     schedule_block_with(block, true)
 }
 
 /// [`schedule_block`] with explicit memory-disjointness assumption.
 #[must_use]
-pub fn schedule_block_with(block: &[Instruction], disjoint_memory: bool) -> Vec<Instruction> {
+pub(crate) fn schedule_block_with(
+    block: &[Instruction],
+    disjoint_memory: bool,
+) -> Vec<Instruction> {
     let n = block.len();
     if n <= 2 {
         return block.to_vec();
@@ -134,7 +137,7 @@ pub fn schedule_block_with(block: &[Instruction], disjoint_memory: bool) -> Vec<
 /// Schedules a whole program by splitting it into basic blocks at control
 /// instructions and branch targets, scheduling each block independently.
 #[must_use]
-pub fn schedule_program(program: &[Instruction]) -> Vec<Instruction> {
+pub(crate) fn schedule_program(program: &[Instruction]) -> Vec<Instruction> {
     let n = program.len();
     // leaders: block entry points — successors of control transfers and
     // every branch/jump target
@@ -321,7 +324,7 @@ mod tests {
         assert_eq!(sched.len(), prog.len());
 
         let run = |p: Vec<I>| {
-            let mut node = Node::new(p, Box::new(NullPort::default()));
+            let mut node = Node::new(p, NullPort::default());
             for s in 1..=3 {
                 node.cmem_mut().write_vector_i8(s, 0, &[1i8; 256]).unwrap();
                 node.cmem_mut()

@@ -13,7 +13,7 @@ fn run(build: impl FnOnce(&mut Assembler)) -> Node {
     let mut a = Assembler::new();
     build(&mut a);
     a.inst(I::Ebreak);
-    let mut node = Node::new(a.assemble().unwrap(), Box::new(NullPort::default()));
+    let mut node = Node::new(a.assemble().unwrap(), NullPort::default());
     node.run(1_000_000).unwrap();
     node
 }

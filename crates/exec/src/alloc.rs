@@ -16,15 +16,13 @@ use crate::ExecError;
 use maicc_nn::graph::LayerShape;
 use serde::{Deserialize, Serialize};
 
-/// Vector slots per core (7 computing slices × 7 slots at 8-bit).
-pub const SLOTS_PER_CORE: usize = 49;
 /// Bit-lines per slot.
-pub const SLOT_BITS: usize = 256;
+pub(crate) const SLOT_BITS: usize = 256;
 
 /// Vector slots per core at an arbitrary precision: each slice holds
 /// `Q = 64/n − 1` transposed n-bit vectors (§4.1), seven slices compute.
 #[must_use]
-pub fn slots_per_core(n_bits: usize) -> usize {
+pub(crate) fn slots_per_core(n_bits: usize) -> usize {
     7 * (64 / n_bits.max(1)).saturating_sub(1)
 }
 
@@ -51,7 +49,7 @@ impl LayerCapacity {
     /// precision packs more vectors per slice (`Q = 64/n − 1`) so layers
     /// need fewer cores, at `n²` CMem cycles per MAC.
     #[must_use]
-    pub fn of_bits(shape: &LayerShape, n_bits: usize) -> Self {
+    pub(crate) fn of_bits(shape: &LayerShape, n_bits: usize) -> Self {
         let slots = slots_per_core(n_bits);
         if shape.is_linear {
             // weight-stationary is pointless at batch 1: each core anchors
@@ -147,7 +145,7 @@ impl LayerAlloc {
 
     /// Creates an allocation at an explicit precision.
     #[must_use]
-    pub fn with_bits(shape: LayerShape, computing_cores: usize, n_bits: usize) -> Self {
+    pub(crate) fn with_bits(shape: LayerShape, computing_cores: usize, n_bits: usize) -> Self {
         let capacity = LayerCapacity::of_bits(&shape, n_bits);
         LayerAlloc {
             shape,
@@ -160,13 +158,13 @@ impl LayerAlloc {
 
     /// Total nodes including the data-collection core.
     #[must_use]
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.computing_cores + 1
     }
 
     /// Average sub-filters per computing core.
     #[must_use]
-    pub fn sub_filters_per_core(&self) -> f64 {
+    pub(crate) fn sub_filters_per_core(&self) -> f64 {
         self.capacity.sub_filters as f64 / self.computing_cores as f64
     }
 

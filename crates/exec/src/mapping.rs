@@ -7,18 +7,15 @@
 //!
 //! When tiles are marked **failed**, [`place_groups_avoiding`] remaps the
 //! node groups onto the same serpentine with the dead tiles removed: the
-//! zig-zag ordering is preserved, chains simply hop over holes. The extra
-//! hop cost is observable through [`mean_placement_hops`] and feeds the
-//! degraded-latency model in
-//! [`pipeline_model`](crate::pipeline_model::run_network_degraded).
+//! zig-zag ordering is preserved, chains simply hop over holes.
 
 use crate::ExecError;
 use serde::{Deserialize, Serialize};
 
 /// Compute-array width (the 16×16 mesh minus the host column).
-pub const ARRAY_W: usize = 15;
+pub(crate) const ARRAY_W: usize = 15;
 /// Compute-array height (minus the two LLC rows).
-pub const ARRAY_H: usize = 14;
+pub(crate) const ARRAY_H: usize = 14;
 
 /// A tile position inside the compute region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,8 +28,9 @@ pub struct Tile {
 
 impl Tile {
     /// Manhattan distance.
+    #[cfg(test)]
     #[must_use]
-    pub fn hops_to(self, o: Tile) -> u32 {
+    pub(crate) fn hops_to(self, o: Tile) -> u32 {
         self.x.abs_diff(o.x) as u32 + self.y.abs_diff(o.y) as u32
     }
 }
@@ -56,8 +54,9 @@ pub struct GroupPlacement {
 impl GroupPlacement {
     /// Mean hop count along the forwarding chain (1.0 when perfectly
     /// adjacent).
+    #[cfg(test)]
     #[must_use]
-    pub fn mean_chain_hops(&self) -> f64 {
+    pub(crate) fn mean_chain_hops(&self) -> f64 {
         if self.computing.is_empty() {
             return 0.0;
         }
@@ -114,7 +113,7 @@ pub fn place_groups(group_sizes: &[usize]) -> Option<Vec<GroupPlacement>> {
 ///
 /// Returns [`ExecError::PlacementOverflow`] if the groups exceed the
 /// array.
-pub fn try_place_groups(group_sizes: &[usize]) -> Result<Vec<GroupPlacement>, ExecError> {
+pub(crate) fn try_place_groups(group_sizes: &[usize]) -> Result<Vec<GroupPlacement>, ExecError> {
     place_groups_avoiding(group_sizes, &[])
 }
 
@@ -155,8 +154,9 @@ pub fn place_groups_avoiding(
 /// length: exactly 1.0 on a healthy array, above 1.0 when chains hop over
 /// failed tiles. This is the NoC-latency degradation factor of a remapped
 /// placement.
+#[cfg(test)]
 #[must_use]
-pub fn mean_placement_hops(groups: &[GroupPlacement]) -> f64 {
+pub(crate) fn mean_placement_hops(groups: &[GroupPlacement]) -> f64 {
     let mut hops = 0.0;
     let mut links = 0usize;
     for g in groups {

@@ -13,9 +13,6 @@
 
 use crate::alloc::LayerTiming;
 use crate::config::ExecConfig;
-use crate::mapping::{
-    mean_placement_hops, place_groups_avoiding, GroupPlacement, Tile, ARRAY_H, ARRAY_W,
-};
 use crate::segment::{segment, Segment, Strategy};
 use crate::ExecError;
 use maicc_model::power::ActivityCounters;
@@ -125,99 +122,6 @@ impl IterBreakdown {
     }
 }
 
-/// Outcome of running a network on a fabric with failed tiles: the
-/// degraded schedule plus the healthy baseline it is measured against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DegradedRunReport {
-    /// The degraded run (fewer cores, longer chains).
-    pub report: RunReport,
-    /// End-to-end cycles of the same network on a healthy fabric.
-    pub baseline_cycles: f64,
-    /// Mean hops per chain link after remapping (1.0 = healthy adjacency).
-    pub mean_chain_hops: f64,
-    /// Failed tiles inside the compute region.
-    pub failed_tiles: usize,
-    /// Remapped node-group placements, one list per segment.
-    pub placements: Vec<Vec<GroupPlacement>>,
-}
-
-impl DegradedRunReport {
-    /// Latency penalty of degraded operation: degraded cycles over
-    /// baseline cycles (1.0 = no penalty).
-    #[must_use]
-    pub fn latency_penalty(&self) -> f64 {
-        if self.baseline_cycles <= 0.0 {
-            1.0
-        } else {
-            self.report.total_cycles / self.baseline_cycles
-        }
-    }
-}
-
-/// Maps and "runs" a network on a fabric where some compute tiles have
-/// failed.
-///
-/// The node groups are remapped around the dead tiles: the Eq. 1
-/// allocator sees the reduced core count, and the zig-zag placement skips
-/// the holes ([`place_groups_avoiding`]). The extra chain hops scale the
-/// model's NoC hop latency, so the returned report quantifies the latency
-/// penalty of degraded operation. With no failed tiles the result is
-/// identical to [`run_network`].
-///
-/// # Errors
-///
-/// Propagates shape/capacity errors, and
-/// [`ExecError::PlacementOverflow`] when too many tiles died for the
-/// network to fit at all.
-pub fn run_network_degraded(
-    net: &Network,
-    input: [usize; 3],
-    strategy: Strategy,
-    cfg: &ExecConfig,
-    failed: &[Tile],
-) -> Result<DegradedRunReport, ExecError> {
-    let baseline = run_network(net, input, strategy, cfg)?;
-    // only distinct tiles inside the compute region count as lost cores
-    let mut dead: Vec<Tile> = Vec::new();
-    for &t in failed {
-        if (t.x as usize) < ARRAY_W && (t.y as usize) < ARRAY_H && !dead.contains(&t) {
-            dead.push(t);
-        }
-    }
-    if dead.is_empty() {
-        return Ok(DegradedRunReport {
-            baseline_cycles: baseline.total_cycles,
-            report: baseline,
-            mean_chain_hops: 1.0,
-            failed_tiles: 0,
-            placements: Vec::new(),
-        });
-    }
-
-    let mut dcfg = *cfg;
-    dcfg.cores = cfg.cores.saturating_sub(dead.len());
-    let shapes = net.shapes(input)?;
-    let segments = segment(&shapes, strategy, &dcfg)?;
-    let mut placements = Vec::with_capacity(segments.len());
-    for seg in &segments {
-        let sizes: Vec<usize> = seg.allocs.iter().map(|a| a.computing_cores).collect();
-        placements.push(place_groups_avoiding(&sizes, &dead)?);
-    }
-    let flat: Vec<GroupPlacement> = placements.iter().flatten().cloned().collect();
-    let mean_chain_hops = mean_placement_hops(&flat);
-
-    let mut rcfg = dcfg;
-    rcfg.hop_cycles = cfg.hop_cycles * mean_chain_hops;
-    let report = run_segments(net, &segments, &rcfg, strategy)?;
-    Ok(DegradedRunReport {
-        report,
-        baseline_cycles: baseline.total_cycles,
-        mean_chain_hops,
-        failed_tiles: dead.len(),
-        placements,
-    })
-}
-
 /// Maps and "runs" a network under a strategy.
 ///
 /// # Errors
@@ -241,7 +145,7 @@ pub fn run_network(
 ///
 /// Returns [`ExecError::BadShapes`] if segment indices are inconsistent
 /// with the network.
-pub fn run_segments(
+pub(crate) fn run_segments(
     net: &Network,
     segments: &[Segment],
     cfg: &ExecConfig,
@@ -601,69 +505,6 @@ mod tests {
             assert!(r.total_cycles > 0.0);
             assert_eq!(r.layers.len(), 5);
         }
-    }
-
-    #[test]
-    fn degraded_run_with_no_failures_is_identical() {
-        let net = resnet18(1000);
-        let c = cfg();
-        let clean = run_network(&net, [64, 56, 56], Strategy::Heuristic, &c).unwrap();
-        let d = run_network_degraded(&net, [64, 56, 56], Strategy::Heuristic, &c, &[]).unwrap();
-        assert_eq!(d.report, clean);
-        assert_eq!(d.failed_tiles, 0);
-        assert!((d.mean_chain_hops - 1.0).abs() < 1e-12);
-        assert!((d.latency_penalty() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dead_tiles_cost_latency() {
-        let net = resnet18(1000);
-        let c = cfg();
-        // a scatter of dead tiles through the first rows — inside every
-        // segment's placed region. ResNet-18's conv4_2 needs 206 of the
-        // 210 cores, so at most 4 tiles may die before mapping fails.
-        let dead = [
-            Tile { x: 2, y: 0 },
-            Tile { x: 7, y: 1 },
-            Tile { x: 4, y: 2 },
-        ];
-        let d = run_network_degraded(&net, [64, 56, 56], Strategy::Heuristic, &c, &dead).unwrap();
-        assert_eq!(d.failed_tiles, 3);
-        assert!(
-            d.mean_chain_hops > 1.0,
-            "chains should hop over holes: {}",
-            d.mean_chain_hops
-        );
-        assert!(
-            d.latency_penalty() > 1.0,
-            "degraded run must be slower: penalty {}",
-            d.latency_penalty()
-        );
-        // every placement avoids the dead tiles
-        for g in d.placements.iter().flatten() {
-            assert!(!dead.contains(&g.dc));
-            for t in &g.computing {
-                assert!(!dead.contains(t));
-            }
-        }
-    }
-
-    #[test]
-    fn massive_failure_yields_typed_error() {
-        let net = resnet18(1000);
-        let c = cfg();
-        // kill the first 190 tiles of the serpentine: 20 cores cannot map
-        // ResNet-18
-        let dead: Vec<Tile> = crate::mapping::zigzag_order().into_iter().take(190).collect();
-        let err = run_network_degraded(&net, [64, 56, 56], Strategy::Heuristic, &c, &dead)
-            .expect_err("20 healthy cores cannot map resnet18");
-        assert!(
-            matches!(
-                err,
-                ExecError::LayerTooLarge { .. } | ExecError::PlacementOverflow { .. }
-            ),
-            "{err:?}"
-        );
     }
 
     #[test]

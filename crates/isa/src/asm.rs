@@ -92,7 +92,7 @@ impl Assembler {
     }
 
     /// Appends a `jal` to a label.
-    pub fn jal(&mut self, rd: Reg, label: impl Into<String>) -> &mut Self {
+    pub(crate) fn jal(&mut self, rd: Reg, label: impl Into<String>) -> &mut Self {
         self.items.push(Item::Jal {
             rd,
             label: label.into(),
@@ -118,18 +118,6 @@ impl Assembler {
             self.inst(Instruction::li(rd, lo));
         }
         self
-    }
-
-    /// Number of instructions emitted so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no instructions have been emitted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Resolves labels and returns the instruction sequence.

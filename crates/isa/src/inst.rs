@@ -85,7 +85,7 @@ pub enum OpKind {
 impl OpKind {
     /// Whether this is an M-extension multiply.
     #[must_use]
-    pub fn is_mul(self) -> bool {
+    pub(crate) fn is_mul(self) -> bool {
         matches!(self, OpKind::Mul | OpKind::Mulh | OpKind::Mulhsu | OpKind::Mulhu)
     }
 
@@ -140,7 +140,7 @@ impl VecWidth {
 
     /// 2-bit encoding field.
     #[must_use]
-    pub fn code(self) -> u32 {
+    pub(crate) fn code(self) -> u32 {
         match self {
             VecWidth::W2 => 0,
             VecWidth::W4 => 1,
@@ -151,7 +151,7 @@ impl VecWidth {
 
     /// Width from its 2-bit encoding field.
     #[must_use]
-    pub fn from_code(c: u32) -> VecWidth {
+    pub(crate) fn from_code(c: u32) -> VecWidth {
         match c & 3 {
             0 => VecWidth::W2,
             1 => VecWidth::W4,

@@ -42,4 +42,4 @@ mod error;
 pub use error::IsaError;
 
 /// Major opcode used by the CMem extension instructions (RISC-V *custom-0*).
-pub const CUSTOM0: u32 = 0x0B;
+pub(crate) const CUSTOM0: u32 = 0x0B;

@@ -137,7 +137,7 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
 /// # Errors
 ///
 /// Returns the first [`ParseError`] encountered.
-pub fn parse_program(src: &str) -> Result<Assembler, ParseError> {
+pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
     let mut asm = Assembler::new();
     for (i, raw) in src.lines().enumerate() {
         let line = i + 1;

@@ -254,7 +254,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let prog = assemble_text(&src).map_err(|e| e.to_string())?;
-    let mut node = Node::new(prog, Box::new(NullPort::default()));
+    let mut node = Node::new(prog, NullPort::default());
     let mut timing = Timing::new(PipelineConfig::default());
     node.run_with(max_steps, |e| timing.on_retire(e))
         .map_err(|e| e.to_string())?;

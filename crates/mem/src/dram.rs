@@ -15,22 +15,22 @@
 use serde::{Deserialize, Serialize};
 
 /// Precharge latency (cycles).
-pub const T_RP: u64 = 14;
+pub(crate) const T_RP: u64 = 14;
 /// Activate-to-read latency (cycles).
-pub const T_RCD: u64 = 14;
+pub(crate) const T_RCD: u64 = 14;
 /// Column access latency (cycles).
-pub const T_CAS: u64 = 14;
+pub(crate) const T_CAS: u64 = 14;
 /// Data burst occupancy of the channel per 32-byte line (cycles).
-pub const T_BURST: u64 = 4;
+pub(crate) const T_BURST: u64 = 4;
 /// Row-buffer size in bytes.
-pub const ROW_BYTES: u32 = 2048;
+pub(crate) const ROW_BYTES: u32 = 2048;
 /// Banks per channel.
-pub const BANKS: usize = 8;
+pub(crate) const BANKS: usize = 8;
 /// Refresh interval in cycles (DDR4 tREFI ≈ 7.8 µs at 1 GHz).
-pub const T_REFI: u64 = 7800;
+pub(crate) const T_REFI: u64 = 7800;
 /// Refresh duration in cycles (tRFC ≈ 350 ns); all banks blocked and all
 /// rows closed.
-pub const T_RFC: u64 = 350;
+pub(crate) const T_RFC: u64 = 350;
 
 /// Energy of one row activation (activate + precharge), pJ.
 pub const ACTIVATE_PJ: f64 = 1800.0;
@@ -38,9 +38,6 @@ pub const ACTIVATE_PJ: f64 = 1800.0;
 pub const READ_PJ: f64 = 650.0;
 /// Energy of one 32-byte write burst, pJ.
 pub const WRITE_PJ: f64 = 700.0;
-/// Static/background power per channel, watts.
-pub const CHANNEL_STATIC_W: f64 = 0.015;
-
 /// Per-channel statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramStats {
@@ -60,8 +57,9 @@ pub struct DramStats {
 
 impl DramStats {
     /// Row-buffer hit rate.
+    #[cfg(test)]
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.reads + self.writes;
         if total == 0 {
             0.0
@@ -72,7 +70,7 @@ impl DramStats {
 
     /// Dynamic energy in picojoules.
     #[must_use]
-    pub fn dynamic_pj(&self) -> f64 {
+    pub(crate) fn dynamic_pj(&self) -> f64 {
         (self.row_misses + self.row_conflicts) as f64 * ACTIVATE_PJ
             + self.reads as f64 * READ_PJ
             + self.writes as f64 * WRITE_PJ
@@ -81,7 +79,7 @@ impl DramStats {
 
 /// One DRAM channel.
 #[derive(Debug, Clone)]
-pub struct DramChannel {
+pub(crate) struct DramChannel {
     /// Open row per bank (`None` = all precharged).
     open_row: [Option<u32>; BANKS],
     /// When the channel's bus frees.
@@ -103,7 +101,7 @@ impl Default for DramChannel {
 impl DramChannel {
     /// Creates an idle channel with all banks precharged.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DramChannel {
             open_row: [None; BANKS],
             bus_free: 0,
@@ -114,14 +112,15 @@ impl DramChannel {
     }
 
     /// Statistics so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn stats(&self) -> &DramStats {
+    pub(crate) fn stats(&self) -> &DramStats {
         &self.stats
     }
 
     /// Serves one 32-byte access to channel-local address `addr` at time
     /// `now`; returns the completion cycle.
-    pub fn access(&mut self, addr: u32, is_write: bool, now: u64) -> u64 {
+    pub(crate) fn access(&mut self, addr: u32, is_write: bool, now: u64) -> u64 {
         let row = addr / ROW_BYTES;
         let bank = ((addr / ROW_BYTES) as usize) % BANKS;
         let mut start = now.max(self.bank_free[bank]).max(self.bus_free);
@@ -165,22 +164,23 @@ impl DramChannel {
 
 /// The full striped DRAM: one channel per LLC tile.
 #[derive(Debug, Clone)]
-pub struct Dram {
+pub(crate) struct Dram {
     channels: Vec<DramChannel>,
 }
 
 impl Dram {
     /// Creates `n` idle channels.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Dram {
             channels: (0..n).map(|_| DramChannel::new()).collect(),
         }
     }
 
     /// Number of channels.
+    #[cfg(test)]
     #[must_use]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels.len()
     }
 
@@ -189,13 +189,13 @@ impl Dram {
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn access(&mut self, channel: usize, addr: u32, is_write: bool, now: u64) -> u64 {
+    pub(crate) fn access(&mut self, channel: usize, addr: u32, is_write: bool, now: u64) -> u64 {
         self.channels[channel].access(addr, is_write, now)
     }
 
     /// Aggregated statistics over all channels.
     #[must_use]
-    pub fn total_stats(&self) -> DramStats {
+    pub(crate) fn total_stats(&self) -> DramStats {
         let mut t = DramStats::default();
         for c in &self.channels {
             t.reads += c.stats.reads;
@@ -206,12 +206,6 @@ impl Dram {
             t.refresh_stalls += c.stats.refresh_stalls;
         }
         t
-    }
-
-    /// Total dynamic energy in picojoules.
-    #[must_use]
-    pub fn dynamic_pj(&self) -> f64 {
-        self.total_stats().dynamic_pj()
     }
 }
 

@@ -35,7 +35,7 @@ pub mod system;
 pub mod tier;
 
 /// Cache-line / DRAM-burst size in bytes (one transposed CMem row is 32 B).
-pub const LINE_BYTES: u32 = 32;
+pub(crate) const LINE_BYTES: u32 = 32;
 
 /// Number of DRAM channels / LLC tiles (Table 1).
-pub const CHANNELS: usize = 32;
+pub(crate) const CHANNELS: usize = 32;

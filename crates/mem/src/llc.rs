@@ -8,14 +8,14 @@
 use serde::{Deserialize, Serialize};
 
 /// Cache access latency in cycles.
-pub const LLC_HIT_CYCLES: u64 = 6;
+pub(crate) const LLC_HIT_CYCLES: u64 = 6;
 
 /// Energy of one LLC access, pJ (McPAT-derived estimate for a 64 KB bank).
-pub const LLC_ACCESS_PJ: f64 = 25.0;
+pub(crate) const LLC_ACCESS_PJ: f64 = 25.0;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LookupResult {
+pub(crate) struct LookupResult {
     /// Whether the line was present.
     pub hit: bool,
     /// A dirty victim line's base address, if one was evicted.
@@ -35,8 +35,9 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit rate over all lookups.
+    #[cfg(test)]
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let t = self.hits + self.misses;
         if t == 0 {
             0.0
@@ -48,7 +49,7 @@ impl CacheStats {
     /// Dynamic energy in picojoules (each lookup touches the array once;
     /// fills and writebacks touch it again).
     #[must_use]
-    pub fn dynamic_pj(&self) -> f64 {
+    pub(crate) fn dynamic_pj(&self) -> f64 {
         (self.hits + 2 * self.misses + self.writebacks) as f64 * LLC_ACCESS_PJ
     }
 }
@@ -64,7 +65,7 @@ struct Line {
 
 /// One LLC tile.
 #[derive(Debug, Clone)]
-pub struct Llc {
+pub(crate) struct Llc {
     sets: usize,
     ways: usize,
     line_bytes: u32,
@@ -82,7 +83,7 @@ impl Llc {
     /// Panics if the geometry is degenerate (zero ways, capacity not a
     /// multiple of `ways × 32`, or a non-power-of-two set count).
     #[must_use]
-    pub fn new(capacity_bytes: usize, ways: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize, ways: usize) -> Self {
         let line_bytes = crate::LINE_BYTES;
         assert!(ways > 0, "need at least one way");
         let lines_total = capacity_bytes / line_bytes as usize;
@@ -105,25 +106,26 @@ impl Llc {
 
     /// The standard MAICC LLC tile: 64 KB, 8-way.
     #[must_use]
-    pub fn new_maicc_tile() -> Self {
+    pub(crate) fn new_maicc_tile() -> Self {
         Self::new(64 * 1024, 8)
     }
 
     /// Capacity in bytes.
+    #[cfg(test)]
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.sets * self.ways * self.line_bytes as usize
     }
 
     /// Statistics so far.
     #[must_use]
-    pub fn stats(&self) -> &CacheStats {
+    pub(crate) fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
     /// Looks up (and on miss, fills) the line containing `addr`; marks it
     /// dirty on writes. Returns hit/miss and any dirty victim.
-    pub fn access(&mut self, addr: u32, is_write: bool) -> LookupResult {
+    pub(crate) fn access(&mut self, addr: u32, is_write: bool) -> LookupResult {
         self.tick += 1;
         let line_addr = addr / self.line_bytes;
         let set = (line_addr as usize) % self.sets;

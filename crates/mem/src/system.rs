@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// Interleave granularity across channels (2 KB, matching
 /// `maicc_core::mem_map`).
-pub const CHANNEL_STRIDE: u32 = 2048;
+pub(crate) const CHANNEL_STRIDE: u32 = 2048;
 
 /// Timing and traffic summary of a memory-system run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -46,8 +46,9 @@ impl MemorySystem {
     }
 
     /// Creates a custom-sized system.
+    #[cfg(test)]
     #[must_use]
-    pub fn new(channels: usize, llc_bytes: usize, ways: usize) -> Self {
+    pub(crate) fn new(channels: usize, llc_bytes: usize, ways: usize) -> Self {
         MemorySystem {
             tiles: (0..channels).map(|_| Llc::new(llc_bytes, ways)).collect(),
             dram: Dram::new(channels),
@@ -56,7 +57,7 @@ impl MemorySystem {
 
     /// Which channel a DRAM-window offset maps to.
     #[must_use]
-    pub fn channel_of(&self, dram_offset: u32) -> usize {
+    pub(crate) fn channel_of(&self, dram_offset: u32) -> usize {
         ((dram_offset / CHANNEL_STRIDE) as usize) % self.tiles.len()
     }
 
@@ -90,18 +91,6 @@ impl MemorySystem {
             llc,
             dram: self.dram.total_stats(),
         }
-    }
-
-    /// Effective streaming bandwidth in bytes/cycle for `lines` sequential
-    /// line reads starting cold (used by the execution model to bound
-    /// data-collection cores).
-    #[must_use]
-    pub fn streaming_bandwidth(&mut self, lines: u32) -> f64 {
-        let mut t = 0;
-        for i in 0..lines {
-            t = self.access(i * LINE_BYTES, false, t);
-        }
-        (lines * LINE_BYTES) as f64 / t as f64
     }
 }
 
@@ -155,14 +144,6 @@ mod tests {
             t_single = single.access(i * LINE_BYTES, false, t_single).max(t_single);
         }
         assert!(t_spread < t_single);
-    }
-
-    #[test]
-    fn streaming_bandwidth_is_positive_and_bounded() {
-        let mut m = MemorySystem::new_maicc();
-        let bw = m.streaming_bandwidth(256);
-        assert!(bw > 0.5, "{bw}");
-        assert!(bw < 32.0, "{bw}");
     }
 
     #[test]

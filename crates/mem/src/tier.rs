@@ -38,7 +38,7 @@ impl LoadCost {
 
 /// Number of 32-byte lines needed to hold `bytes`.
 #[must_use]
-pub fn lines_of(bytes: usize) -> u64 {
+pub(crate) fn lines_of(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(u64::from(LINE_BYTES))
 }
 
@@ -64,7 +64,7 @@ pub fn dram_load(bytes: usize) -> LoadCost {
 }
 
 /// Cost of a warm-tier load: the image is already resident in the edge
-/// LLCs, so every line is a hit — [`LLC_HIT_CYCLES`] latency and one
+/// LLCs, so every line is a hit — `LLC_HIT_CYCLES` latency and one
 /// array touch per line.
 #[must_use]
 pub fn llc_load(bytes: usize) -> LoadCost {

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Lightweight RV32IMA core area, mm² (§5: 0.014 mm² at 28 nm).
-pub const CORE_MM2: f64 = 0.014;
+pub(crate) const CORE_MM2: f64 = 0.014;
 /// CMem slice 0 (8T, transposing) area, mm² (§5).
 pub const SLICE0_MM2: f64 = 0.014;
 /// One computing slice (1–7) including its adder tree, mm².
@@ -21,11 +21,11 @@ pub const COMPUTE_SLICE_MM2: f64 = 0.0104;
 /// logic rather than memory cells (Figure 10(a): "about one-third").
 pub const SLICE_LOGIC_FRACTION: f64 = 1.0 / 3.0;
 /// Node instruction cache + data memory (2 × 4 KB), mm².
-pub const NODE_SRAM_MM2: f64 = 0.0133;
+pub(crate) const NODE_SRAM_MM2: f64 = 0.0133;
 /// Whole-mesh NoC area, mm² (§5, dsent).
-pub const NOC_MM2: f64 = 2.61;
+pub(crate) const NOC_MM2: f64 = 2.61;
 /// One LLC tile (64 KB), mm².
-pub const LLC_TILE_MM2: f64 = 0.0437;
+pub(crate) const LLC_TILE_MM2: f64 = 0.0437;
 
 /// Table-4 node-area reference points, mm².
 pub const SCALAR_NODE_MM2: f64 = 0.052;
@@ -96,13 +96,6 @@ impl AreaBreakdown {
             / (SLICE0_MM2 + 7.0 * COMPUTE_SLICE_MM2);
         compute * SLICE_LOGIC_FRACTION
     }
-}
-
-/// On-chip memory per node in KB (Table 4's "Memory" row): 16 KB CMem +
-/// 4 KB data memory — the paper counts the instruction cache separately.
-#[must_use]
-pub fn maicc_node_memory_kb() -> usize {
-    20
 }
 
 #[cfg(test)]

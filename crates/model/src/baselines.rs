@@ -64,7 +64,7 @@ impl DeviceModel {
 
     /// Peak MAC rate, MACs/s.
     #[must_use]
-    pub fn peak_macs_per_s(&self) -> f64 {
+    pub(crate) fn peak_macs_per_s(&self) -> f64 {
         self.lanes * self.freq_hz * self.macs_per_lane_cycle
     }
 

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const NEURAL_CACHE_GFLOPS_PER_W: f64 = 22.90;
 
 /// Operations per multiply-accumulate (one multiply + one add).
-pub const OPS_PER_MAC: f64 = 2.0;
+pub(crate) const OPS_PER_MAC: f64 = 2.0;
 
 /// A computational-efficiency data point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,13 +24,13 @@ pub struct Efficiency {
 impl Efficiency {
     /// Throughput in GFLOPS (counting 2 ops per MAC).
     #[must_use]
-    pub fn gflops(&self) -> f64 {
+    pub(crate) fn gflops(&self) -> f64 {
         self.macs as f64 * OPS_PER_MAC / self.seconds / 1e9
     }
 
     /// Average power, watts.
     #[must_use]
-    pub fn watts(&self) -> f64 {
+    pub(crate) fn watts(&self) -> f64 {
         self.joules / self.seconds
     }
 

@@ -20,12 +20,3 @@ pub mod area;
 pub mod baselines;
 pub mod efficiency;
 pub mod power;
-
-/// Cores in the evaluated MAICC chip.
-pub const MAICC_CORES: usize = 210;
-
-/// LLC tiles (= DRAM channels).
-pub const MAICC_LLC_TILES: usize = 32;
-
-/// Core clock, Hz (the paper's conservative 1 GHz, §6.3).
-pub const MAICC_FREQ_HZ: f64 = 1.0e9;

@@ -17,17 +17,17 @@ pub const CORE_W: f64 = 0.008;
 /// Figure 10(b) even though each MAC.C costs only 28 pJ.
 pub const CMEM_STATIC_W: f64 = 0.010;
 /// Node SRAM (icache + data memory) static power, W.
-pub const NODE_SRAM_W: f64 = 0.002;
+pub(crate) const NODE_SRAM_W: f64 = 0.002;
 /// NoC static power, W (§5: 2.20 W, dsent).
-pub const NOC_STATIC_W: f64 = 2.20;
+pub(crate) const NOC_STATIC_W: f64 = 2.20;
 /// One LLC tile's static power, W.
-pub const LLC_TILE_W: f64 = 0.010;
+pub(crate) const LLC_TILE_W: f64 = 0.010;
 /// Many-core DRAM background power (standby + refresh + PHY) across all
 /// 32 channels of the 2 GB device, W.
-pub const DRAM_STATIC_W: f64 = 17.2;
+pub(crate) const DRAM_STATIC_W: f64 = 17.2;
 /// Dynamic energy per retired scalar instruction, pJ (8 mW / 1 GHz core,
 /// roughly half static, half activity-dependent).
-pub const CORE_INST_PJ: f64 = 4.0;
+pub(crate) const CORE_INST_PJ: f64 = 4.0;
 
 /// Dynamic-activity counters a simulation produces.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -134,7 +134,7 @@ impl std::fmt::Display for EnergyBreakdown {
 
 /// Re-exported NoC flit-hop energy (pJ) so callers need only this crate.
 #[must_use]
-pub fn maicc_noc_flit_pj() -> f64 {
+pub(crate) fn maicc_noc_flit_pj() -> f64 {
     5.4
 }
 

@@ -18,7 +18,7 @@ use crate::NnError;
 /// # Errors
 ///
 /// Returns [`NnError::BadInput`] on rank/channel mismatch.
-pub fn im2col(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i8>, NnError> {
+pub(crate) fn im2col(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i8>, NnError> {
     let s = &layer.shape;
     if input.shape().len() != 3 || input.shape()[0] != s.in_channels {
         return Err(NnError::BadInput {
@@ -59,7 +59,7 @@ pub fn im2col(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i8>, NnErr
 /// # Errors
 ///
 /// Propagates [`im2col`]'s and shape errors.
-pub fn conv2d_im2col(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i32>, NnError> {
+pub(crate) fn conv2d_im2col(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i32>, NnError> {
     layer.validate()?;
     let s = &layer.shape;
     let (oh, ow) = s.output_hw(input.shape()[1], input.shape()[2]);

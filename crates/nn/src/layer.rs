@@ -4,8 +4,9 @@
 //! (CONV, FC) that dominate MACs and map onto CMem, and **auxiliary
 //! function layers** (activation, pooling, batch normalization,
 //! quantization) that run on the RISC-V pipeline. This module provides
-//! golden integer implementations of both classes; every hardware model in
-//! the workspace validates against these.
+//! golden integer implementations of CONV, FC, ReLU, pooling, residual add
+//! and requantization; every hardware model in the workspace validates
+//! against these.
 //!
 //! Activations are `i8` tensors in `[C, H, W]` layout (channel-major,
 //! Figure 1), accumulators are `i32`, weights are `i8` in `[M, C, R, S]`.
@@ -52,7 +53,7 @@ impl ConvLayer {
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] on any inconsistency.
-    pub fn validate(&self) -> Result<(), NnError> {
+    pub(crate) fn validate(&self) -> Result<(), NnError> {
         let s = &self.shape;
         let expect = [s.out_channels, s.in_channels, s.kernel_h, s.kernel_w];
         if self.weights.shape() != expect {
@@ -95,13 +96,13 @@ pub struct LinearLayer {
 impl LinearLayer {
     /// Output feature count.
     #[must_use]
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.weights.shape()[0]
     }
 
     /// Input feature count.
     #[must_use]
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.weights.shape()[1]
     }
 }
@@ -170,7 +171,7 @@ pub fn conv2d_i8(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i32>, N
 /// # Errors
 ///
 /// Returns [`NnError::BadInput`] if the input length mismatches.
-pub fn linear_i8(input: &Tensor<i8>, layer: &LinearLayer) -> Result<Tensor<i32>, NnError> {
+pub(crate) fn linear_i8(input: &Tensor<i8>, layer: &LinearLayer) -> Result<Tensor<i32>, NnError> {
     let (out_f, in_f) = (layer.out_features(), layer.in_features());
     if input.len() != in_f {
         return Err(NnError::BadInput {
@@ -203,7 +204,7 @@ pub fn relu_i32(t: &Tensor<i32>) -> Tensor<i32> {
 /// # Errors
 ///
 /// Returns [`NnError::ShapeMismatch`] on differing shapes.
-pub fn add_i8(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i8>, NnError> {
+pub(crate) fn add_i8(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i8>, NnError> {
     if a.shape() != b.shape() {
         return Err(NnError::ShapeMismatch {
             expected: a.shape().to_vec(),
@@ -273,87 +274,6 @@ pub fn global_avgpool_i8(input: &Tensor<i8>) -> Tensor<i8> {
         out.set(&[ch], avg.clamp(-128, 127) as i8);
     }
     out
-}
-
-/// A 256-entry i8→i8 lookup table — how a lightweight core implements
-/// non-linear activations like Sigmoid or Tanh (§2.1 lists them among the
-/// auxiliary functions; a LUT in the 4 KB data memory costs one load per
-/// value).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ActivationLut {
-    table: Vec<i8>,
-}
-
-impl ActivationLut {
-    /// Builds a LUT from any scalar function over the i8 domain.
-    #[must_use]
-    pub fn from_fn(f: impl Fn(i8) -> i8) -> Self {
-        ActivationLut {
-            table: (-128..=127).map(|v| f(v as i8)).collect(),
-        }
-    }
-
-    /// A sigmoid quantized as `round(127 · σ(x · scale))`, mapping the i8
-    /// domain onto `[0, 127]`.
-    #[must_use]
-    pub fn sigmoid(scale: f32) -> Self {
-        Self::from_fn(|q| {
-            let x = q as f32 * scale;
-            let s = 1.0 / (1.0 + (-x).exp());
-            (s * 127.0).round() as i8
-        })
-    }
-
-    /// Applies the LUT to one value.
-    #[must_use]
-    pub fn apply(&self, q: i8) -> i8 {
-        self.table[(q as i16 + 128) as usize]
-    }
-
-    /// Applies the LUT element-wise.
-    #[must_use]
-    pub fn apply_tensor(&self, t: &Tensor<i8>) -> Tensor<i8> {
-        t.map(|q| self.apply(q))
-    }
-
-    /// The raw 256-byte table, as the core would keep it in data memory.
-    #[must_use]
-    pub fn table(&self) -> &[i8] {
-        &self.table
-    }
-}
-
-/// Per-channel integer batch normalization on an i32 accumulator:
-/// `y = (x * mul) >> shift + add` — the folded linear transform of §2.1.
-///
-/// # Errors
-///
-/// Returns [`NnError::BadInput`] if parameter lengths differ from the
-/// channel count.
-pub fn batchnorm_i32(
-    t: &Tensor<i32>,
-    mul: &[i32],
-    shift: u32,
-    add: &[i32],
-) -> Result<Tensor<i32>, NnError> {
-    let c = t.shape()[0];
-    if mul.len() != c || add.len() != c {
-        return Err(NnError::BadInput {
-            layer: "batchnorm".into(),
-            reason: format!("expected {c} per-channel parameters"),
-        });
-    }
-    let per_channel: usize = t.shape()[1..].iter().product();
-    let mut out = t.clone();
-    for ch in 0..c {
-        for i in 0..per_channel {
-            let idx = ch * per_channel + i;
-            let x = out.data()[idx] as i64;
-            let y = ((x * mul[ch] as i64) >> shift) + add[ch] as i64;
-            out.data_mut()[idx] = y.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -525,38 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_linear_transform() {
-        let t = Tensor::from_vec(&[2, 2], vec![8, 16, 8, 16]).unwrap();
-        let out = batchnorm_i32(&t, &[2, 4], 2, &[1, -1]).unwrap();
-        assert_eq!(out.data(), &[5, 9, 7, 15]);
-    }
-
-    #[test]
     fn requantize_applies_elementwise() {
         let t = Tensor::from_vec(&[3], vec![100, 200, -300]).unwrap();
         let r = Requantizer::from_real_multiplier(0.5, 0);
         assert_eq!(requantize(&t, &r).data(), &[50, 100, -128]);
-    }
-
-    #[test]
-    fn sigmoid_lut_is_monotone_and_bounded() {
-        let lut = ActivationLut::sigmoid(0.05);
-        let mut prev = i8::MIN;
-        for q in -128..=127i16 {
-            let v = lut.apply(q as i8);
-            assert!((0..=127).contains(&v), "σ out of range: {v}");
-            assert!(v >= prev, "σ must be monotone");
-            prev = v;
-        }
-        assert_eq!(lut.apply(0), 64, "σ(0) = 0.5 → 63.5 rounds to 64");
-    }
-
-    #[test]
-    fn lut_tensor_application() {
-        let lut = ActivationLut::from_fn(|q| q.saturating_neg());
-        let t = Tensor::from_vec(&[3], vec![-128i8, 0, 5]).unwrap();
-        assert_eq!(lut.apply_tensor(&t).data(), &[127, 0, -5]);
-        assert_eq!(lut.table().len(), 256);
     }
 
     proptest! {

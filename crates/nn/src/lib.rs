@@ -10,11 +10,9 @@
 //! * [`quant`] — per-tensor affine quantization (scale + zero-point) and the
 //!   integer-only requantization multiplier;
 //! * [`layer`] — CONV / FC computation layers and the auxiliary-function
-//!   layers (§2.1): ReLU, max/avg pooling, batch normalization, quantize;
+//!   layers (§2.1): ReLU, max/avg pooling, requantize;
 //! * [`graph`] — a layer DAG with residual (shortcut) edges and a golden
 //!   reference executor, used to validate every hardware simulation;
-//! * [`im2col`] — the GEMM-lowered convolution path the CPU/GPU baselines
-//!   execute, differentially tested against the direct path;
 //! * [`resnet`] — the 20-row ResNet-18 layer table of the paper's Table 6.
 //!
 //! ## Example
@@ -31,12 +29,15 @@
 //! ```
 
 pub mod graph;
-pub mod im2col;
 pub mod layer;
 pub mod quant;
 pub mod resnet;
 pub mod tensor;
 
 mod error;
+// The GEMM-lowered convolution the CPU/GPU baselines execute: a test-only
+// differential oracle for the direct golden convolution.
+#[cfg(test)]
+mod im2col;
 
 pub use error::NnError;

@@ -8,7 +8,6 @@
 //! shift, exactly the arithmetic a RISC-V core performs in the auxiliary
 //! phase of a mixed layer.
 
-use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Per-tensor affine quantization parameters.
@@ -47,18 +46,6 @@ impl QuantParams {
     #[must_use]
     pub fn dequantize(&self, q: i8) -> f32 {
         self.scale * (q as i32 - self.zero_point) as f32
-    }
-
-    /// Quantizes a whole `f32` tensor.
-    #[must_use]
-    pub fn quantize_tensor(&self, t: &Tensor<f32>) -> Tensor<i8> {
-        t.map(|r| self.quantize(r))
-    }
-
-    /// Dequantizes a whole `i8` tensor.
-    #[must_use]
-    pub fn dequantize_tensor(&self, t: &Tensor<i8>) -> Tensor<f32> {
-        t.map(|q| self.dequantize(q))
     }
 }
 
@@ -186,16 +173,6 @@ mod tests {
         let q = QuantParams::from_range(-1.0, 1.0);
         assert_eq!(q.quantize(100.0), 127);
         assert_eq!(q.quantize(-100.0), -128);
-    }
-
-    #[test]
-    fn tensor_roundtrip() {
-        let t = Tensor::from_vec(&[4], vec![-1.0f32, 0.0, 0.5, 1.0]).unwrap();
-        let q = QuantParams::from_range(-1.0, 1.0);
-        let back = q.dequantize_tensor(&q.quantize_tensor(&t));
-        for (a, b) in t.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= q.scale);
-        }
     }
 
     #[test]

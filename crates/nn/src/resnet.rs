@@ -22,7 +22,7 @@ use crate::tensor::{ConvShape, Tensor};
 /// Deterministic synthetic weight at a 4-D weight coordinate: small signed
 /// values in `[-3, 3]` with no shift bias.
 #[must_use]
-pub fn synthetic_weight(m: usize, c: usize, ky: usize, kx: usize) -> i8 {
+pub(crate) fn synthetic_weight(m: usize, c: usize, ky: usize, kx: usize) -> i8 {
     let h = m
         .wrapping_mul(31)
         .wrapping_add(c.wrapping_mul(17))
@@ -33,7 +33,7 @@ pub fn synthetic_weight(m: usize, c: usize, ky: usize, kx: usize) -> i8 {
 
 /// Deterministic synthetic bias for filter `m`.
 #[must_use]
-pub fn synthetic_bias(m: usize) -> i32 {
+pub(crate) fn synthetic_bias(m: usize) -> i32 {
     (((m * 13) % 9) as i32 - 4) * 8
 }
 

@@ -117,7 +117,7 @@ impl<T: Copy + Default> Tensor<T> {
     ///
     /// Panics if `idx` has the wrong rank or is out of bounds.
     #[must_use]
-    pub fn offset(&self, idx: &[usize]) -> usize {
+    pub(crate) fn offset(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.shape.len(), "rank mismatch");
         let mut off = 0;
         for (d, (&i, &dim)) in idx.iter().zip(&self.shape).enumerate() {
@@ -153,23 +153,18 @@ impl<T: Copy + Default> Tensor<T> {
         &self.data
     }
 
-    /// Mutable raw row-major data.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Tensor<T>, NnError> {
+    pub(crate) fn reshape(&self, shape: &[usize]) -> Result<Tensor<T>, NnError> {
         Tensor::from_vec(shape, self.data.clone())
     }
 
     /// Applies `f` to every element, producing a new tensor of type `U`.
     #[must_use]
-    pub fn map<U: Copy + Default>(&self, f: impl Fn(T) -> U) -> Tensor<U> {
+    pub(crate) fn map<U: Copy + Default>(&self, f: impl Fn(T) -> U) -> Tensor<U> {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
@@ -210,7 +205,7 @@ impl ConvShape {
     ///
     /// Panics if the kernel does not fit in the padded input.
     #[must_use]
-    pub fn output_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
+    pub(crate) fn output_hw(&self, in_h: usize, in_w: usize) -> (usize, usize) {
         let eff_h = in_h + 2 * self.padding;
         let eff_w = in_w + 2 * self.padding;
         assert!(
@@ -225,7 +220,7 @@ impl ConvShape {
 
     /// Multiply-accumulate count for an `in_h × in_w` input.
     #[must_use]
-    pub fn macs(&self, in_h: usize, in_w: usize) -> u64 {
+    pub(crate) fn macs(&self, in_h: usize, in_w: usize) -> u64 {
         let (oh, ow) = self.output_hw(in_h, in_w);
         (oh * ow * self.out_channels * self.in_channels * self.kernel_h * self.kernel_w) as u64
     }

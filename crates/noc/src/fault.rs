@@ -125,7 +125,7 @@ impl NocFaultPlan {
 
     /// `true` when the plan can never inject anything.
     #[must_use]
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.drop_rate <= 0.0
             && self.corrupt_rate <= 0.0
             && self.failed_routers.is_empty()
@@ -170,7 +170,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff delay before retransmission number `retries + 1`.
     #[must_use]
-    pub fn backoff(&self, retries: u32) -> u64 {
+    pub(crate) fn backoff(&self, retries: u32) -> u64 {
         self.base_delay << retries.min(16)
     }
 }
@@ -262,17 +262,6 @@ pub struct NocFaultStats {
     pub crc_rejects: u64,
     /// Packets abandoned after exhausting retries.
     pub packets_lost: u64,
-}
-
-impl NocFaultStats {
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &NocFaultStats) {
-        self.flits_dropped += other.flits_dropped;
-        self.flits_corrupted += other.flits_corrupted;
-        self.retries += other.retries;
-        self.crc_rejects += other.crc_rejects;
-        self.packets_lost += other.packets_lost;
-    }
 }
 
 /// Deterministic splitmix64 stream for transient drops.
@@ -395,29 +384,6 @@ mod tests {
         }
         .to_string();
         assert!(inj.contains("injection queue"), "{inj}");
-    }
-
-    #[test]
-    fn stats_merge_adds() {
-        let mut a = NocFaultStats {
-            flits_dropped: 1,
-            flits_corrupted: 2,
-            retries: 3,
-            crc_rejects: 4,
-            packets_lost: 5,
-        };
-        a.merge(&NocFaultStats {
-            flits_dropped: 10,
-            flits_corrupted: 20,
-            retries: 30,
-            crc_rejects: 40,
-            packets_lost: 50,
-        });
-        assert_eq!(a.flits_dropped, 11);
-        assert_eq!(a.flits_corrupted, 22);
-        assert_eq!(a.retries, 33);
-        assert_eq!(a.crc_rejects, 44);
-        assert_eq!(a.packets_lost, 55);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use router::{Coord, Direction};
 pub use stats::NocStats;
 
 /// Default per-input-port buffer capacity in flits.
-pub const DEFAULT_BUFFER: usize = 4;
+pub(crate) const DEFAULT_BUFFER: usize = 4;
 
 /// Flits in a single-word remote load/store packet (§3.1: "a package
 /// containing 32-bit data" — head/address + payload).

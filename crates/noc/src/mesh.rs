@@ -294,12 +294,6 @@ impl<T> Mesh<T> {
         self.fault = Some(NocFaultState::new(plan));
     }
 
-    /// The attached fault plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&NocFaultPlan> {
-        self.fault.as_ref().map(|f| &f.plan)
-    }
-
     /// Fault events observed so far (zero when no plan is attached).
     #[must_use]
     pub fn fault_stats(&self) -> NocFaultStats {
@@ -333,7 +327,7 @@ impl<T> Mesh<T> {
     /// this holds, a lack of visible progress is the backoff itself — the
     /// watchdog in [`Mesh::run_guarded`] does not count it as a stall.
     #[must_use]
-    pub fn has_pending_retx(&self) -> bool {
+    pub(crate) fn has_pending_retx(&self) -> bool {
         self.flights.values().any(|fl| fl.release_at.is_some())
     }
 
@@ -341,18 +335,6 @@ impl<T> Mesh<T> {
     /// call.
     pub fn take_errors(&mut self) -> Vec<NocError> {
         std::mem::take(&mut self.errors)
-    }
-
-    /// Mesh width.
-    #[must_use]
-    pub fn width(&self) -> u8 {
-        self.width
-    }
-
-    /// Mesh height.
-    #[must_use]
-    pub fn height(&self) -> u8 {
-        self.height
     }
 
     /// Current cycle.
@@ -433,12 +415,6 @@ impl<T> Mesh<T> {
         self.tracked = None;
     }
 
-    /// Whether partitioned stepping is armed.
-    #[must_use]
-    pub fn partitioned_stepping(&self) -> bool {
-        self.tracked.is_some()
-    }
-
     /// Drains per-shard packet queues into the mesh in ascending shard
     /// order. Shard order equals node-index order in the fabric layer, so
     /// the resulting injection schedule is exactly the sequential one —
@@ -479,8 +455,9 @@ impl<T> Mesh<T> {
     /// ticking it only advances the clock (the fast path in
     /// [`Mesh::tick`]), which is exactly what [`Mesh::advance_to`]
     /// batch-applies.
+    #[cfg(test)]
     #[must_use]
-    pub fn next_event_cycle(&self) -> Option<u64> {
+    pub(crate) fn next_event_cycle(&self) -> Option<u64> {
         if self.is_idle() {
             None
         } else {
@@ -1085,8 +1062,9 @@ impl<T> Mesh<T> {
     }
 
     /// The most heavily used link's flit count — the congestion hotspot.
+    #[cfg(test)]
     #[must_use]
-    pub fn max_link_load(&self) -> u64 {
+    pub(crate) fn max_link_load(&self) -> u64 {
         self.link_load.iter().copied().max().unwrap_or(0)
     }
 

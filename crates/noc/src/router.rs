@@ -22,7 +22,7 @@ impl Coord {
 
     /// Manhattan distance to another tile — the hop count under X-Y routing.
     #[must_use]
-    pub fn hops_to(self, other: Coord) -> u32 {
+    pub(crate) fn hops_to(self, other: Coord) -> u32 {
         (self.x).abs_diff(other.x) as u32 + (self.y).abs_diff(other.y) as u32
     }
 }
@@ -50,7 +50,7 @@ pub enum Direction {
 
 impl Direction {
     /// All five ports.
-    pub const ALL: [Direction; 5] = [
+    pub(crate) const ALL: [Direction; 5] = [
         Direction::North,
         Direction::South,
         Direction::East,
@@ -60,7 +60,7 @@ impl Direction {
 
     /// Port index 0–4.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Direction::North => 0,
             Direction::South => 1,
@@ -126,7 +126,7 @@ impl Flit {
     /// The output port this flit wants at `here`, honouring its dimension
     /// order.
     #[must_use]
-    pub fn route_from(&self, here: Coord) -> Direction {
+    pub(crate) fn route_from(&self, here: Coord) -> Direction {
         if self.yx {
             yx_route(here, self.dst)
         } else {
@@ -159,7 +159,7 @@ pub(crate) struct Router {
 impl Router {
     /// Creates an empty router at `coord`.
     #[must_use]
-    pub fn new(coord: Coord) -> Self {
+    pub(crate) fn new(coord: Coord) -> Self {
         Router {
             coord,
             inputs: Default::default(),

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Dynamic energy per flit per hop in picojoules (§5, measured with dsent).
-pub const FLIT_HOP_PJ: f64 = 5.4;
+pub(crate) const FLIT_HOP_PJ: f64 = 5.4;
 
 /// Aggregate mesh statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -36,15 +36,6 @@ impl NocStats {
     pub fn dynamic_pj(&self) -> f64 {
         self.flit_hops as f64 * FLIT_HOP_PJ
     }
-
-    /// Merges another mesh's statistics into this one.
-    pub fn merge(&mut self, other: &NocStats) {
-        self.packets_sent += other.packets_sent;
-        self.packets_delivered += other.packets_delivered;
-        self.flit_hops += other.flit_hops;
-        self.total_latency += other.total_latency;
-        self.cycles = self.cycles.max(other.cycles);
-    }
 }
 
 #[cfg(test)]
@@ -63,25 +54,5 @@ mod tests {
             ..NocStats::default()
         };
         assert!((s.dynamic_pj() - 540.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = NocStats {
-            packets_sent: 2,
-            flit_hops: 10,
-            cycles: 5,
-            ..NocStats::default()
-        };
-        let b = NocStats {
-            packets_sent: 3,
-            flit_hops: 1,
-            cycles: 9,
-            ..NocStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.packets_sent, 5);
-        assert_eq!(a.flit_hops, 11);
-        assert_eq!(a.cycles, 9);
     }
 }

@@ -166,8 +166,9 @@ impl Recorder {
     }
 
     /// The configured interval, cycles.
+    #[cfg(test)]
     #[must_use]
-    pub fn interval_cycles(&self) -> u64 {
+    pub(crate) fn interval_cycles(&self) -> u64 {
         self.interval
     }
 

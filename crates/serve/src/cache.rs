@@ -46,11 +46,11 @@ use crate::registry::{ModelEntry, ModelRegistry};
 /// Fabric-side cycles to vertical-write one weight byte into CMem,
 /// mirroring the execution framework's transpose cost
 /// (`ExecConfig::transpose_per_byte`).
-pub const WRITE_CYCLES_PER_BYTE: u64 = 3;
+pub(crate) const WRITE_CYCLES_PER_BYTE: u64 = 3;
 
 /// Energy to vertical-write one weight byte, picojoules (the CMem
 /// write-driver figure `maicc_sram::energy::VERTICAL_WRITE_PJ`).
-pub const WRITE_PJ_PER_BYTE: f64 = maicc_sram::energy::VERTICAL_WRITE_PJ;
+pub(crate) const WRITE_PJ_PER_BYTE: f64 = maicc_sram::energy::VERTICAL_WRITE_PJ;
 
 /// Tuning knobs for the weight cache.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +81,7 @@ impl Default for WeightCacheConfig {
 
 /// One model's weights pinned on a set of currently-idle tiles.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResidentSet {
+pub(crate) struct ResidentSet {
     /// Monotonic identity (creation order).
     pub id: u64,
     /// The model whose weights the tiles hold.
@@ -108,7 +108,7 @@ struct PrefetchState {
 
 /// Observable cache activity, reported through the SLO accountant.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheCounters {
+pub(crate) struct CacheCounters {
     /// Admissions that found the model's weights resident (or in-flight).
     pub hits: u64,
     /// Admissions that paid a tier load.
@@ -132,7 +132,7 @@ pub struct CacheCounters {
 impl CacheCounters {
     /// `hits / (hits + misses)`, 0 when nothing was admitted.
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         #[allow(clippy::cast_precision_loss)]
         if total == 0 {
@@ -144,7 +144,7 @@ impl CacheCounters {
 
     /// `prefetch_used / prefetch_issued`, 0 when none were issued.
     #[must_use]
-    pub fn prefetch_accuracy(&self) -> f64 {
+    pub(crate) fn prefetch_accuracy(&self) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         if self.prefetch_issued == 0 {
             0.0
@@ -158,7 +158,7 @@ impl CacheCounters {
 /// the load costs, and which state changes [`WeightCache::commit`] must
 /// apply. Planning is pure so schedulers can probe fit without mutating.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionPlan {
+pub(crate) struct AdmissionPlan {
     /// The placement, in serpentine order.
     pub tiles: Vec<Tile>,
     /// Whether the weights were already on the tiles.
@@ -208,7 +208,7 @@ fn disjoint(a: &[Tile], b: &[Tile]) -> bool {
 impl WeightCache {
     /// A fresh cache.
     #[must_use]
-    pub fn new(cfg: WeightCacheConfig) -> Self {
+    pub(crate) fn new(cfg: WeightCacheConfig) -> Self {
         WeightCache {
             cfg,
             next_set: 0,
@@ -222,44 +222,40 @@ impl WeightCache {
         }
     }
 
-    /// The configuration the cache was built with.
-    #[must_use]
-    pub fn config(&self) -> &WeightCacheConfig {
-        &self.cfg
-    }
-
     /// Activity counters so far.
     #[must_use]
-    pub fn counters(&self) -> &CacheCounters {
+    pub(crate) fn counters(&self) -> &CacheCounters {
         &self.counters
     }
 
     /// Current resident sets (inspection / tests).
     #[must_use]
-    pub fn residents(&self) -> &[ResidentSet] {
+    pub(crate) fn residents(&self) -> &[ResidentSet] {
         &self.residents
     }
 
     /// Whether a speculative stream is currently in flight.
+    #[cfg(test)]
     #[must_use]
-    pub fn prefetch_in_flight(&self) -> Option<(&str, u64)> {
+    pub(crate) fn prefetch_in_flight(&self) -> Option<(&str, u64)> {
         self.prefetch.as_ref().map(|p| (p.model.as_str(), p.done_at))
     }
 
     /// The in-flight speculative stream's target tiles, if any.
     #[must_use]
-    pub fn prefetch_tiles(&self) -> Option<&[Tile]> {
+    pub(crate) fn prefetch_tiles(&self) -> Option<&[Tile]> {
         self.prefetch.as_ref().map(|p| p.tiles.as_slice())
     }
 
     /// Tiles the cache knows to be retired (fault casualties).
+    #[cfg(test)]
     #[must_use]
-    pub fn retired(&self) -> &[Tile] {
+    pub(crate) fn retired(&self) -> &[Tile] {
         &self.retired
     }
 
     /// Notes one trace arrival for the rate estimator.
-    pub fn record_arrival(&mut self, model: &str, now: u64) {
+    pub(crate) fn record_arrival(&mut self, model: &str, now: u64) {
         let q = self.arrivals.entry(model.to_string()).or_default();
         q.push_back(now);
         while q.len() > self.cfg.arrival_window {
@@ -298,7 +294,7 @@ impl WeightCache {
     /// Cost of the tier stream + write phase a cold admission would pay
     /// right now, and whether it comes from the LLC tier.
     #[must_use]
-    pub fn tier_cost(&mut self, entry: &ModelEntry) -> (LoadCost, bool) {
+    pub(crate) fn tier_cost(&mut self, entry: &ModelEntry) -> (LoadCost, bool) {
         let llc_hit = self.cfg.enabled && self.llc.iter().any(|(m, _)| m == &entry.name);
         let stream = if llc_hit {
             llc_load(entry.weight_bytes)
@@ -313,7 +309,7 @@ impl WeightCache {
     /// resident or being prefetched, the tier cost otherwise. Pure, so
     /// policy picks can probe every queued request without mutating.
     #[must_use]
-    pub fn load_estimate(&self, entry: &ModelEntry) -> u64 {
+    pub(crate) fn load_estimate(&self, entry: &ModelEntry) -> u64 {
         if self.cfg.enabled {
             if self.residents.iter().any(|s| s.model == entry.name) {
                 return 0;
@@ -328,7 +324,7 @@ impl WeightCache {
     }
 
     /// Folds a finished speculative stream into the resident hot set.
-    pub fn settle_prefetch(&mut self, now: u64) {
+    pub(crate) fn settle_prefetch(&mut self, now: u64) {
         let done = matches!(&self.prefetch, Some(p) if p.done_at <= now);
         if done {
             let p = self.prefetch.take().expect("checked above");
@@ -348,7 +344,7 @@ impl WeightCache {
     /// Pins `entry`'s weights on `tiles` after a completed run (or a
     /// checkpointed preemption — the victim's weights stay put so its
     /// resume is warm).
-    pub fn on_release(&mut self, entry: &ModelEntry, tiles: &[Tile], now: u64) {
+    pub(crate) fn on_release(&mut self, entry: &ModelEntry, tiles: &[Tile], now: u64) {
         if !self.cfg.enabled || tiles.is_empty() {
             return;
         }
@@ -379,7 +375,7 @@ impl WeightCache {
     /// Drops resident sets (and any in-flight prefetch) that overlap
     /// tiles fault recovery just retired — the weights died with the
     /// cells.
-    pub fn retire_tiles(&mut self, retired: &[Tile]) {
+    pub(crate) fn retire_tiles(&mut self, retired: &[Tile]) {
         if retired.is_empty() {
             return;
         }
@@ -409,7 +405,7 @@ impl WeightCache {
     /// memory. A cluster fabric that suffers a whole-fabric outage calls
     /// this when the failover drains it: the weights died with the
     /// power, so the fabric rejoins cold.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.counters.evictions += self.residents.len() as u64;
         self.residents.clear();
         if self.prefetch.take().is_some() {
@@ -455,7 +451,7 @@ impl WeightCache {
     /// resident set — the scheduler head-blocks exactly as before.
     ///
     /// Planning never mutates: schedulers may probe and discard.
-    pub fn plan<P>(
+    pub(crate) fn plan<P>(
         &self,
         entry: &ModelEntry,
         now: u64,
@@ -579,7 +575,7 @@ impl WeightCache {
     }
 
     /// Applies a plan the scheduler decided to admit.
-    pub fn commit(&mut self, plan: &AdmissionPlan, entry: &ModelEntry, now: u64) {
+    pub(crate) fn commit(&mut self, plan: &AdmissionPlan, entry: &ModelEntry, now: u64) {
         let _ = now;
         if plan.warm {
             self.counters.hits += 1;
@@ -636,7 +632,7 @@ impl WeightCache {
     /// non-running model that fits the free tiles without evicting
     /// anything. `running` holds the model names currently on the
     /// fabric; `place` is the same closure [`Self::plan`] takes.
-    pub fn maybe_prefetch<P>(
+    pub(crate) fn maybe_prefetch<P>(
         &mut self,
         now: u64,
         running: &[&str],

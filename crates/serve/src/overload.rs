@@ -59,11 +59,12 @@ pub enum Tier {
 
 impl Tier {
     /// All tiers, highest priority first.
-    pub const ALL: [Tier; 3] = [Tier::Hard, Tier::Soft, Tier::BestEffort];
+    #[cfg(test)]
+    pub(crate) const ALL: [Tier; 3] = [Tier::Hard, Tier::Soft, Tier::BestEffort];
 
     /// Stable label used in reports and on the CLI.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Tier::Hard => "hard",
             Tier::Soft => "soft",
@@ -72,8 +73,9 @@ impl Tier {
     }
 
     /// Parses a CLI/report label (accepts `-` for `_`).
+    #[cfg(test)]
     #[must_use]
-    pub fn from_label(s: &str) -> Option<Tier> {
+    pub(crate) fn from_label(s: &str) -> Option<Tier> {
         match s.replace('-', "_").as_str() {
             "hard" => Some(Tier::Hard),
             "soft" => Some(Tier::Soft),
@@ -84,7 +86,7 @@ impl Tier {
 
     /// Admission rank: lower admits first.
     #[must_use]
-    pub fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             Tier::Hard => 0,
             Tier::Soft => 1,
@@ -94,7 +96,7 @@ impl Tier {
 
     /// The tier one step more urgent (retries re-enter admission here).
     #[must_use]
-    pub fn elevated(self) -> Tier {
+    pub(crate) fn elevated(self) -> Tier {
         match self {
             Tier::Hard | Tier::Soft => Tier::Hard,
             Tier::BestEffort => Tier::Soft,
@@ -132,7 +134,7 @@ impl RetryBudget {
     /// The backoff before retry attempt `attempt` (0-based): bounded
     /// exponential, saturating.
     #[must_use]
-    pub fn backoff_cycles(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_cycles(&self, attempt: u32) -> u64 {
         let shifted = if attempt >= 63 {
             u64::MAX
         } else {
@@ -199,17 +201,6 @@ impl Default for OverloadConfig {
     }
 }
 
-impl OverloadConfig {
-    /// The tier assigned to a tenant ([`Tier::Soft`] when unlisted).
-    #[must_use]
-    pub fn tier_of(&self, tenant: &str) -> Tier {
-        self.tiers
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map_or(Tier::default(), |(_, tier)| *tier)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,15 +235,5 @@ mod tests {
         assert_eq!(b.backoff_cycles(2), 4_000);
         assert_eq!(b.backoff_cycles(3), 6_000); // capped
         assert_eq!(b.backoff_cycles(200), 6_000); // no shift overflow
-    }
-
-    #[test]
-    fn unlisted_tenants_default_to_soft() {
-        let cfg = OverloadConfig {
-            tiers: vec![("vision".into(), Tier::Hard)],
-            ..OverloadConfig::default()
-        };
-        assert_eq!(cfg.tier_of("vision"), Tier::Hard);
-        assert_eq!(cfg.tier_of("anyone-else"), Tier::Soft);
     }
 }

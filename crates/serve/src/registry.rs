@@ -72,7 +72,7 @@ pub struct ModelRegistry {
 ///
 /// Returns [`ServeError::BadModel`] if the workload has no layers or a
 /// filter exceeds one CMem (`kernel_h × kernel_w × ceil(C/256) > 49`).
-pub fn footprint(cfg: &StreamConfig) -> Result<usize, ServeError> {
+pub(crate) fn footprint(cfg: &StreamConfig) -> Result<usize, ServeError> {
     if cfg.layers.is_empty() {
         return Err(ServeError::BadModel {
             reason: "workload has no layers".into(),
@@ -99,7 +99,7 @@ pub fn footprint(cfg: &StreamConfig) -> Result<usize, ServeError> {
 /// `kernel_h × kernel_w × groups` 256-byte filter vectors each, and the
 /// serialized vertical-write phase is bounded by the fullest core.
 #[must_use]
-pub fn max_tile_weight_bytes(cfg: &StreamConfig) -> usize {
+pub(crate) fn max_tile_weight_bytes(cfg: &StreamConfig) -> usize {
     cfg.layers
         .iter()
         .map(|l| {
@@ -145,7 +145,7 @@ fn as_network(name: &str, cfg: &StreamConfig) -> Result<Network, ServeError> {
 ///
 /// Returns [`ServeError::BadModel`] if the chain cannot be segmented
 /// (inconsistent shapes, layer too large for the array).
-pub fn estimate_service_cycles(name: &str, cfg: &StreamConfig) -> Result<u64, ServeError> {
+pub(crate) fn estimate_service_cycles(name: &str, cfg: &StreamConfig) -> Result<u64, ServeError> {
     let net = as_network(name, cfg)?;
     let input = [
         cfg.input.shape()[0],
@@ -165,7 +165,7 @@ pub fn estimate_service_cycles(name: &str, cfg: &StreamConfig) -> Result<u64, Se
 impl ModelRegistry {
     /// An empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ModelRegistry::default()
     }
 
@@ -176,7 +176,7 @@ impl ModelRegistry {
     ///
     /// Returns [`ServeError::BadModel`] for an invalid layer chain or a
     /// duplicate name.
-    pub fn register(&mut self, name: &str, stream: StreamConfig) -> Result<(), ServeError> {
+    pub(crate) fn register(&mut self, name: &str, stream: StreamConfig) -> Result<(), ServeError> {
         if self.get(name).is_some() {
             return Err(ServeError::BadModel {
                 reason: format!("model `{name}` registered twice"),

@@ -8,7 +8,7 @@
 /// A splitmix64 generator (Steele et al., "Fast splittable pseudorandom
 /// number generators").
 #[derive(Debug, Clone)]
-pub struct Rng {
+pub(crate) struct Rng {
     state: u64,
 }
 
@@ -16,14 +16,14 @@ impl Rng {
     /// Creates a stream from a seed. Distinct seeds give independent
     /// streams for practical purposes.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Rng {
             state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
         }
     }
 
     /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -32,13 +32,13 @@ impl Rng {
     }
 
     /// A uniform double in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// An exponentially distributed sample with the given mean (inverse
     /// transform), for Poisson inter-arrival gaps.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
         // 1 - u is in (0, 1], so ln is finite
         -mean * (1.0 - self.next_f64()).ln()
     }

@@ -67,7 +67,7 @@ impl Policy {
 
     /// The label used in reports and on the CLI.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Policy::Fcfs => "fcfs",
             Policy::Sjf => "sjf",

@@ -252,7 +252,7 @@ fn warm_cold_split(outcomes: &[&RequestOutcome]) -> (u64, u64, u64, u64) {
 impl CacheReport {
     /// Folds cache counters and stamped outcomes into the report section.
     #[must_use]
-    pub fn build(counters: &CacheCounters, outcomes: &[RequestOutcome]) -> Self {
+    pub(crate) fn build(counters: &CacheCounters, outcomes: &[RequestOutcome]) -> Self {
         let all: Vec<&RequestOutcome> = outcomes.iter().collect();
         let (warm_p50, warm_p99, cold_p50, cold_p99) = warm_cold_split(&all);
         let mut names: Vec<&str> = outcomes.iter().map(|o| o.tenant.as_str()).collect();
@@ -376,7 +376,7 @@ impl ServeReport {
     /// `service_cycles × tiles occupied`; utilization divides it by the
     /// pool's total capacity over the makespan.
     #[must_use]
-    pub fn from_outcomes(
+    pub(crate) fn from_outcomes(
         policy: &str,
         pool_tiles: usize,
         degraded_tiles: usize,

@@ -19,7 +19,7 @@
 //! * [`Trace::from_json`] — a trace file, so recorded or hand-written
 //!   workloads replay exactly.
 //!
-//! All generation is driven by [`crate::rng::Rng`]: a fixed seed yields a
+//! All generation is driven by `crate::rng::Rng`: a fixed seed yields a
 //! byte-identical trace (and, downstream, a byte-identical serving
 //! report) on every run.
 

@@ -50,7 +50,7 @@ impl CampaignPoint {
     /// The zero-fault point: running it must be bit- and cycle-identical
     /// to the clean baseline.
     #[must_use]
-    pub fn clean(seed: u64) -> Self {
+    pub(crate) fn clean(seed: u64) -> Self {
         CampaignPoint {
             seed,
             transient_flip_rate: 0.0,

@@ -6,13 +6,6 @@
 //! paper's execution model, checking every result against the golden
 //! `maicc-nn` reference:
 //!
-//! * [`cosim`] — instruction-level co-simulation: several real RISC-V
-//!   cores interleaved round-robin, synchronizing through remote rows and
-//!   software-lock flags exactly as Algorithm 1 writes them;
-//! * [`fabric`] — a shared remote-access fabric giving instruction-level
-//!   [`maicc_core::node::Node`]s a common address space (remote windows +
-//!   DRAM), with NoC-distance latencies; used for ISA-level
-//!   producer/consumer experiments across cores;
 //! * [`stream`] — the behaviour-level many-core streaming simulator of
 //!   §4.2: a data-collection core transposing and injecting ifmap vectors
 //!   into the mesh, a chain of computing cores with *real bit-level CMems*
@@ -20,8 +13,8 @@
 //!   accumulated per core — one or more node groups pipelined back to
 //!   back, all traffic through the flit-level `maicc-noc` mesh;
 //! * [`multi_dnn`] — multi-DNN parallel inference: several networks mapped
-//!   onto disjoint core regions of one array (or time-sharing the whole
-//!   array), the scenario MAICC's MIMD control mode exists for (§1, §8);
+//!   onto disjoint core regions of one array, the scenario MAICC's MIMD
+//!   control mode exists for (§1, §8);
 //! * [`workload`] — continuous request streams over a deployment:
 //!   utilization and mean response time per model partition;
 //! * [`campaign`] — fault-injection campaigns: sweep CMem/NoC fault rates
@@ -44,8 +37,6 @@
 //! ```
 
 pub mod campaign;
-pub mod cosim;
-pub mod fabric;
 pub mod multi_dnn;
 pub mod stream;
 pub mod workload;

@@ -857,15 +857,17 @@ impl StreamSim {
     }
 
     /// The currently selected simulation engine.
+    #[cfg(test)]
     #[must_use]
-    pub fn engine(&self) -> Engine {
+    pub(crate) fn engine(&self) -> Engine {
         self.engine
     }
 
     /// Arms a single-bit fault: the sign bit-plane of `pixel`'s vector at
     /// `layer` is corrupted in flight. Used to demonstrate that the
     /// golden-model comparison detects transport errors.
-    pub fn inject_row_fault(&mut self, layer: usize, pixel: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_row_fault(&mut self, layer: usize, pixel: usize) {
         self.fault = Some((layer, pixel));
     }
 
@@ -958,7 +960,7 @@ impl StreamSim {
     /// Recovery activity of the last [`StreamSim::run`] (all zeros when
     /// no [`RecoveryPolicy`] is attached).
     #[must_use]
-    pub fn recovery_stats(&self) -> RecoveryStats {
+    pub(crate) fn recovery_stats(&self) -> RecoveryStats {
         self.recovery_stats
     }
 
@@ -986,7 +988,7 @@ impl StreamSim {
 
     /// Merged CMem fault statistics across all computing cores.
     #[must_use]
-    pub fn cmem_fault_stats(&self) -> FaultStats {
+    pub(crate) fn cmem_fault_stats(&self) -> FaultStats {
         let mut total = FaultStats::default();
         for node in &self.nodes {
             if let Role::Cc { cmem, .. } = &node.role {
@@ -2556,9 +2558,9 @@ mod tests {
         /// recovery statistic, must match.
         #[test]
         fn prop_parallel_matches_sequential(
-            in_c in 4usize..12,
-            out_c in 1usize..4,
-            hw in 5usize..7,
+            in_c in 4usize..=16,
+            out_c in 1usize..=8,
+            hw in 5usize..=7,
             salt in 0usize..8,
             cycle_accurate in any::<bool>(),
             two_layers in any::<bool>(),

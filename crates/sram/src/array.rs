@@ -20,7 +20,7 @@ const LANE_BITS: usize = 64;
 /// spilling to the heap. Every CMem slice and Neural Cache array in the
 /// model is 256 columns wide, so in practice the readout path never
 /// allocates.
-pub const INLINE_LANES: usize = 4;
+pub(crate) const INLINE_LANES: usize = 4;
 
 /// A small fixed-capacity lane buffer: up to [`INLINE_LANES`] `u64` words
 /// inline, heap spill only for wider arrays.
@@ -28,7 +28,7 @@ pub const INLINE_LANES: usize = 4;
 /// Dereferences to `[u64]`, so it drops into every place a packed row
 /// slice is expected. Unused inline words are kept zeroed.
 #[derive(Debug, Clone, Eq)]
-pub struct LaneVec {
+pub(crate) struct LaneVec {
     inline: [u64; INLINE_LANES],
     len: usize,
     /// Used only when `len > INLINE_LANES`.
@@ -39,7 +39,7 @@ impl LaneVec {
     /// A zeroed buffer of `len` lanes.
     #[must_use]
     #[inline]
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         LaneVec {
             inline: [0; INLINE_LANES],
             len,
@@ -51,19 +51,10 @@ impl LaneVec {
         }
     }
 
-    /// A buffer holding a copy of `lanes`.
-    #[must_use]
-    #[inline]
-    pub fn from_slice(lanes: &[u64]) -> Self {
-        let mut v = Self::zeroed(lanes.len());
-        v.as_mut_slice().copy_from_slice(lanes);
-        v
-    }
-
     /// The stored lanes.
     #[must_use]
     #[inline]
-    pub fn as_slice(&self) -> &[u64] {
+    pub(crate) fn as_slice(&self) -> &[u64] {
         if self.len > INLINE_LANES {
             &self.spill
         } else {
@@ -73,7 +64,7 @@ impl LaneVec {
 
     /// The stored lanes, mutably.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
         if self.len > INLINE_LANES {
             &mut self.spill
         } else {
@@ -84,7 +75,7 @@ impl LaneVec {
     /// Resizes to `len` lanes, reusing the buffers (no allocation unless
     /// growing past both the inline capacity and any previous spill).
     #[inline]
-    pub fn reset(&mut self, len: usize) {
+    pub(crate) fn reset(&mut self, len: usize) {
         if len > INLINE_LANES {
             self.spill.clear();
             self.spill.resize(len, 0);
@@ -132,7 +123,7 @@ impl<'a> IntoIterator for &'a LaneVec {
 /// lives entirely on the stack — the multi-row activation hot loop is
 /// allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitlineReadout {
+pub(crate) struct BitlineReadout {
     /// `AND` of the two activated rows, one bit per bit-line.
     pub and: LaneVec,
     /// `NOR` of the two activated rows, one bit per bit-line.
@@ -144,7 +135,7 @@ impl BitlineReadout {
     /// scratch buffer with [`SramArray::activate_pair_into`].
     #[must_use]
     #[inline]
-    pub fn scratch(lanes: usize) -> Self {
+    pub(crate) fn scratch(lanes: usize) -> Self {
         BitlineReadout {
             and: LaneVec::zeroed(lanes),
             nor: LaneVec::zeroed(lanes),
@@ -156,9 +147,10 @@ impl BitlineReadout {
     /// This is how bit-serial adders obtain the sum bit from a single
     /// activation: `xor = !(and | nor)` per bit-line. Allocation-free for
     /// arrays of up to `64 × INLINE_LANES` columns.
+    #[cfg(test)]
     #[must_use]
     #[inline]
-    pub fn xor(&self) -> LaneVec {
+    pub(crate) fn xor(&self) -> LaneVec {
         let mut out = LaneVec::zeroed(self.and.len());
         self.xor_into(&mut out);
         out
@@ -169,8 +161,9 @@ impl BitlineReadout {
     /// # Panics
     ///
     /// Panics if `out` is shorter than the readout.
+    #[cfg(test)]
     #[inline]
-    pub fn xor_into(&self, out: &mut [u64]) {
+    pub(crate) fn xor_into(&self, out: &mut [u64]) {
         for (o, (&a, &n)) in out.iter_mut().zip(self.and.iter().zip(self.nor.iter())) {
             *o = !(a | n);
         }
@@ -220,20 +213,22 @@ impl SramArray {
     }
 
     /// Number of word-lines.
+    #[cfg(test)]
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of bit-lines.
+    #[cfg(test)]
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Number of `u64` lanes per row.
     #[must_use]
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
@@ -279,7 +274,7 @@ impl SramArray {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes.len()` differs from [`Self::lanes`].
+    /// Panics if `lanes.len()` differs from `Self::lanes`.
     pub fn write_row(&mut self, row: usize, lanes: &[u64]) -> Result<(), SramError> {
         self.check_row(row)?;
         assert_eq!(lanes.len(), self.lanes, "lane count mismatch");
@@ -337,7 +332,7 @@ impl SramArray {
     /// # Errors
     ///
     /// Returns [`SramError::RowOutOfRange`] if `row` is out of range.
-    pub fn fill_row(&mut self, row: usize, value: bool) -> Result<(), SramError> {
+    pub(crate) fn fill_row(&mut self, row: usize, value: bool) -> Result<(), SramError> {
         self.check_row(row)?;
         let fill = if value { u64::MAX } else { 0 };
         let tail = self.tail_mask();
@@ -363,22 +358,33 @@ impl SramArray {
     /// Returns [`SramError::RowOutOfRange`] if either row is out of range,
     /// or [`SramError::OperandOverlap`] if `row_a == row_b` (activating the
     /// same word-line twice is an ordinary read, not a computation).
-    pub fn activate_pair(&self, row_a: usize, row_b: usize) -> Result<BitlineReadout, SramError> {
+    #[cfg(test)]
+    pub(crate) fn activate_pair(
+        &self,
+        row_a: usize,
+        row_b: usize,
+    ) -> Result<BitlineReadout, SramError> {
         let mut out = BitlineReadout::scratch(self.lanes);
         self.activate_pair_into(row_a, row_b, &mut out)?;
         Ok(out)
     }
 
-    /// As [`Self::activate_pair`], but writes the readout into a
-    /// caller-provided scratch buffer so repeated activations (the MAC
-    /// inner loop performs `bits²` of them) never allocate.
+    /// Activates two word-lines simultaneously and writes into `out` what
+    /// the sense amplifiers observe on each bit-line pair: the `AND` (from
+    /// BL) and `NOR` (from BLB) of the two stored bits. The buffer is the
+    /// caller's, so repeated activations (the MAC inner loop performs
+    /// `bits²` of them) never allocate.
+    ///
+    /// The word-line voltage is lowered during multi-row access so the read
+    /// is non-destructive — the model therefore leaves the array unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`SramError::RowOutOfRange`] if either row is out of range,
-    /// or [`SramError::OperandOverlap`] if `row_a == row_b`.
+    /// or [`SramError::OperandOverlap`] if `row_a == row_b` (activating the
+    /// same word-line twice is an ordinary read, not a computation).
     #[inline]
-    pub fn activate_pair_into(
+    pub(crate) fn activate_pair_into(
         &self,
         row_a: usize,
         row_b: usize,
@@ -408,29 +414,6 @@ impl SramArray {
         Ok(())
     }
 
-    /// Copies word-line `src` of `from` into word-line `dst` of `self`.
-    ///
-    /// Used by `Move.C` (inter-slice copy) and by the slice-0 horizontal
-    /// read-out path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::RowOutOfRange`] if either row is out of range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two arrays have a different number of bit-lines.
-    pub fn copy_row_from(
-        &mut self,
-        dst: usize,
-        from: &SramArray,
-        src: usize,
-    ) -> Result<(), SramError> {
-        assert_eq!(self.cols, from.cols, "bit-line count mismatch");
-        let lanes = from.read_row(src)?.to_vec();
-        self.write_row(dst, &lanes)
-    }
-
     /// Population count of a packed row restricted to the first `cols` bits,
     /// with an optional per-bit-line mask applied first.
     ///
@@ -439,7 +422,7 @@ impl SramArray {
     /// pipelined step.
     #[must_use]
     #[inline]
-    pub fn popcount_lanes(lanes: &[u64], mask: Option<&[u64]>) -> u32 {
+    pub(crate) fn popcount_lanes(lanes: &[u64], mask: Option<&[u64]>) -> u32 {
         match mask {
             Some(m) => lanes
                 .iter()
@@ -545,15 +528,6 @@ mod tests {
             arr.read_row(4),
             Err(SramError::RowOutOfRange { row: 4, rows: 4 })
         ));
-    }
-
-    #[test]
-    fn copy_row_between_arrays() {
-        let mut a = SramArray::new(4, 256);
-        let mut b = SramArray::new(8, 256);
-        a.write_row(1, &[1, 2, 3, 4]).unwrap();
-        b.copy_row_from(7, &a, 1).unwrap();
-        assert_eq!(b.read_row(7).unwrap(), &[1, 2, 3, 4]);
     }
 
     #[test]

@@ -76,8 +76,9 @@ impl Cmem {
     }
 
     /// Creates a zeroed CMem with a fault plan already attached.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_fault_plan(plan: FaultPlan) -> Self {
+    pub(crate) fn with_fault_plan(plan: FaultPlan) -> Self {
         let mut c = Self::new();
         c.attach_fault_plan(plan);
         c
@@ -90,14 +91,10 @@ impl Cmem {
         self.fault = Some(Box::new(FaultState::new(plan)));
     }
 
-    /// Removes the fault plan, returning the accumulated stats.
-    pub fn detach_fault_plan(&mut self) -> FaultStats {
-        self.fault.take().map(|f| f.stats).unwrap_or_default()
-    }
-
     /// The attached fault plan, if any.
+    #[cfg(test)]
     #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref().map(|f| &f.plan)
     }
 
@@ -125,8 +122,9 @@ impl Cmem {
     }
 
     /// The active ECC protection level.
+    #[cfg(test)]
     #[must_use]
-    pub fn ecc_mode(&self) -> EccMode {
+    pub(crate) fn ecc_mode(&self) -> EccMode {
         self.ecc.as_ref().map_or(EccMode::Off, |e| e.mode)
     }
 
@@ -351,11 +349,6 @@ impl Cmem {
     #[must_use]
     pub fn energy(&self) -> &EnergyMeter {
         &self.meter
-    }
-
-    /// Resets the energy meter to zero.
-    pub fn reset_energy(&mut self) {
-        self.meter = EnergyMeter::new();
     }
 
     // ------------------------------------------------------------------
@@ -850,14 +843,6 @@ mod tests {
         assert!((pj - expect).abs() < 1e-9, "{pj} vs {expect}");
     }
 
-    #[test]
-    fn reset_energy_zeroes_meter() {
-        let mut c = Cmem::new();
-        c.store_byte(0, 1).unwrap();
-        c.reset_energy();
-        assert_eq!(c.energy().total_pj(), 0.0);
-    }
-
     mod faults {
         use super::*;
         use crate::fault::{FaultPlan, StuckAt};
@@ -971,18 +956,6 @@ mod tests {
             let mut bare = Cmem::new();
             bare.reseed_fault_rng(5);
             assert!(bare.fault_plan().is_none());
-        }
-
-        #[test]
-        fn detach_returns_stats_and_silences_injection() {
-            let mut c = Cmem::with_fault_plan(FaultPlan::with_seed(1).transient(1.0));
-            c.write_vector_u8(1, 0, &[1u8; 256]).unwrap();
-            c.write_vector_u8(1, 8, &[1u8; 256]).unwrap();
-            c.mac_u8(1, 0, 8).unwrap();
-            let stats = c.detach_fault_plan();
-            assert_eq!(stats.transient_flips, 1);
-            assert!(c.fault_plan().is_none());
-            assert_eq!(c.mac_u8(1, 0, 8).unwrap(), 256);
         }
     }
 

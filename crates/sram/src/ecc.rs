@@ -26,7 +26,7 @@
 //! no bookkeeping, no counters, no cycle or energy surcharge — bit- and
 //! cycle-identical to the unprotected model.
 //!
-//! The cycle surcharge is analytic ([`crate::timing::ecc_check_cycles`]
+//! The cycle surcharge is analytic (`crate::timing::ecc_check_cycles`
 //! and friends) and accumulated in [`EccStats::cycle_surcharge`]; the
 //! energy surcharge flows through the existing
 //! [`EnergyMeter`](crate::energy::EnergyMeter) via its ECC counters.
@@ -52,16 +52,6 @@ pub enum EccMode {
 }
 
 impl EccMode {
-    /// Short human-readable label (used in campaign reports and CLI flags).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EccMode::Off => "off",
-            EccMode::DetectOnly => "detect",
-            EccMode::Correct => "correct",
-        }
-    }
-
     /// `true` for any mode that performs checks.
     #[must_use]
     pub fn is_on(self) -> bool {
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(EccMode::default(), EccMode::Off);
         assert!(!EccMode::Off.is_on());
         assert!(EccMode::DetectOnly.is_on());
-        assert_eq!(EccMode::Correct.label(), "correct");
     }
 
     #[test]

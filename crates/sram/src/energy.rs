@@ -17,25 +17,25 @@ pub const MAC_PJ: f64 = 28.25;
 /// Energy of one remote `LoadRow.RC`/`StoreRow.RC` row transfer, in pJ.
 pub const REMOTE_ROW_PJ: f64 = 53.01;
 /// Energy of one `SetRow.C` — modelled as a plain row write (half a move).
-pub const SET_ROW_PJ: f64 = 3.3;
+pub(crate) const SET_ROW_PJ: f64 = 3.3;
 /// Energy of one `ShiftRow.C` — one row read + one row write.
-pub const SHIFT_ROW_PJ: f64 = 6.6;
+pub(crate) const SHIFT_ROW_PJ: f64 = 6.6;
 /// Energy of one single-row activation inside a bit-serial loop, in pJ.
 ///
 /// Derived from the `MAC.C` figure: an 8-bit MAC performs 64 row-pair
 /// activations plus adder-tree work for 28.25 pJ, ≈0.44 pJ per activation.
 /// Used to price Neural Cache's element-wise loops on equal footing.
-pub const ACTIVATION_PJ: f64 = 0.44;
+pub(crate) const ACTIVATION_PJ: f64 = 0.44;
 /// Energy of regenerating one row's SECDED check bits at write time, in pJ.
 ///
 /// Modelled as four 64-bit Hamming encoders (one per lane word) at roughly
 /// the cost of one extra row activation plus XOR-tree work.
-pub const ECC_ENCODE_PJ: f64 = 0.52;
+pub(crate) const ECC_ENCODE_PJ: f64 = 0.52;
 /// Energy of one syndrome check on activation, in pJ (slightly cheaper
 /// than encode: the check bits are read alongside the data).
-pub const ECC_CHECK_PJ: f64 = 0.36;
+pub(crate) const ECC_CHECK_PJ: f64 = 0.36;
 /// Energy of steering one corrected bit through the correction mux, in pJ.
-pub const ECC_CORRECT_PJ: f64 = 0.21;
+pub(crate) const ECC_CORRECT_PJ: f64 = 0.21;
 
 /// Counters for every energy-bearing CMem primitive.
 ///
@@ -82,79 +82,81 @@ impl EnergyMeter {
     }
 
     /// Records `n` vertical byte writes into slice 0.
-    pub fn count_vertical_write(&mut self, n: u64) {
+    pub(crate) fn count_vertical_write(&mut self, n: u64) {
         self.vertical_writes += n;
     }
 
     /// Records `n` `SetRow.C` operations.
-    pub fn count_set_row(&mut self, n: u64) {
+    pub(crate) fn count_set_row(&mut self, n: u64) {
         self.set_rows += n;
     }
 
     /// Records `n` `ShiftRow.C` operations.
-    pub fn count_shift_row(&mut self, n: u64) {
+    pub(crate) fn count_shift_row(&mut self, n: u64) {
         self.shift_rows += n;
     }
 
     /// Records `n` remote row transfers (`LoadRow.RC`/`StoreRow.RC`).
-    pub fn count_remote_row(&mut self, n: u64) {
+    pub(crate) fn count_remote_row(&mut self, n: u64) {
         self.remote_rows += n;
     }
 
     /// Records `n` raw single/multi-row activations (bit-serial loops that
     /// bypass the MAC primitive, e.g. the Neural Cache baseline).
-    pub fn count_activation(&mut self, n: u64) {
+    pub(crate) fn count_activation(&mut self, n: u64) {
         self.raw_activations += n;
     }
 
     /// Records `n` injected fault events (transient upsets, stuck-bit
     /// enforcements, dead-slice rejections).
     ///
-    /// Faults carry no energy of their own — they are tallied here so
-    /// chip-level reports that already aggregate [`EnergyMeter`]s pick up
-    /// fault counts through the same [`merge`](Self::merge) path.
-    pub fn count_fault(&mut self, n: u64) {
+    /// Faults carry no energy of their own — they are tallied here beside
+    /// the operation counts.
+    pub(crate) fn count_fault(&mut self, n: u64) {
         self.fault_events += n;
     }
 
     /// Number of injected fault events recorded so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn fault_events(&self) -> u64 {
+    pub(crate) fn fault_events(&self) -> u64 {
         self.fault_events
     }
 
     /// Records `n` ECC parity regenerations (write-class operations).
-    pub fn count_ecc_encode(&mut self, n: u64) {
+    pub(crate) fn count_ecc_encode(&mut self, n: u64) {
         self.ecc_encodes += n;
     }
 
     /// Records `n` ECC syndrome checks (read-class operations).
-    pub fn count_ecc_check(&mut self, n: u64) {
+    pub(crate) fn count_ecc_check(&mut self, n: u64) {
         self.ecc_checks += n;
     }
 
     /// Records `n` on-the-fly ECC corrections.
-    pub fn count_ecc_correct(&mut self, n: u64) {
+    pub(crate) fn count_ecc_correct(&mut self, n: u64) {
         self.ecc_corrections += n;
     }
 
     /// Total energy spent on ECC encode/check/correct, in picojoules.
     #[must_use]
-    pub fn ecc_pj(&self) -> f64 {
+    pub(crate) fn ecc_pj(&self) -> f64 {
         self.ecc_encodes as f64 * ECC_ENCODE_PJ
             + self.ecc_checks as f64 * ECC_CHECK_PJ
             + self.ecc_corrections as f64 * ECC_CORRECT_PJ
     }
 
     /// Number of `MAC.C` operations recorded so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         self.macs
     }
 
     /// Number of remote row transfers recorded so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn remote_rows(&self) -> u64 {
+    pub(crate) fn remote_rows(&self) -> u64 {
         self.remote_rows
     }
 
@@ -175,21 +177,6 @@ impl EnergyMeter {
     #[must_use]
     pub fn total_joules(&self) -> f64 {
         self.total_pj() * 1e-12
-    }
-
-    /// Merges another meter's counts into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.macs += other.macs;
-        self.moves += other.moves;
-        self.vertical_writes += other.vertical_writes;
-        self.set_rows += other.set_rows;
-        self.shift_rows += other.shift_rows;
-        self.remote_rows += other.remote_rows;
-        self.raw_activations += other.raw_activations;
-        self.fault_events += other.fault_events;
-        self.ecc_encodes += other.ecc_encodes;
-        self.ecc_checks += other.ecc_checks;
-        self.ecc_corrections += other.ecc_corrections;
     }
 }
 
@@ -216,18 +203,6 @@ mod tests {
             MAC_PJ + MOVE_PJ + VERTICAL_WRITE_PJ + SET_ROW_PJ + SHIFT_ROW_PJ + REMOTE_ROW_PJ
                 + ACTIVATION_PJ;
         assert!((m.total_pj() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let mut a = EnergyMeter::new();
-        a.count_mac(3);
-        let mut b = EnergyMeter::new();
-        b.count_mac(4);
-        b.count_remote_row(2);
-        a.merge(&b);
-        assert_eq!(a.macs(), 7);
-        assert_eq!(a.remote_rows(), 2);
     }
 
     #[test]

@@ -37,21 +37,21 @@ use crate::{BITLINES, NUM_SLICES, SLICE_ROWS};
 /// Self-contained so the fault model needs no external RNG crate and a
 /// given `(seed, workload)` pair always injects the same faults.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultRng {
+pub(crate) struct FaultRng {
     state: u64,
 }
 
 impl FaultRng {
     /// Creates a stream from a seed.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         FaultRng {
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
         }
     }
 
     /// Next pseudo-random 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -60,7 +60,7 @@ impl FaultRng {
     }
 
     /// Uniform value in `0..bound` (`bound > 0`).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         self.next_u64() % bound
     }
@@ -69,7 +69,7 @@ impl FaultRng {
     ///
     /// `p <= 0` returns `false` **without consuming the stream** — this is
     /// what makes a quiet plan bit-identical to no plan at all.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
@@ -248,7 +248,7 @@ impl FaultStats {
 /// Live injection state owned by a [`Cmem`](crate::cmem::Cmem) once a plan
 /// is attached: the plan, its private RNG stream, and the running tally.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     /// The attached plan.
     pub plan: FaultPlan,
     /// Private RNG stream, seeded from the plan.
@@ -260,7 +260,7 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the live state for a plan.
     #[must_use]
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = FaultRng::new(plan.seed);
         FaultState {
             plan,
@@ -271,13 +271,13 @@ impl FaultState {
 
     /// `true` if `slice` is configured dead.
     #[must_use]
-    pub fn is_dead(&self, slice: usize) -> bool {
+    pub(crate) fn is_dead(&self, slice: usize) -> bool {
         self.plan.dead_slices.contains(&slice)
     }
 
     /// Draws a transient upset: `Some(bit)` with the plan's flip rate,
     /// where `bit < width`. Consumes no RNG when the rate is zero.
-    pub fn draw_flip(&mut self, width: u64) -> Option<u64> {
+    pub(crate) fn draw_flip(&mut self, width: u64) -> Option<u64> {
         if self.rng.chance(self.plan.transient_flip_rate) {
             self.stats.transient_flips += 1;
             Some(self.rng.below(width))

@@ -28,8 +28,6 @@
 //!   log-step reduction) of Neural Cache, used as the paper's comparator.
 //! * [`timing`] — cycle-cost model for every primitive (Table 2).
 //! * [`energy`] — per-operation energy constants from §5 and an accumulator.
-//! * [`logic`] — the in-place bit-line logic operations (Compute Caches)
-//!   the CMem's slices inherit.
 //! * [`fault`] — seeded fault injection (transient upsets, stuck-at cells,
 //!   dead slices) for resilience studies; off by default.
 //! * [`ecc`] — SECDED-style per-row parity protection
@@ -61,7 +59,6 @@ pub mod cmem;
 pub mod ecc;
 pub mod energy;
 pub mod fault;
-pub mod logic;
 pub mod neural_cache;
 pub mod slice;
 pub mod timing;
@@ -72,17 +69,17 @@ mod error;
 pub use error::SramError;
 
 /// Number of bit-lines (columns) in every CMem slice and Neural Cache array.
-pub const BITLINES: usize = 256;
+pub(crate) const BITLINES: usize = 256;
 
 /// Number of word-lines (rows) in one CMem slice (2 KB / 256 bit-lines).
-pub const SLICE_ROWS: usize = 64;
+pub(crate) const SLICE_ROWS: usize = 64;
 
 /// Number of slices in one CMem (Figure 3(c)): slice 0 caches/transposes,
 /// slices 1–7 compute.
-pub const NUM_SLICES: usize = 8;
+pub(crate) const NUM_SLICES: usize = 8;
 
 /// Number of word-lines in a standard Neural Cache 8 KB array.
-pub const NC_ROWS: usize = 256;
+pub(crate) const NC_ROWS: usize = 256;
 
 /// Granularity (in bit-lines) of one mask-CSR bit and of `ShiftRow.C`.
-pub const MASK_GRANULE: usize = 32;
+pub(crate) const MASK_GRANULE: usize = 32;

@@ -46,15 +46,10 @@ impl NcArray {
     }
 
     /// Total cycles consumed by operations so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Accumulated energy meter.
-    #[must_use]
-    pub fn energy(&self) -> &EnergyMeter {
-        &self.meter
     }
 
     fn check_vec(&self, base: usize, bits: usize) -> Result<(), SramError> {
@@ -111,32 +106,13 @@ impl NcArray {
         Ok(out)
     }
 
-    /// Element-wise bit-serial **addition**: `dst = a + b`, all three
-    /// transposed vectors in this array. The destination is `bits + 1` wide.
-    ///
-    /// Costs `bits + 1` cycles (§2.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns range/width errors as in [`Self::write_vector`].
-    pub fn add(&mut self, base_a: usize, base_b: usize, dst: usize, bits: usize) -> Result<(), SramError> {
-        let a = self.read_vector(base_a, bits, BITLINES)?;
-        let b = self.read_vector(base_b, bits, BITLINES)?;
-        let sum: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
-        self.write_vector(dst, &sum, bits + 1)?;
-        let c = timing::nc_add_cycles(bits);
-        self.cycles += c;
-        self.meter.count_activation(c);
-        Ok(())
-    }
-
     /// Element-wise bit-serial **multiplication**: `dst = a * b`, destination
     /// `2 * bits` wide. Costs `bits² + 5·bits − 2` cycles (§2.2).
     ///
     /// # Errors
     ///
     /// Returns range/width errors as in [`Self::write_vector`].
-    pub fn mul(&mut self, base_a: usize, base_b: usize, dst: usize, bits: usize) -> Result<(), SramError> {
+    pub(crate) fn mul(&mut self, base_a: usize, base_b: usize, dst: usize, bits: usize) -> Result<(), SramError> {
         let a = self.read_vector(base_a, bits, BITLINES)?;
         let b = self.read_vector(base_b, bits, BITLINES)?;
         let prod: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x * y).collect();
@@ -157,7 +133,7 @@ impl NcArray {
     /// # Errors
     ///
     /// Returns range/width errors as in [`Self::write_vector`].
-    pub fn reduce(&mut self, base: usize, bits: usize) -> Result<u64, SramError> {
+    pub(crate) fn reduce(&mut self, base: usize, bits: usize) -> Result<u64, SramError> {
         let mut v = self.read_vector(base, bits, BITLINES)?;
         let mut width = bits;
         let mut len = BITLINES;
@@ -276,21 +252,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn add_semantics() {
-        let mut a = NcArray::new();
-        let x: Vec<u64> = (0..256).map(|i| i % 200).collect();
-        let y: Vec<u64> = (0..256).map(|i| (i * 3) % 200).collect();
-        a.write_vector(0, &x, 8).unwrap();
-        a.write_vector(8, &y, 8).unwrap();
-        a.add(0, 8, 16, 8).unwrap();
-        let sum = a.read_vector(16, 9, 256).unwrap();
-        for k in 0..256 {
-            assert_eq!(sum[k], x[k] + y[k]);
-        }
-        assert_eq!(a.cycles(), 9);
-    }
-
-    #[test]
     fn mul_semantics_and_cycles() {
         let mut a = NcArray::new();
         let x: Vec<u64> = (0..256).map(|i| i % 256).collect();
@@ -363,21 +324,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn prop_add_matches(
-            x in proptest::collection::vec(0u64..256, 256),
-            y in proptest::collection::vec(0u64..256, 256),
-        ) {
-            let mut a = NcArray::new();
-            a.write_vector(0, &x, 8).unwrap();
-            a.write_vector(8, &y, 8).unwrap();
-            a.add(0, 8, 16, 8).unwrap();
-            let sum = a.read_vector(16, 9, 256).unwrap();
-            for k in 0..256 {
-                prop_assert_eq!(sum[k], x[k] + y[k]);
-            }
-        }
 
         #[test]
         fn prop_dot_matches(

@@ -60,7 +60,7 @@ impl CmemSlice {
 
     /// The slice's mask CSR. Bit `g` enables bit-lines `32g..32g+32`.
     #[must_use]
-    pub fn mask(&self) -> u8 {
+    pub(crate) fn mask(&self) -> u8 {
         self.mask
     }
 
@@ -70,15 +70,16 @@ impl CmemSlice {
     }
 
     /// Expands the mask CSR into per-bit-line lanes.
+    #[cfg(test)]
     #[must_use]
-    pub fn mask_lanes(&self) -> Vec<u64> {
+    pub(crate) fn mask_lanes(&self) -> Vec<u64> {
         self.mask_words().to_vec()
     }
 
     /// Expands the mask CSR into per-bit-line lanes without allocating.
     #[must_use]
     #[inline]
-    pub fn mask_words(&self) -> [u64; BITLINES / 64] {
+    pub(crate) fn mask_words(&self) -> [u64; BITLINES / 64] {
         let mut lanes = [0u64; BITLINES / 64];
         for g in 0..8 {
             if (self.mask >> g) & 1 == 1 {
@@ -148,7 +149,7 @@ impl CmemSlice {
     /// # Errors
     ///
     /// Returns [`SramError::RowOutOfRange`] if `row` is out of range.
-    pub fn set_row(&mut self, row: usize, value: bool) -> Result<(), SramError> {
+    pub(crate) fn set_row(&mut self, row: usize, value: bool) -> Result<(), SramError> {
         self.array.fill_row(row, value)
     }
 
@@ -295,8 +296,9 @@ impl CmemSlice {
 
     /// Number of row-pair activations a `mac` of this width performs
     /// (the dominant term of its `n²`-cycle latency).
+    #[cfg(test)]
     #[must_use]
-    pub const fn mac_activations(bits: usize) -> u64 {
+    pub(crate) const fn mac_activations(bits: usize) -> u64 {
         (bits * bits) as u64
     }
 }

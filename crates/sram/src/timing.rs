@@ -15,57 +15,32 @@ pub const fn mac_cycles(bits: usize) -> u64 {
     (bits * bits) as u64
 }
 
-/// Cycles for `Move.C` of an n-bit vector between slices (Table 2: `n`).
-#[must_use]
-pub const fn move_cycles(bits: usize) -> u64 {
-    bits as u64
-}
-
-/// Cycles for `SetRow.C` (Table 2: 1).
-#[must_use]
-pub const fn set_row_cycles() -> u64 {
-    1
-}
-
-/// Cycles for `ShiftRow.C` (Table 2: 2 — one read, one write).
-#[must_use]
-pub const fn shift_row_cycles() -> u64 {
-    2
-}
-
-/// Cycles a remote `LoadRow.RC`/`StoreRow.RC` occupies the *local* CMem
-/// (Table 2: 1). NoC transit time is accounted by `maicc-noc`.
-#[must_use]
-pub const fn remote_row_cycles() -> u64 {
-    1
-}
-
 /// Extra cycles to regenerate a row's SECDED check bits on a write-class
 /// operation (the encoder sits beside the write drivers; one pipeline
 /// stage regardless of how many rows the operation touches).
 #[must_use]
-pub const fn ecc_encode_cycles() -> u64 {
+pub(crate) const fn ecc_encode_cycles() -> u64 {
     1
 }
 
 /// Extra cycles to compute syndromes for a read-class operation's
 /// activated rows (checked in parallel across lanes, one stage).
 #[must_use]
-pub const fn ecc_check_cycles() -> u64 {
+pub(crate) const fn ecc_check_cycles() -> u64 {
     1
 }
 
 /// Extra cycles to steer one corrected bit through the correction mux and
 /// re-issue the affected activation.
 #[must_use]
-pub const fn ecc_correct_cycles() -> u64 {
+pub(crate) const fn ecc_correct_cycles() -> u64 {
     2
 }
 
 /// Cycles for a Neural Cache bit-serial **addition** of two n-bit vectors
 /// (§2.2: `n + 1`).
 #[must_use]
-pub const fn nc_add_cycles(bits: usize) -> u64 {
+pub(crate) const fn nc_add_cycles(bits: usize) -> u64 {
     (bits + 1) as u64
 }
 
@@ -105,10 +80,6 @@ mod tests {
     fn table2_costs() {
         assert_eq!(mac_cycles(8), 64);
         assert_eq!(mac_cycles(16), 256);
-        assert_eq!(move_cycles(8), 8);
-        assert_eq!(set_row_cycles(), 1);
-        assert_eq!(shift_row_cycles(), 2);
-        assert_eq!(remote_row_cycles(), 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub fn pack_bitplane(words: &[u16], bit: usize, cols: usize) -> Vec<u64> {
 
 /// Extracts bit-line `col`'s bit from packed row lanes.
 #[must_use]
-pub fn lane_bit(lanes: &[u64], col: usize) -> bool {
+pub(crate) fn lane_bit(lanes: &[u64], col: usize) -> bool {
     (lanes[col / 64] >> (col % 64)) & 1 == 1
 }
 
@@ -48,7 +48,7 @@ pub fn lane_bit(lanes: &[u64], col: usize) -> bool {
 ///
 /// Panics if `planes.len()` is smaller than `bits`.
 #[must_use]
-pub fn unpack_words(planes: &[Vec<u64>], bits: usize, count: usize) -> Vec<u16> {
+pub(crate) fn unpack_words(planes: &[Vec<u64>], bits: usize, count: usize) -> Vec<u16> {
     assert!(planes.len() >= bits, "missing bit planes");
     let mut out = vec![0u16; count];
     for (i, plane) in planes.iter().take(bits).enumerate() {

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     asm.inst(Instruction::add(Reg::A2, Reg::A0, Reg::A1));
     asm.inst(Instruction::Ebreak);
-    let mut node = Node::new(asm.assemble()?, Box::new(NullPort::default()));
+    let mut node = Node::new(asm.assemble()?, NullPort::default());
     for s in 1..=2 {
         node.cmem_mut().write_vector_i8(s, 0, &a)?;
         node.cmem_mut().write_vector_i8(s, 8, &b)?;

@@ -36,8 +36,8 @@ fn encoded_program_executes_identically() {
         .collect();
     assert_eq!(program, recoded);
 
-    let mut n1 = Node::new(program, Box::new(NullPort::default()));
-    let mut n2 = Node::new(recoded, Box::new(NullPort::default()));
+    let mut n1 = Node::new(program, NullPort::default());
+    let mut n2 = Node::new(recoded, NullPort::default());
     n1.run(10_000).unwrap();
     n2.run(10_000).unwrap();
     assert_eq!(n1.reg(Reg::A1), n2.reg(Reg::A1));
@@ -217,7 +217,7 @@ fn requantize_codegen_matches_golden_requantizer() {
         let program = requantize_program(params, false);
         for _ in 0..20 {
             let acc = (next() as i64 % 2_000_000 - 1_000_000) as i32;
-            let mut node = Node::new(program.clone(), Box::new(NullPort::default()));
+            let mut node = Node::new(program.clone(), NullPort::default());
             node.set_reg(Reg::A0, acc as u32);
             node.run(10_000).unwrap();
             let hw = node.reg(Reg::A0) as i32 as i8;
