@@ -866,11 +866,25 @@ mod tests {
 #[cfg(test)]
 mod table4_smoke {
     use super::*;
-    use crate::pipeline::{PipelineConfig, Timing};
+    use crate::pipeline::{PipelineConfig, Timing, TimingReport};
 
-    /// Full Table-4 workload; run with `--release -- --ignored` (slow in debug).
+    /// A Table-4 kernel replay: the instruction counts are fixed by the
+    /// program, so only the cycles and stalls vary across Table 5's cells.
+    fn cmem_report(total: u64, queue: u64, raw: u64, wb: u64) -> TimingReport {
+        TimingReport {
+            total_cycles: total,
+            instructions: 39_237,
+            cmem_instructions: 4_860,
+            queue_stall_cycles: queue,
+            raw_stall_cycles: raw,
+            wb_conflict_cycles: wb,
+            branch_flush_cycles: 180,
+        }
+    }
+
+    /// Full Table-4 workload under every Table-5 cell, emission order and
+    /// statically scheduled, pinned to the whole report.
     #[test]
-    #[ignore = "release-mode smoke run for Table 4/5 calibration"]
     fn table4_cycle_bands() {
         let wl = ConvWorkload::table4();
         let ifmap = wl.synthetic_ifmap();
@@ -886,11 +900,35 @@ mod table4_smoke {
             assert_eq!(out, wl.golden(&ifmap, &weights), "functional mismatch");
             t.finish()
         };
-        for (q, p) in [(0usize, 1usize), (1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (4, 2)] {
-            let cfg = PipelineConfig { cmem_queue: q, wb_ports: p, ..PipelineConfig::default() };
-            let naive = time(kernel.program().to_vec(), cfg);
-            let sched = time(kernel.scheduled_program(), cfg);
-            eprintln!("q={q} wb={p}: naive={} sched={}", naive.total_cycles, sched.total_cycles);
+        // (queue, WB ports) → (cycles, queue, raw, wb stalls) for the
+        // program and for the scheduled program
+        #[rustfmt::skip]
+        let cells = [
+            ((0, 1), (75_705, 5_346, 30_942, 567), (60_720, 4_536, 16_767, 19_845)),
+            ((1, 1), (75_057, 4_698, 30_942, 567), (60_720, 4_455, 16_848, 19_845)),
+            ((2, 1), (74_895, 4_374, 31_104, 567), (60_720, 3_888, 17_415, 19_845)),
+            ((4, 1), (74_895, 4_212, 31_266, 567), (60_720, 3_321, 17_982, 19_845)),
+            ((0, 2), (75_543, 5_346, 30_780, 0), (60_072, 4_617, 16_038, 0)),
+            ((1, 2), (74_895, 4_698, 30_780, 0), (60_072, 4_455, 16_200, 0)),
+            ((2, 2), (74_733, 4_374, 30_942, 0), (60_072, 3_888, 16_767, 0)),
+            ((4, 2), (74_733, 4_212, 31_104, 0), (60_072, 3_321, 17_334, 0)),
+        ];
+        for ((q, p), naive, sched) in cells {
+            let cfg = PipelineConfig {
+                cmem_queue: q,
+                wb_ports: p,
+                ..PipelineConfig::default()
+            };
+            assert_eq!(
+                time(kernel.program().to_vec(), cfg),
+                cmem_report(naive.0, naive.1, naive.2, naive.3),
+                "queue {q}, {p} WB"
+            );
+            assert_eq!(
+                time(kernel.scheduled_program(), cfg),
+                cmem_report(sched.0, sched.1, sched.2, sched.3),
+                "queue {q}, {p} WB, scheduled"
+            );
         }
     }
 }
@@ -898,21 +936,33 @@ mod table4_smoke {
 #[cfg(test)]
 mod table4_scalar_smoke {
     use super::*;
-    use crate::pipeline::{PipelineConfig, Timing};
+    use crate::pipeline::{PipelineConfig, Timing, TimingReport};
 
+    /// The Table-4 scalar baseline, pinned to the whole report.
     #[test]
-    #[ignore = "release-mode smoke run for the Table-4 scalar baseline"]
     fn table4_scalar_cycles() {
         let wl = ConvWorkload::table4();
         let k = ScalarConvKernel::new(wl);
-        let mut node = k.prepare(&wl.synthetic_ifmap(), &wl.synthetic_weights()).unwrap();
+        let mut node = k
+            .prepare(&wl.synthetic_ifmap(), &wl.synthetic_weights())
+            .unwrap();
         let mut t = Timing::new(PipelineConfig::default());
         node.run_with(200_000_000, |e| t.on_retire(e)).unwrap();
-        let r = t.finish();
-        assert_eq!(k.read_ofmap(&node).unwrap(), wl.golden(&wl.synthetic_ifmap(), &wl.synthetic_weights()));
-        eprintln!("scalar table4: cycles={} instret={}", r.total_cycles, r.instructions);
-        let nc = maicc_sram::neural_cache::NcConvCost::evaluate(5, 3, 3, 256, 9, 9, 8, 5);
-        eprintln!("neural cache table4: {} (mul={} accum={} reduce={} load={}) reduction_share={:.3}",
-            nc.total(), nc.mul_cycles, nc.accum_cycles, nc.reduce_cycles, nc.load_cycles, nc.reduction_share());
+        assert_eq!(
+            k.read_ofmap(&node).unwrap(),
+            wl.golden(&wl.synthetic_ifmap(), &wl.synthetic_weights())
+        );
+        assert_eq!(
+            t.finish(),
+            TimingReport {
+                total_cycles: 6_831_497,
+                instructions: 4_564_759,
+                cmem_instructions: 0,
+                queue_stall_cycles: 0,
+                raw_stall_cycles: 1_137_780,
+                wb_conflict_cycles: 0,
+                branch_flush_cycles: 1_128_958,
+            }
+        );
     }
 }
