@@ -21,14 +21,13 @@
 use crate::node::{Trace, TraceEntry};
 use maicc_isa::inst::{Instruction, OpKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Structural parameters of the pipeline (the Table-5 knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// CMem issue-queue depth (0, 1, 2, 4 in the paper's sweep).
     pub cmem_queue: usize,
-    /// Register-file write-back ports (1 or 2).
+    /// Register-file write-back ports (1 or 2 in the paper; at least 1).
     pub wb_ports: usize,
     /// Cycles lost on a taken branch (branches resolve in EX).
     pub branch_penalty: u32,
@@ -96,6 +95,69 @@ impl std::fmt::Display for TimingReport {
     }
 }
 
+/// Write-back port use per cycle, exact for every cycle that can still
+/// be claimed.
+///
+/// Each claim lands at or after the claiming instruction's completion,
+/// which is after its issue cycle `t`, and `t` never decreases, so no
+/// cycle below the current `t` is claimed again. The window is a
+/// power-of-two ring of `(cycle, used)` slots that keeps each cycle of
+/// `t..t + len` in a slot of its own: a slot tagged with another cycle is
+/// one the pipeline has left behind, and counts as free. A claim one ring
+/// length or more ahead of `t` first doubles the ring, so memory is
+/// bounded by the furthest-ahead write-back, not by the trace length.
+#[derive(Debug)]
+struct WbWindow {
+    /// `(cycle, ports used)`; cycle 0 never holds a write-back, so a
+    /// zeroed slot is free.
+    slots: Vec<(u64, usize)>,
+}
+
+impl WbWindow {
+    fn new() -> Self {
+        WbWindow {
+            slots: vec![(0, 0); 64],
+        }
+    }
+
+    /// Claims the first cycle at or after `earliest` with fewer than
+    /// `ports` write-backs, given that no instruction issues before `t`.
+    fn claim(&mut self, earliest: u64, t: u64, ports: usize) -> u64 {
+        let mut c = earliest;
+        loop {
+            if c - t >= self.slots.len() as u64 {
+                self.grow(c, t);
+            }
+            let mask = self.slots.len() - 1;
+            let slot = &mut self.slots[c as usize & mask];
+            if slot.0 != c {
+                *slot = (c, 0);
+            }
+            if slot.1 < ports {
+                slot.1 += 1;
+                return c;
+            }
+            c += 1;
+        }
+    }
+
+    /// Doubles the ring until `t..=c` fits and re-places the slots still
+    /// at or after `t`.
+    fn grow(&mut self, c: u64, t: u64) {
+        let mut len = self.slots.len() * 2;
+        while c - t >= len as u64 {
+            len *= 2;
+        }
+        let mut slots = vec![(0, 0); len];
+        for &(cycle, used) in &self.slots {
+            if cycle >= t && used > 0 {
+                slots[cycle as usize & (len - 1)] = (cycle, used);
+            }
+        }
+        self.slots = slots;
+    }
+}
+
 /// The replaying timing model. Feed it retired instructions in order via
 /// [`Timing::on_retire`], then read [`Timing::finish`].
 #[derive(Debug)]
@@ -114,7 +176,7 @@ pub struct Timing {
     /// The (unpipelined) divider's busy horizon.
     div_busy: u64,
     /// WB-port usage per cycle.
-    wb_used: HashMap<u64, usize>,
+    wb_used: WbWindow,
     /// Latest completion seen.
     horizon: u64,
     report: TimingReport,
@@ -122,8 +184,16 @@ pub struct Timing {
 
 impl Timing {
     /// Creates a timing model with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.wb_ports` is 0: no instruction could ever write back.
     #[must_use]
     pub fn new(cfg: PipelineConfig) -> Self {
+        assert!(
+            cfg.wb_ports > 0,
+            "PipelineConfig::wb_ports must be at least 1"
+        );
         Timing {
             cfg,
             next_issue: 0,
@@ -132,24 +202,9 @@ impl Timing {
             queue: Vec::new(),
             last_cmem_dispatch: 0,
             div_busy: 0,
-            wb_used: HashMap::new(),
+            wb_used: WbWindow::new(),
             horizon: 0,
             report: TimingReport::default(),
-        }
-    }
-
-    fn alloc_wb(&mut self, earliest: u64) -> u64 {
-        let mut c = earliest;
-        loop {
-            let used = self.wb_used.entry(c).or_insert(0);
-            if *used < self.cfg.wb_ports {
-                *used += 1;
-                if c > earliest {
-                    self.report.wb_conflict_cycles += c - earliest;
-                }
-                return c;
-            }
-            c += 1;
         }
     }
 
@@ -162,10 +217,9 @@ impl Timing {
         let mut t = self.next_issue;
 
         // RAW hazards: issue waits until source operands are readable
-        let mut raw_ready = t;
-        for r in inst.uses() {
-            raw_ready = raw_ready.max(self.reg_ready[r.index()]);
-        }
+        let raw_ready = inst
+            .uses()
+            .fold(t, |ready, r| ready.max(self.reg_ready[r.index()]));
         if raw_ready > t {
             self.report.raw_stall_cycles += raw_ready - t;
             t = raw_ready;
@@ -174,15 +228,17 @@ impl Timing {
         let completion;
         if inst.is_cmem() {
             self.report.cmem_instructions += 1;
+            // when the target slice(s) free up
+            let slices_free = inst
+                .cmem_slices()
+                .map(|s| self.slice_busy[usize::from(s)])
+                .max()
+                .unwrap_or(0);
             // free queue slots whose occupants have dispatched
             self.queue.retain(|&d| d > t);
             if self.cfg.cmem_queue == 0 {
                 // no queue: ID blocks until the op can start
-                let mut start = t;
-                for &s in &inst.cmem_slices() {
-                    start = start.max(self.slice_busy[s as usize]);
-                }
-                start = start.max(self.last_cmem_dispatch + 1);
+                let start = t.max(slices_free).max(self.last_cmem_dispatch + 1);
                 if start > t {
                     self.report.queue_stall_cycles += start - t;
                     t = start;
@@ -197,18 +253,15 @@ impl Timing {
                 self.queue.retain(|&d| d > t);
             }
             // dispatch: FIFO order, after the target slice(s) free up
-            let mut dispatch = t.max(self.last_cmem_dispatch + 1);
-            for &s in &inst.cmem_slices() {
-                dispatch = dispatch.max(self.slice_busy[s as usize]);
-            }
+            let dispatch = t.max(self.last_cmem_dispatch + 1).max(slices_free);
             self.last_cmem_dispatch = dispatch;
             if dispatch > t && self.cfg.cmem_queue > 0 {
                 self.queue.push(dispatch);
             }
             let busy = u64::from(inst.exec_cycles()) + u64::from(e.ext_latency);
             completion = dispatch + busy;
-            for &s in &inst.cmem_slices() {
-                self.slice_busy[s as usize] = completion;
+            for s in inst.cmem_slices() {
+                self.slice_busy[usize::from(s)] = completion;
             }
         } else {
             match inst {
@@ -237,7 +290,8 @@ impl Timing {
 
         // write-back port arbitration for instructions producing a value
         if let Some(rd) = inst.def() {
-            let wb = self.alloc_wb(completion);
+            let wb = self.wb_used.claim(completion, t, self.cfg.wb_ports);
+            self.report.wb_conflict_cycles += wb - completion;
             self.reg_ready[rd.index()] = wb;
             self.horizon = self.horizon.max(wb);
         } else {
@@ -250,12 +304,6 @@ impl Timing {
         if inst.is_control() && e.taken {
             self.next_issue += u64::from(self.cfg.branch_penalty);
             self.report.branch_flush_cycles += u64::from(self.cfg.branch_penalty);
-        }
-
-        // keep the WB map from growing without bound
-        if self.wb_used.len() > 4096 {
-            let floor = t.saturating_sub(64);
-            self.wb_used.retain(|&c, _| c >= floor);
         }
     }
 
@@ -473,6 +521,39 @@ mod tests {
         t.on_retire(&entry(div2));
         let r = t.finish();
         assert!(r.total_cycles >= 68, "{r:?}");
+    }
+
+    #[test]
+    fn write_backs_far_past_the_first_window_still_conflict() {
+        // two loads whose results land on the same cycle 1,001, with a
+        // hundred ALU write-backs in between: one port makes the second
+        // wait a cycle, however far ahead the shared cycle lies
+        let load = |rd, ext_latency| TraceEntry {
+            inst: I::lw(rd, Reg::S0, 0),
+            taken: false,
+            ext_latency,
+        };
+        let mut t = Timing::new(PipelineConfig {
+            wb_ports: 1,
+            ..PipelineConfig::default()
+        });
+        t.on_retire(&load(Reg::A0, 1_000));
+        for _ in 0..100 {
+            t.on_retire(&entry(I::add(Reg::T0, Reg::T1, Reg::T2)));
+        }
+        t.on_retire(&load(Reg::A1, 899));
+        let r = t.finish();
+        assert_eq!(r.wb_conflict_cycles, 1, "{r:?}");
+        assert_eq!(r.total_cycles, 1_002, "{r:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "wb_ports must be at least 1")]
+    fn zero_write_back_ports_are_rejected() {
+        let _ = Timing::new(PipelineConfig {
+            wb_ports: 0,
+            ..PipelineConfig::default()
+        });
     }
 
     #[test]

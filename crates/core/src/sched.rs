@@ -13,16 +13,17 @@
 //! their sizes and leaders their addresses).
 
 use maicc_isa::inst::Instruction;
-use std::collections::HashSet;
 
 /// Whether two instructions must stay ordered (`a` before `b`, given `a`
 /// precedes `b` in program order).
 ///
-/// `disjoint_memory` asserts that ordinary loads/stores never alias the
-/// CMem rows the extension instructions touch (true for the generated
-/// kernels, where scalars live in data memory and vectors in slices 1–7);
-/// without it, CMem ops are conservatively ordered against all memory ops.
-fn depends(a: &Instruction, b: &Instruction, disjoint_memory: bool) -> bool {
+/// Ordinary memory ops are ordered among themselves (loads may pass
+/// loads), and CMem ops among themselves when they share a slice, but an
+/// ordinary memory op and a CMem op are left unordered. That relies on a
+/// contract the generated kernels keep: they never write slice 0, the
+/// byte-addressable slice, with ordinary stores, so ordinary memory and
+/// the rows the CMem ops touch never alias.
+fn depends(a: &Instruction, b: &Instruction) -> bool {
     // full barriers
     let barrier = |i: &Instruction| {
         matches!(
@@ -35,41 +36,23 @@ fn depends(a: &Instruction, b: &Instruction, disjoint_memory: bool) -> bool {
     }
     // register dependences
     if let Some(d) = a.def() {
-        if b.uses().contains(&d) || b.def() == Some(d) {
+        if b.uses().any(|r| r == d) || b.def() == Some(d) {
             return true; // RAW or WAW
         }
     }
     if let Some(d) = b.def() {
-        if a.uses().contains(&d) {
+        if a.uses().any(|r| r == d) {
             return true; // WAR
         }
     }
     // memory dependences: conservative unless both are loads
-    let mem_a = a.is_mem();
-    let mem_b = b.is_mem();
     let is_load = |i: &Instruction| matches!(i, Instruction::Load { .. });
-    if mem_a && mem_b && !(is_load(a) && is_load(b)) {
+    if a.is_mem() && b.is_mem() && !(is_load(a) && is_load(b)) {
         return true;
     }
-    // CMem structural/data dependences: same slice ⇒ ordered (row-level
+    // CMem structural/data dependences: a shared slice ⇒ ordered (row-level
     // RAW/WAW cannot be tracked per-row without value analysis)
-    if a.is_cmem() && b.is_cmem() {
-        let sa: HashSet<u8> = a.cmem_slices().into_iter().collect();
-        if b.cmem_slices().iter().any(|s| sa.contains(s)) {
-            return true;
-        }
-    }
-    // CMem vs ordinary memory: slice 0 is byte-addressable, so stores may
-    // feed Move.C reads; honoured unless the kernel guarantees disjointness
-    if !disjoint_memory && (a.is_cmem() && mem_b || mem_a && b.is_cmem()) {
-        return true;
-    }
-    // even with disjoint memory, ordinary *stores* may write slice 0 which
-    // CMem ops read — keep store → CMem order for slice-0 consumers
-    if !disjoint_memory {
-        return false;
-    }
-    false
+    a.is_cmem() && b.is_cmem() && a.cmem_slices().any(|s| b.cmem_slices().any(|u| u == s))
 }
 
 /// Schedules one basic block (no internal control flow). The relative order
@@ -77,15 +60,6 @@ fn depends(a: &Instruction, b: &Instruction, disjoint_memory: bool) -> bool {
 /// emitted critical-path-first.
 #[must_use]
 pub(crate) fn schedule_block(block: &[Instruction]) -> Vec<Instruction> {
-    schedule_block_with(block, true)
-}
-
-/// [`schedule_block`] with explicit memory-disjointness assumption.
-#[must_use]
-pub(crate) fn schedule_block_with(
-    block: &[Instruction],
-    disjoint_memory: bool,
-) -> Vec<Instruction> {
     let n = block.len();
     if n <= 2 {
         return block.to_vec();
@@ -95,7 +69,7 @@ pub(crate) fn schedule_block_with(
     let mut pred_count = vec![0usize; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            if depends(&block[i], &block[j], disjoint_memory) {
+            if depends(&block[i], &block[j]) {
                 succs[i].push(j);
                 pred_count[j] += 1;
             }

@@ -419,28 +419,23 @@ impl Instruction {
         (rd != Reg::Zero).then_some(rd)
     }
 
-    /// The registers this instruction reads (x0 excluded).
-    #[must_use]
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        match *self {
+    /// The registers this instruction reads, `rs1` before `rs2`, x0
+    /// excluded. At most two; nothing is allocated.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+        let (rs1, rs2) = match *self {
             Instruction::Jalr { rs1, .. }
             | Instruction::Load { rs1, .. }
             | Instruction::OpImm { rs1, .. }
             | Instruction::LoadRowRC { rs1, .. }
             | Instruction::StoreRowRC { rs1, .. }
-            | Instruction::SetMaskC { rs1, .. } => v.push(rs1),
+            | Instruction::SetMaskC { rs1, .. } => (rs1, Reg::Zero),
             Instruction::Branch { rs1, rs2, .. }
             | Instruction::Store { rs1, rs2, .. }
             | Instruction::Op { rs1, rs2, .. }
-            | Instruction::Amo { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            _ => {}
-        }
-        v.retain(|&r| r != Reg::Zero);
-        v
+            | Instruction::Amo { rs1, rs2, .. } => (rs1, rs2),
+            _ => (Reg::Zero, Reg::Zero),
+        };
+        [rs1, rs2].into_iter().filter(|&r| r != Reg::Zero)
     }
 
     /// Whether this is one of the CMem extension instructions.
@@ -458,29 +453,28 @@ impl Instruction {
         )
     }
 
-    /// The CMem slices this instruction occupies while executing.
-    #[must_use]
-    pub fn cmem_slices(&self) -> Vec<u8> {
-        match *self {
+    /// The CMem slices this instruction occupies while executing: at most
+    /// two, each once (a `Move.C` within one slice yields it once), source
+    /// before destination. Nothing is allocated.
+    pub fn cmem_slices(&self) -> impl Iterator<Item = u8> {
+        let (first, second) = match *self {
             Instruction::MacC { slice, .. }
             | Instruction::SetRowC { slice, .. }
             | Instruction::ShiftRowC { slice, .. }
             | Instruction::LoadRowRC { slice, .. }
             | Instruction::StoreRowRC { slice, .. }
-            | Instruction::SetMaskC { slice, .. } => vec![slice],
+            | Instruction::SetMaskC { slice, .. } => (Some(slice), None),
             Instruction::MoveC {
                 src_slice,
                 dst_slice,
                 ..
-            } => {
-                if src_slice == dst_slice {
-                    vec![src_slice]
-                } else {
-                    vec![src_slice, dst_slice]
-                }
-            }
-            _ => Vec::new(),
-        }
+            } => (
+                Some(src_slice),
+                (dst_slice != src_slice).then_some(dst_slice),
+            ),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Occupancy of the instruction's execution unit, in cycles
@@ -617,7 +611,10 @@ mod tests {
     #[test]
     fn uses_exclude_x0() {
         let i = Instruction::add(Reg::A0, Reg::Zero, Reg::A2);
-        assert_eq!(i.uses(), vec![Reg::A2]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), [Reg::A2]);
+        // rs1 before rs2
+        let st = Instruction::sw(Reg::A1, Reg::Sp, 0);
+        assert_eq!(st.uses().collect::<Vec<_>>(), [Reg::Sp, Reg::A1]);
     }
 
     #[test]
@@ -631,7 +628,7 @@ mod tests {
         };
         assert!(m.is_cmem());
         assert_eq!(m.def(), Some(Reg::T0));
-        assert_eq!(m.cmem_slices(), vec![3]);
+        assert_eq!(m.cmem_slices().collect::<Vec<_>>(), [3]);
         assert_eq!(m.exec_cycles(), 64);
     }
 
@@ -644,8 +641,17 @@ mod tests {
             dst_row: 8,
             width: VecWidth::W8,
         };
-        assert_eq!(mv.cmem_slices(), vec![0, 5]);
+        assert_eq!(mv.cmem_slices().collect::<Vec<_>>(), [0, 5]);
         assert_eq!(mv.exec_cycles(), 8);
+        // within one slice, the slice is occupied once
+        let within = Instruction::MoveC {
+            src_slice: 5,
+            src_row: 0,
+            dst_slice: 5,
+            dst_row: 8,
+            width: VecWidth::W8,
+        };
+        assert_eq!(within.cmem_slices().collect::<Vec<_>>(), [5]);
     }
 
     #[test]
