@@ -1,10 +1,11 @@
-//! Self-timed wall-clock benchmark harness.
+//! The benchmark harness: the paper's tables, figures and ablations, and
+//! wall-clock timings of the simulator itself.
 //!
-//! Unlike the `benches/` entries (which regenerate paper tables under
-//! Criterion), this binary measures *host* wall-clock time of the
-//! simulator itself with `std::time::Instant` — warmup runs followed by
-//! N timed iterations, reporting median/p10/p90 — and writes the results
-//! as JSON to `BENCH_results.json`.
+//! Each paper section ([`sections`]) prints its modelled rows once, with
+//! the published values beside them, and asserts the paper's claims. Each
+//! timed row measures *host* wall-clock time with `std::time::Instant` —
+//! warmup runs followed by N timed iterations, reporting median/p10/p90 —
+//! and the rows go to `BENCH_results.json` as JSON.
 //!
 //! ```text
 //! cargo run --release -p maicc-bench --bin maicc_bench [-- OPTIONS]
@@ -14,17 +15,28 @@
 //!                       normal mode adds two per-bench warmup runs)
 //!   --threads N         worker threads for the parallel row
 //!                       (default: host core count)
-//!   --bench SUBSTRING   only run benchmarks whose name contains SUBSTRING
+//!   --bench SUBSTRING   only run sections and rows whose name contains
+//!                       SUBSTRING (`--bench table6` prints Table 6 and
+//!                       times `table6_heuristic_mapping`)
 //!   --json PATH         output JSON path (default BENCH_results.json)
-//!   --out PATH          alias for --json (kept for compatibility)
 //! ```
 //!
-//! Workloads:
+//! Sections: `table4`, `table5`, `table6`, `table7` (with §6.3), `fig9`,
+//! `fig10`, `ablation_slices`, `ablation_reduction`,
+//! `ablation_precision`, `ablation_dataflow`, `micro_noc` and
+//! `micro_pipeline`.
+//!
+//! Timed rows:
 //!
 //! * `table4_node_conv` — the Table-4 MAICC node convolution on the
 //!   cycle-accurate pipeline;
 //! * `table5_scheduled_replay` — the statically scheduled program replay;
 //! * `table6_heuristic_mapping` — ResNet-18 heuristic layer mapping;
+//! * `micro_noc_uniform_128` — 128 row packets of uniform traffic drained
+//!   through the bare 16×16 mesh;
+//! * `micro_pipeline_functional_only` / `micro_pipeline_plus_timing` —
+//!   the tiny conv on the node interpreter, alone and with the
+//!   cycle-accurate timing replay attached;
 //! * `resnet18_segment` — the full-system streaming simulation (bit-level
 //!   CMems + flit-level mesh) on the default fault-campaign workload,
 //!   event-driven engine, on the sequential reference loop
@@ -70,12 +82,11 @@
 //! modelled cycle counts identical across variants), so a speedup that
 //! broke bit-exactness would abort the run.
 
+mod sections;
+
 use maicc::core::kernels::{CmemConvKernel, ConvWorkload};
 use maicc::core::pipeline::{PipelineConfig, Timing};
-use maicc::exec::config::ExecConfig;
-use maicc::exec::pipeline_model::run_network;
 use maicc::exec::segment::Strategy;
-use maicc::nn::resnet::resnet18;
 use maicc::serve::cache::WeightCacheConfig;
 use maicc::serve::cluster::{
     serve_cluster, serve_cluster_with_obs, ClusterConfig, ClusterFaultPlan, ClusterShedConfig,
@@ -198,24 +209,6 @@ fn measure_pair(
         s
     };
     (summarize(name_a, samples_a), summarize(name_b, samples_b))
-}
-
-fn table4_node_conv(wl: ConvWorkload, ifmap: &[i8], weights: &[i8], golden: &[i32]) -> u64 {
-    let kernel = CmemConvKernel::new(wl).expect("table4 workload fits");
-    let sched = kernel.with_program(kernel.scheduled_program());
-    let mut node = sched.prepare(ifmap, weights, 4).expect("prepared");
-    let mut t = Timing::new(PipelineConfig::default());
-    node.run_with(100_000_000, |e| t.on_retire(e)).expect("halts");
-    assert_eq!(sched.read_ofmap(&node).expect("ofmap"), golden, "table4 functional mismatch");
-    t.finish().total_cycles
-}
-
-fn table5_scheduled_replay(kernel: &CmemConvKernel, ifmap: &[i8], weights: &[i8]) -> u64 {
-    let k = kernel.with_program(kernel.scheduled_program());
-    let mut node = k.prepare(ifmap, weights, 4).expect("prepared");
-    let mut t = Timing::new(PipelineConfig::default());
-    node.run_with(100_000_000, |e| t.on_retire(e)).expect("halts");
-    t.finish().total_cycles
 }
 
 /// Which loop a streaming-segment row steps.
@@ -532,7 +525,7 @@ fn main() {
                     .expect("--threads takes a positive integer");
             }
             "--bench" => filter = Some(args.next().expect("--bench takes a substring")),
-            "--json" | "--out" => out = args.next().expect("--json takes a path"),
+            "--json" => out = args.next().expect("--json takes a path"),
             other => panic!(
                 "unknown option {other} (try --quick, --iters N, --threads N, \
                  --bench SUBSTRING, --json PATH)"
@@ -559,34 +552,61 @@ fn main() {
         Engine::default().label()
     );
 
-    let wl = ConvWorkload::table4();
-    let ifmap = wl.synthetic_ifmap();
-    let weights = wl.synthetic_weights();
-    let conv_golden = wl.golden(&ifmap, &weights);
-    let kernel = CmemConvKernel::new(wl).expect("fits");
-    let net = resnet18(1000);
-    let exec_cfg = ExecConfig::default();
-    let seg_cfg = StreamConfig::resnet18_segment();
-    let seg_golden = seg_cfg.golden();
+    let inputs = sections::Inputs::new();
+    let mut sections_run = 0;
+    for (name, section) in sections::ALL {
+        if want(name) {
+            section(&inputs);
+            sections_run += 1;
+        }
+    }
 
+    let (ifmap, weights) = (&inputs.ifmap, &inputs.weights);
     let mut results = Vec::new();
     if want("table4_node_conv") {
         results.push(measure("table4_node_conv", warmup, iters, || {
-            table4_node_conv(ConvWorkload::table4(), &ifmap, &weights, &conv_golden)
+            sections::maicc_node_conv(ConvWorkload::table4(), ifmap, weights, &inputs.golden).0
         }));
     }
     if want("table5_scheduled_replay") {
+        let kernel = &inputs.kernel;
         results.push(measure("table5_scheduled_replay", warmup, iters, || {
-            table5_scheduled_replay(&kernel, &ifmap, &weights)
+            let prog = kernel.scheduled_program();
+            sections::replay(kernel, prog, PipelineConfig::default(), ifmap, weights)
         }));
     }
     if want("table6_heuristic_mapping") {
         results.push(measure("table6_heuristic_mapping", warmup, iters, || {
-            run_network(&net, [64, 56, 56], Strategy::Heuristic, &exec_cfg)
-                .expect("resnet maps")
-                .total_cycles as u64
+            inputs.map(Strategy::Heuristic).total_cycles as u64
         }));
     }
+    if want("micro_noc_uniform_128") {
+        results.push(measure("micro_noc_uniform_128", warmup, iters, || {
+            sections::uniform_traffic(128)
+        }));
+    }
+    if want("micro_pipeline_functional_only") || want("micro_pipeline_plus_timing") {
+        let tiny = ConvWorkload::tiny();
+        let kernel = CmemConvKernel::new(tiny).expect("tiny conv fits");
+        let (ifmap, weights) = (tiny.synthetic_ifmap(), tiny.synthetic_weights());
+        if want("micro_pipeline_functional_only") {
+            results.push(measure("micro_pipeline_functional_only", warmup, iters, || {
+                let mut node = kernel.prepare(&ifmap, &weights, 4).expect("prepared");
+                node.run_with(10_000_000, |_| {}).expect("halts");
+                node.instret()
+            }));
+        }
+        if want("micro_pipeline_plus_timing") {
+            results.push(measure("micro_pipeline_plus_timing", warmup, iters, || {
+                let mut node = kernel.prepare(&ifmap, &weights, 4).expect("prepared");
+                let mut t = Timing::new(PipelineConfig::default());
+                node.run_with(10_000_000, |e| t.on_retire(e)).expect("halts");
+                t.finish().total_cycles
+            }));
+        }
+    }
+    let seg_cfg = StreamConfig::resnet18_segment();
+    let seg_golden = seg_cfg.golden();
     // the sequential rows time the reference loop, so the speedup ratios
     // keep dividing by the same baseline whatever `run` steps
     let (reference, partitioned) = (Stepping::Reference, Stepping::Partitioned(threads));
@@ -886,7 +906,7 @@ fn main() {
         }));
     }
     assert!(
-        !results.is_empty(),
+        !results.is_empty() || sections_run > 0,
         "--bench {:?} matched no benchmark",
         filter.as_deref().unwrap_or("")
     );
