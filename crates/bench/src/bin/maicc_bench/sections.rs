@@ -150,9 +150,11 @@ fn table4(inp: &Inputs) {
     row("scalar core cycles", scalar_cycles as f64, paper::TABLE4_CYCLES[0], "cycles");
     row("MAICC node cycles", maicc_cycles as f64, paper::TABLE4_CYCLES[1], "cycles");
     row("Neural Cache cycles", nc.total() as f64, paper::TABLE4_CYCLES[2], "cycles");
-    row("scalar core energy", scalar_j, paper::TABLE4_ENERGY[0], "J");
-    row("MAICC node energy", maicc_j, paper::TABLE4_ENERGY[1], "J");
-    row("Neural Cache energy", nc_j, paper::TABLE4_ENERGY[2], "J");
+    // in µJ: `row`'s four decimals would print joules as 0.0000
+    let uj = |j: f64| j * 1e6;
+    row("scalar core energy", uj(scalar_j), uj(paper::TABLE4_ENERGY[0]), "µJ");
+    row("MAICC node energy", uj(maicc_j), uj(paper::TABLE4_ENERGY[1]), "µJ");
+    row("Neural Cache energy", uj(nc_j), uj(paper::TABLE4_ENERGY[2]), "µJ");
     println!(
         "areas (mm²): scalar {:.3}, MAICC {:.3}, Neural Cache {:.3} (paper: 0.052 / 0.114 / 0.158)",
         area::SCALAR_NODE_MM2,
