@@ -23,12 +23,9 @@ use maicc_exec::config::ExecConfig;
 use maicc_exec::pipeline_model::run_network;
 use maicc_exec::segment::Strategy;
 use maicc_nn::graph::{Network, Node, NodeInput, NodeOp};
-use maicc_sim::stream::{StreamConfig, StreamSim};
+use maicc_sim::stream::{CoreSplit, StreamConfig, StreamSim};
+use maicc_sim::SimError;
 use crate::trace::TenantLoad;
-
-/// Filter-vector slots one computing core offers (7 slices × 7 rows of
-/// resident vectors — the capacity constant `StreamSim` places with).
-const SLOTS_PER_CORE: usize = 49;
 
 /// One registered model.
 #[derive(Debug, Clone)]
@@ -64,9 +61,18 @@ pub struct ModelRegistry {
     entries: Vec<ModelEntry>,
 }
 
-/// Fabric tiles a streamed workload occupies, mirroring the placement
-/// math in `StreamSim::new`: per layer one data-collection core plus
-/// `ceil(out_channels / per_core)` computing cores, plus one sink tile.
+/// Each layer's computing-core split ([`StreamConfig::core_split`]), the
+/// simulator's filter-too-large rejection as a [`ServeError::BadModel`].
+fn core_split(cfg: &StreamConfig) -> Result<Vec<CoreSplit>, ServeError> {
+    cfg.core_split().map_err(|e| match e {
+        SimError::DoesNotFit { reason } => ServeError::BadModel { reason },
+        other => ServeError::Sim(other),
+    })
+}
+
+/// Fabric tiles a streamed workload occupies, as `StreamSim::new`
+/// places it: per layer one data-collection core plus its computing
+/// cores, plus one sink tile.
 ///
 /// # Errors
 ///
@@ -78,39 +84,29 @@ pub(crate) fn footprint(cfg: &StreamConfig) -> Result<usize, ServeError> {
             reason: "workload has no layers".into(),
         });
     }
-    let mut tiles = 1; // the sink
-    for l in &cfg.layers {
-        let s = &l.shape;
-        let groups = s.in_channels.div_ceil(256);
-        let vec_per_filter = s.kernel_h * s.kernel_w * groups;
-        let per_core = SLOTS_PER_CORE / vec_per_filter;
-        if per_core == 0 {
-            return Err(ServeError::BadModel {
-                reason: format!("filter {}x{} exceeds one CMem", s.kernel_h, s.kernel_w),
-            });
-        }
-        tiles += 1 + s.out_channels.div_ceil(per_core);
-    }
-    Ok(tiles)
+    Ok(1 + core_split(cfg)?.iter().map(|s| 1 + s.cores).sum::<usize>())
 }
 
 /// Weight bytes on the busiest computing core: per layer the first CC
 /// holds `min(per_core, out_channels)` filters of
 /// `kernel_h × kernel_w × groups` 256-byte filter vectors each, and the
 /// serialized vertical-write phase is bounded by the fullest core.
-#[must_use]
-pub(crate) fn max_tile_weight_bytes(cfg: &StreamConfig) -> usize {
-    cfg.layers
+///
+/// # Errors
+///
+/// Returns [`ServeError::BadModel`] if a filter exceeds one CMem.
+pub(crate) fn max_tile_weight_bytes(cfg: &StreamConfig) -> Result<usize, ServeError> {
+    let splits = core_split(cfg)?;
+    Ok(cfg
+        .layers
         .iter()
-        .map(|l| {
+        .zip(splits)
+        .map(|(l, split)| {
             let s = &l.shape;
-            let groups = s.in_channels.div_ceil(256);
-            let vec_per_filter = s.kernel_h * s.kernel_w * groups;
-            let per_core = SLOTS_PER_CORE / vec_per_filter.max(1);
-            per_core.min(s.out_channels) * vec_per_filter * 256
+            split.per_core.min(s.out_channels) * s.kernel_h * s.kernel_w * split.groups * 256
         })
         .max()
-        .unwrap_or(0)
+        .unwrap_or(0))
 }
 
 /// Rebuilds the streamed layer chain as a `maicc-nn` network (the layers
@@ -187,7 +183,7 @@ impl ModelRegistry {
         let golden = stream.golden();
         let weight_image = StreamSim::weight_image(&stream);
         let weight_bytes = weight_image.len() * 256;
-        let max_tile = max_tile_weight_bytes(&stream);
+        let max_tile = max_tile_weight_bytes(&stream)?;
         self.entries.push(ModelEntry {
             name: name.to_string(),
             stream,

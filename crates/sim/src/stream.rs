@@ -113,6 +113,100 @@ impl StreamConfig {
         }
         t.data().to_vec()
     }
+
+    /// How each layer's filters spread over computing cores, in layer
+    /// order. A filter takes `kernel_h · kernel_w · ⌈C/256⌉` of a core's
+    /// 49 resident vector slots, so a core holds
+    /// `per_core = 49 / that` filters and a layer of `M` filters takes
+    /// `⌈M / per_core⌉` cores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::DoesNotFit`] if one filter needs more slots
+    /// than a CMem has.
+    pub fn core_split(&self) -> Result<Vec<CoreSplit>, SimError> {
+        self.layers
+            .iter()
+            .map(|l| {
+                let s = &l.shape;
+                let groups = s.in_channels.div_ceil(256);
+                let per_core = SLOTS_PER_CORE / (s.kernel_h * s.kernel_w * groups);
+                if per_core == 0 {
+                    return Err(SimError::DoesNotFit {
+                        reason: format!("filter {}x{} exceeds one CMem", s.kernel_h, s.kernel_w),
+                    });
+                }
+                Ok(CoreSplit {
+                    groups,
+                    per_core,
+                    cores: s.out_channels.div_ceil(per_core),
+                })
+            })
+            .collect()
+    }
+}
+
+/// Resident filter-vector slots on one computing core: 7 compute slices
+/// × 7 rows of 8-bit vectors.
+const SLOTS_PER_CORE: usize = 49;
+
+/// One layer's share of computing cores ([`StreamConfig::core_split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreSplit {
+    /// 256-channel groups per filter, `⌈C/256⌉`.
+    pub groups: usize,
+    /// Filters each computing core holds; the last core may hold fewer.
+    pub per_core: usize,
+    /// Computing cores the layer takes.
+    pub cores: usize,
+}
+
+impl CoreSplit {
+    /// The filters computing core `core` holds, of `out_channels`.
+    fn filters(self, core: usize, out_channels: usize) -> std::ops::Range<usize> {
+        core * self.per_core..((core + 1) * self.per_core).min(out_channels)
+    }
+}
+
+/// The filter vectors computing core `core` of layer `l` holds, in the
+/// order they stream into its CMem (filter, 256-channel group, `ky`,
+/// `kx`), each zero-padded to 256 channels and paired with its slot.
+/// [`StreamSim::new_avoiding`] writes exactly these, and
+/// [`StreamSim::weight_image`] lists them.
+fn core_vectors(l: &ConvLayer, split: CoreSplit, core: usize) -> Vec<(Resident, Vec<i8>)> {
+    let s = &l.shape;
+    let filters = split.filters(core, s.out_channels);
+    let mut out = Vec::new();
+    for f in filters.clone() {
+        for q in 0..split.groups {
+            for ky in 0..s.kernel_h {
+                for kx in 0..s.kernel_w {
+                    let v = out.len();
+                    let filt = (0..256)
+                        .map(|c| {
+                            let ch = q * 256 + c;
+                            if ch < s.in_channels {
+                                l.weights.get(&[f, ch, ky, kx])
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                    let resident = Resident {
+                        local_filter: f - filters.start,
+                        global_filter: f,
+                        group: q,
+                        ky,
+                        kx,
+                        slice: 1 + (v % 7),
+                        row: 8 + 8 * (v / 7),
+                    };
+                    out.push((resident, filt));
+                }
+            }
+        }
+    }
+    out
 }
 
 pub(crate) fn test_layer(in_c: usize, out_c: usize, salt: usize) -> ConvLayer {
@@ -583,26 +677,9 @@ impl StreamSim {
             cur = (s.out_channels, oh, ow);
         }
 
-        // computing cores per layer: 5 filter-vector slots per slice × 7
-        let mut group_sizes = Vec::new();
-        let mut placements_per_layer = Vec::new();
-        for l in &cfg.layers {
-            let s = &l.shape;
-            let groups = s.in_channels.div_ceil(256);
-            let vec_per_filter = s.kernel_h * s.kernel_w * groups;
-            let per_core = 49 / vec_per_filter;
-            if per_core == 0 {
-                return Err(SimError::DoesNotFit {
-                    reason: format!("filter {}x{} exceeds one CMem", s.kernel_h, s.kernel_w),
-                });
-            }
-            let ccs = s.out_channels.div_ceil(per_core);
-            group_sizes.push(ccs);
-            placements_per_layer.push(per_core);
-        }
-        // one extra tile for the sink
-        let mut sizes_with_sink = group_sizes.clone();
-        sizes_with_sink.push(0); // the sink "group" is just its DC tile
+        let splits = cfg.core_split()?;
+        // one extra tile for the sink: its "group" is just its DC tile
+        let sizes_with_sink: Vec<usize> = splits.iter().map(|sp| sp.cores).chain([0]).collect();
         let placed = place_groups_avoiding(&sizes_with_sink, failed)?;
 
         let mut nodes = Vec::new();
@@ -613,7 +690,6 @@ impl StreamSim {
             let g = &placed[li];
             let (in_dim, out_dim) = dims[li];
             let s = &l.shape;
-            let per_core = placements_per_layer[li];
             let first_cc = to_coord(g.computing[0]);
             // the DC
             let dc_coord = to_coord(g.dc);
@@ -652,49 +728,19 @@ impl StreamSim {
             };
             for (k, tile) in g.computing.iter().enumerate() {
                 let coord = to_coord(*tile);
-                let lo = k * per_core;
-                let hi = ((k + 1) * per_core).min(s.out_channels);
                 let mut cmem = Box::new(Cmem::new());
                 let mut residents = Vec::new();
                 let mut shadow_w = Vec::new();
-                let groups = s.in_channels.div_ceil(256);
-                for (local, f) in (lo..hi).enumerate() {
-                    for q in 0..groups {
-                        for ky in 0..s.kernel_h {
-                            for kx in 0..s.kernel_w {
-                                let v = residents.len();
-                                let slice = 1 + (v % 7);
-                                let row = 8 + 8 * (v / 7);
-                                let filt: Vec<i8> = (0..256)
-                                    .map(|c| {
-                                        let ch = q * 256 + c;
-                                        if ch < s.in_channels {
-                                            l.weights.get(&[f, ch, ky, kx])
-                                        } else {
-                                            0
-                                        }
-                                    })
-                                    .collect();
-                                cmem.write_vector_i8(slice, row, &filt)?;
-                                // channels past the layer's span are zero
-                                // in both operands, so the shadow keeps
-                                // only the live prefix
-                                let span = (s.in_channels - q * 256).min(256);
-                                shadow_w.push(filt[..span].to_vec());
-                                residents.push(Resident {
-                                    local_filter: local,
-                                    global_filter: f,
-                                    group: q,
-                                    ky,
-                                    kx,
-                                    slice,
-                                    row,
-                                });
-                            }
-                        }
-                    }
+                for (resident, filt) in core_vectors(l, splits[li], k) {
+                    cmem.write_vector_i8(resident.slice, resident.row, &filt)?;
+                    // channels past the layer's span are zero in both
+                    // operands, so the shadow keeps only the live prefix
+                    let span = (s.in_channels - resident.group * 256).min(256);
+                    shadow_w.push(filt[..span].to_vec());
+                    residents.push(resident);
                 }
-                let psums: Vec<i32> = (lo..hi)
+                let psums: Vec<i32> = splits[li]
+                    .filters(k, s.out_channels)
                     .flat_map(|f| std::iter::repeat_n(l.bias[f], out_dim.1 * out_dim.2))
                     .collect();
                 let next_hop = g.computing.get(k + 1).map(|t| to_coord(*t));
@@ -759,40 +805,17 @@ impl StreamSim {
     /// the computing cores' CMems (layer-major, then core, then resident
     /// slot). The order is a function of the [`StreamConfig`] alone —
     /// placement never enters — so a warm start can assert image equality
-    /// without building a fabric.
+    /// without building a fabric. It is empty for a config whose filters
+    /// do not fit a CMem, which construction rejects outright.
     #[must_use]
     pub fn weight_image(cfg: &StreamConfig) -> Vec<Vec<i8>> {
+        let Ok(splits) = cfg.core_split() else {
+            return Vec::new();
+        };
         let mut image = Vec::new();
-        for l in &cfg.layers {
-            let s = &l.shape;
-            let groups = s.in_channels.div_ceil(256);
-            let per_core = 49 / (s.kernel_h * s.kernel_w * groups);
-            if per_core == 0 {
-                continue; // new_avoiding rejects such configs outright
-            }
-            let ccs = s.out_channels.div_ceil(per_core);
-            for k in 0..ccs {
-                let lo = k * per_core;
-                let hi = ((k + 1) * per_core).min(s.out_channels);
-                for f in lo..hi {
-                    for q in 0..groups {
-                        for ky in 0..s.kernel_h {
-                            for kx in 0..s.kernel_w {
-                                let filt: Vec<i8> = (0..256)
-                                    .map(|c| {
-                                        let ch = q * 256 + c;
-                                        if ch < s.in_channels {
-                                            l.weights.get(&[f, ch, ky, kx])
-                                        } else {
-                                            0
-                                        }
-                                    })
-                                    .collect();
-                                image.push(filt);
-                            }
-                        }
-                    }
-                }
+        for (l, split) in cfg.layers.iter().zip(splits) {
+            for k in 0..split.cores {
+                image.extend(core_vectors(l, split, k).into_iter().map(|(_, filt)| filt));
             }
         }
         image
