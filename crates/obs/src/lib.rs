@@ -119,10 +119,11 @@ struct Window {
     latencies: Vec<u64>,
 }
 
-/// Nearest-rank percentile of a **sorted** slice; 0 for an empty one
-/// (mirrors the SLO accountant so window figures are comparable with
-/// report figures).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+/// Nearest-rank percentile of a **sorted** slice (p in (0, 100]); 0 for
+/// an empty slice. The serving reports use it too, so window figures
+/// compare with report figures.
+#[must_use]
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

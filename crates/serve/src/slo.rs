@@ -10,6 +10,7 @@
 
 use crate::cache::CacheCounters;
 use crate::overload::Tier;
+pub use maicc_obs::percentile;
 
 /// What happened to one request, after the fact.
 #[derive(Debug, Clone, PartialEq)]
@@ -299,18 +300,6 @@ impl CacheReport {
             tenants,
         }
     }
-}
-
-/// Nearest-rank percentile of a **sorted** slice (p in (0, 100]); 0 for
-/// an empty slice.
-#[must_use]
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 struct Aggregate {
