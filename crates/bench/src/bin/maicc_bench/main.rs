@@ -561,15 +561,14 @@ fn main() {
         }
     }
 
-    let (ifmap, weights) = (&inputs.ifmap, &inputs.weights);
+    let (ifmap, weights, kernel) = (&inputs.ifmap, &inputs.weights, &inputs.kernel);
     let mut results = Vec::new();
     if want("table4_node_conv") {
         results.push(measure("table4_node_conv", warmup, iters, || {
-            sections::maicc_node_conv(ConvWorkload::table4(), ifmap, weights, &inputs.golden).0
+            sections::maicc_node_conv(inputs.wl, ifmap, weights, &inputs.golden).0
         }));
     }
     if want("table5_scheduled_replay") {
-        let kernel = &inputs.kernel;
         results.push(measure("table5_scheduled_replay", warmup, iters, || {
             let prog = kernel.scheduled_program();
             sections::replay(kernel, prog, PipelineConfig::default(), ifmap, weights)
@@ -587,18 +586,23 @@ fn main() {
     }
     if want("micro_pipeline_functional_only") || want("micro_pipeline_plus_timing") {
         let tiny = ConvWorkload::tiny();
-        let kernel = CmemConvKernel::new(tiny).expect("tiny conv fits");
-        let (ifmap, weights) = (tiny.synthetic_ifmap(), tiny.synthetic_weights());
+        let tiny_kernel = CmemConvKernel::new(tiny).expect("tiny conv fits");
+        let (tiny_ifmap, tiny_weights) = (tiny.synthetic_ifmap(), tiny.synthetic_weights());
+        let prepare = || {
+            tiny_kernel
+                .prepare(&tiny_ifmap, &tiny_weights, 4)
+                .expect("prepared")
+        };
         if want("micro_pipeline_functional_only") {
             results.push(measure("micro_pipeline_functional_only", warmup, iters, || {
-                let mut node = kernel.prepare(&ifmap, &weights, 4).expect("prepared");
+                let mut node = prepare();
                 node.run_with(10_000_000, |_| {}).expect("halts");
                 node.instret()
             }));
         }
         if want("micro_pipeline_plus_timing") {
             results.push(measure("micro_pipeline_plus_timing", warmup, iters, || {
-                let mut node = kernel.prepare(&ifmap, &weights, 4).expect("prepared");
+                let mut node = prepare();
                 let mut t = Timing::new(PipelineConfig::default());
                 node.run_with(10_000_000, |e| t.on_retire(e)).expect("halts");
                 t.finish().total_cycles

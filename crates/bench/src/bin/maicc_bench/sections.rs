@@ -37,8 +37,8 @@ pub(crate) struct Inputs {
     pub(crate) weights: Vec<i8>,
     pub(crate) golden: Vec<i32>,
     pub(crate) kernel: CmemConvKernel,
-    pub(crate) net: Network,
-    pub(crate) exec: ExecConfig,
+    net: Network,
+    exec: ExecConfig,
     /// `net` mapped under each strategy, in `Strategy::ALL` order; mapped
     /// on first use, so filters that select no mapping section skip it.
     runs: OnceCell<[RunReport; 3]>,
