@@ -1,10 +1,10 @@
-//! Support library for the table/figure regeneration benches.
+//! Support library for the benchmark harness.
 //!
-//! Each bench in `benches/` regenerates one table or figure of the MAICC
-//! paper: it prints the same rows/series the paper reports (with the
-//! paper's published values alongside for comparison) and lets Criterion
-//! measure the simulation itself. The helpers here keep the printed
-//! output uniform.
+//! Each `maicc_bench` section regenerates one table, figure or ablation
+//! of the MAICC paper: it prints the same rows/series the paper reports,
+//! with the paper's published values ([`paper`], which perfbench also
+//! reads) alongside for comparison. [`row`] and [`header`] keep the
+//! printed output uniform.
 
 /// Paper-published reference values, for side-by-side printing.
 pub mod paper {
