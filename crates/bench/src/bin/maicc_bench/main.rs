@@ -5,7 +5,9 @@
 //! the published values beside them, and asserts the paper's claims. Each
 //! timed row measures *host* wall-clock time with `std::time::Instant` —
 //! warmup runs followed by N timed iterations, reporting median/p10/p90 —
-//! and the rows go to `BENCH_results.json` as JSON.
+//! and, with `--json PATH`, the rows go to `PATH` as JSON. Without it the
+//! harness writes no file, so no run replaces the committed
+//! `BENCH_results.json` unless asked to.
 //!
 //! ```text
 //! cargo run --release -p maicc-bench --bin maicc_bench [-- OPTIONS]
@@ -18,7 +20,8 @@
 //!   --bench SUBSTRING   only run sections and rows whose name contains
 //!                       SUBSTRING (`--bench table6` prints Table 6 and
 //!                       times `table6_heuristic_mapping`)
-//!   --json PATH         output JSON path (default BENCH_results.json)
+//!   --json PATH         write the timed rows to PATH as JSON (default:
+//!                       write no file)
 //! ```
 //!
 //! Sections: `table4`, `table5`, `table6`, `table7` (with §6.3), `fig9`,
@@ -499,13 +502,13 @@ fn write_json(
         soak.map_or(0.0, |s| s.hit_rate)
     ));
     out.push_str("  }\n}\n");
-    std::fs::write(path, out).expect("write BENCH_results.json");
+    std::fs::write(path, out).expect("write the --json report");
 }
 
 fn main() {
     let mut quick = false;
     let mut iters = 5usize;
-    let mut out = String::from("BENCH_results.json");
+    let mut out: Option<String> = None;
     let mut threads = 0usize;
     let mut filter: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -525,7 +528,7 @@ fn main() {
                     .expect("--threads takes a positive integer");
             }
             "--bench" => filter = Some(args.next().expect("--bench takes a substring")),
-            "--json" => out = args.next().expect("--json takes a path"),
+            "--json" => out = Some(args.next().expect("--json takes a path")),
             other => panic!(
                 "unknown option {other} (try --quick, --iters N, --threads N, \
                  --bench SUBSTRING, --json PATH)"
@@ -927,19 +930,22 @@ fn main() {
         "modelled cycles diverged across variants: {cycles:?}"
     );
 
-    write_json(
-        &out,
-        quick,
-        iters,
-        threads,
-        &results,
-        &ScenarioStats {
-            overload: overload_stats,
-            repeat: repeat_stats,
-            cluster: cluster_stats,
-            soak: soak_stats,
-        },
-    );
+    if let Some(path) = &out {
+        write_json(
+            path,
+            quick,
+            iters,
+            threads,
+            &results,
+            &ScenarioStats {
+                overload: overload_stats,
+                repeat: repeat_stats,
+                cluster: cluster_stats,
+                soak: soak_stats,
+            },
+        );
+        println!("wrote {path}");
+    }
 
     let median = |name: &str| {
         results
@@ -975,5 +981,4 @@ fn main() {
             }
         }
     }
-    println!("wrote {out}");
 }

@@ -1,8 +1,8 @@
 //! Pinned paper regenerators: every `maicc_bench` section exits 0, so
 //! each assert it holds on the paper's claims passed, and prints the lines
 //! of the committed fixture. The fixture holds one `### <section>` block
-//! per section; the harness's own header, timed-row and `wrote` lines are
-//! not compared, since timings differ between runs.
+//! per section; the harness's own header and timed-row lines are not
+//! compared, since timings differ between runs.
 //!
 //! Regenerate the fixture after a deliberate change with
 //! `cargo test -p maicc-bench --test regenerators -- --ignored regenerate`,
@@ -17,20 +17,17 @@ fn fixture_path() -> String {
     )
 }
 
-/// The harness's own lines: its banner, one line per timed row, and the
-/// path it wrote the JSON to.
+/// The harness's own lines: its banner and one line per timed row.
 fn is_harness_line(line: &str) -> bool {
     line.starts_with("maicc_bench: ")
-        || line.starts_with("wrote ")
         || (line.contains(" median ") && line.contains("(check ") && line.ends_with(')'))
 }
 
-/// Runs `maicc_bench --quick --bench <name>`, with its JSON kept out of
-/// the repository, and returns the section's lines.
+/// Runs `maicc_bench --quick --bench <name>` (which writes no JSON
+/// without `--json`) and returns the section's lines.
 fn section_output(name: &str) -> String {
-    let json = format!("{}/regenerators_{name}.json", env!("CARGO_TARGET_TMPDIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_maicc_bench"))
-        .args(["--quick", "--bench", name, "--json", &json])
+        .args(["--quick", "--bench", name])
         .output()
         .expect("maicc_bench starts");
     assert!(

@@ -410,20 +410,14 @@ impl CmemConvKernel {
             "weights size mismatch"
         );
         let n = self.width.bits();
-        let mask = if n >= 16 { 0xFFFF } else { (1u16 << n) - 1 };
         let mut port = NullPort::with_latency(port_latency);
-        // feeder rows: pixel (y, x) → n transposed rows at offset 32·n·p
+        // feeder rows: pixel (y, x) → n transposed rows at offset 32·n·p;
+        // the transpose keeps the low n bits of each sign-extended value
         for y in 0..w.h {
             for x in 0..w.w {
                 let p = y * w.w + x;
-                let vec: Vec<u16> = (0..256)
-                    .map(|ch| {
-                        if ch < w.c {
-                            (ifmap[(ch * w.h + y) * w.w + x] as i16 as u16) & mask
-                        } else {
-                            0
-                        }
-                    })
+                let vec: Vec<u16> = (0..w.c)
+                    .map(|ch| ifmap[(ch * w.h + y) * w.w + x] as i16 as u16)
                     .collect();
                 for (i, plane) in transpose::pack_words(&vec, n, 256).into_iter().enumerate() {
                     port.preload_row(
@@ -449,17 +443,10 @@ impl CmemConvKernel {
     pub(crate) fn load_filters(&self, node: &mut Node, weights: &[i8]) -> Result<(), CoreError> {
         let w = &self.workload;
         let n = self.width.bits();
-        let mask = if n >= 16 { 0xFFFF } else { (1u16 << n) - 1 };
         for fv in &self.placement {
-            let vec: Vec<u16> = (0..256)
+            let vec: Vec<u16> = (0..w.c)
                 .map(|ch| {
-                    if ch < w.c {
-                        (weights[((fv.filter * w.c + ch) * w.r + fv.ky) * w.s + fv.kx] as i16
-                            as u16)
-                            & mask
-                    } else {
-                        0
-                    }
+                    weights[((fv.filter * w.c + ch) * w.r + fv.ky) * w.s + fv.kx] as i16 as u16
                 })
                 .collect();
             node.cmem_mut()

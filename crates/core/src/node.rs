@@ -14,6 +14,7 @@ use maicc_isa::inst::{AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpK
 use maicc_isa::reg::Reg;
 use maicc_sram::cmem::Cmem;
 use maicc_sram::slice::ShiftDir;
+use maicc_sram::Row;
 use std::collections::HashMap;
 
 /// What the node sees beyond its own address space: other cores' windows
@@ -26,7 +27,7 @@ use std::collections::HashMap;
 pub struct NullPort {
     latency: u32,
     words: HashMap<u32, u32>,
-    rows: HashMap<u32, Vec<u64>>,
+    rows: HashMap<u32, Row>,
 }
 
 impl Default for NullPort {
@@ -51,7 +52,7 @@ impl NullPort {
 
     /// Pre-loads a row so `LoadRow.RC` finds data (the "feeder" of the
     /// single-node workloads).
-    pub(crate) fn preload_row(&mut self, ptr: RowPtr, lanes: Vec<u64>) {
+    pub(crate) fn preload_row(&mut self, ptr: RowPtr, lanes: Row) {
         self.rows.insert(ptr.pack(), lanes);
     }
 
@@ -93,16 +94,16 @@ impl NullPort {
     }
 
     /// Fetches one 256-bit row; returns (lanes, latency).
-    fn load_row(&mut self, ptr: RowPtr) -> (Vec<u64>, u32) {
+    fn load_row(&mut self, ptr: RowPtr) -> (Row, u32) {
         (
-            self.rows.get(&ptr.pack()).cloned().unwrap_or_else(|| vec![0; 4]),
+            self.rows.get(&ptr.pack()).copied().unwrap_or_default(),
             self.latency,
         )
     }
 
     /// Sends one 256-bit row; returns latency.
-    fn store_row(&mut self, ptr: RowPtr, lanes: &[u64]) -> u32 {
-        self.rows.insert(ptr.pack(), lanes.to_vec());
+    fn store_row(&mut self, ptr: RowPtr, lanes: &Row) -> u32 {
+        self.rows.insert(ptr.pack(), *lanes);
         self.latency
     }
 }

@@ -37,7 +37,7 @@ use maicc_noc::{
 use maicc_sram::cmem::Cmem;
 use maicc_sram::ecc::{EccMode, EccStats};
 use maicc_sram::fault::{FaultPlan, FaultStats};
-use maicc_sram::{timing, transpose, SramError};
+use maicc_sram::{timing, transpose, Row, SramError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -252,7 +252,7 @@ enum Msg {
         layer: usize,
         pixel: usize,
         row: u8,
-        lanes: Vec<u64>,
+        lanes: Row,
     },
     /// One completed ofmap value (2 flits).
     Value { layer: usize, idx: usize, value: i8 },
@@ -537,7 +537,7 @@ enum Role {
         /// operation (ingest, broadcast, energy) still runs on them.
         shadow_w: Vec<Vec<i8>>,
         /// rows collected for the pixel currently arriving
-        arriving: HashMap<usize, Vec<Option<Vec<u64>>>>,
+        arriving: HashMap<usize, Vec<Option<Row>>>,
         /// i32 partial sums, `[local filters × OH × OW]`
         psums: Vec<i32>,
         next_hop: Option<Coord>,
@@ -651,6 +651,21 @@ impl StreamSim {
     /// [`maicc_exec::ExecError::PlacementOverflow`] (chained through
     /// [`SimError::Component`]) when too few healthy tiles remain.
     pub fn new_avoiding(cfg: &StreamConfig, failed: &[Tile]) -> Result<Self, SimError> {
+        Self::build(cfg, failed, None)
+    }
+
+    /// [`StreamSim::new_avoiding`], checking each filter vector it writes
+    /// against the next vector of `warm` when one is given, and `warm`'s
+    /// length once every core is loaded.
+    fn build(
+        cfg: &StreamConfig,
+        failed: &[Tile],
+        warm: Option<&[Vec<i8>]>,
+    ) -> Result<Self, SimError> {
+        let warm_mismatch = || SimError::DoesNotFit {
+            reason: "warm start: resident weight image does not match the model".into(),
+        };
+        let mut warm = warm.map(<[Vec<i8>]>::iter);
         if cfg.layers.is_empty() {
             return Err(SimError::DoesNotFit {
                 reason: "streaming workload has no layers".into(),
@@ -732,6 +747,9 @@ impl StreamSim {
                 let mut residents = Vec::new();
                 let mut shadow_w = Vec::new();
                 for (resident, filt) in core_vectors(l, splits[li], k) {
+                    if warm.as_mut().is_some_and(|w| w.next() != Some(&filt)) {
+                        return Err(warm_mismatch());
+                    }
                     cmem.write_vector_i8(resident.slice, resident.row, &filt)?;
                     // channels past the layer's span are zero in both
                     // operands, so the shadow keeps only the live prefix
@@ -777,6 +795,9 @@ impl StreamSim {
             },
         });
         tile_of.insert((sink_coord.x, sink_coord.y), nodes.len() - 1);
+        if warm.is_some_and(|mut w| w.next().is_some()) {
+            return Err(warm_mismatch());
+        }
 
         Ok(StreamSim {
             cfg: cfg.clone(),
@@ -804,9 +825,9 @@ impl StreamSim {
     /// in the exact order [`StreamSim::new_avoiding`] streams them into
     /// the computing cores' CMems (layer-major, then core, then resident
     /// slot). The order is a function of the [`StreamConfig`] alone —
-    /// placement never enters — so a warm start can assert image equality
-    /// without building a fabric. It is empty for a config whose filters
-    /// do not fit a CMem, which construction rejects outright.
+    /// placement never enters — so a registry can build it once per model
+    /// and hand it to every warm start. It is empty for a config whose
+    /// filters do not fit a CMem, which construction rejects outright.
     #[must_use]
     pub fn weight_image(cfg: &StreamConfig) -> Vec<Vec<i8>> {
         let Ok(splits) = cfg.core_split() else {
@@ -823,30 +844,29 @@ impl StreamSim {
 
     /// Like [`StreamSim::new_avoiding`], but warm-starts on weights the
     /// caller asserts are already resident in CMem: the passed image must
-    /// equal this config's own stream order byte-for-byte, or the build is
-    /// refused. The simulation then proceeds exactly as a cold build
-    /// would — [`StreamResult::cycles`] and [`StreamResult::cmem_pj`]
-    /// never included a weight-load phase (bulk weight DMA is priced by
-    /// the serving layer's memory-tier model, not the compute meter), so
-    /// the warm entry point's job is the correctness gate: a hit on stale
-    /// or foreign resident bytes fails loudly instead of computing with
-    /// the wrong weights.
+    /// equal this config's own stream order ([`StreamSim::weight_image`])
+    /// byte-for-byte, or the build is refused. Construction compares each
+    /// vector as it writes it, so the check walks the image once. The
+    /// simulation then proceeds exactly as a cold build would —
+    /// [`StreamResult::cycles`] and [`StreamResult::cmem_pj`] never
+    /// included a weight-load phase (bulk weight DMA is priced by the
+    /// serving layer's memory-tier model, not the compute meter), so the
+    /// warm entry point's job is the correctness gate: a hit on stale or
+    /// foreign resident bytes fails loudly instead of computing with the
+    /// wrong weights.
     ///
     /// # Errors
     ///
     /// As for [`StreamSim::new_avoiding`], plus [`SimError::DoesNotFit`]
-    /// when `resident` differs from the config's weight image.
+    /// when `resident` differs from the config's weight image. Shape and
+    /// placement errors come first: they are found before any vector is
+    /// written.
     pub fn new_avoiding_warm(
         cfg: &StreamConfig,
         failed: &[Tile],
         resident: &[Vec<i8>],
     ) -> Result<Self, SimError> {
-        if resident != Self::weight_image(cfg).as_slice() {
-            return Err(SimError::DoesNotFit {
-                reason: "warm start: resident weight image does not match the model".into(),
-            });
-        }
-        Self::new_avoiding(cfg, failed)
+        Self::build(cfg, failed, Some(resident))
     }
 
     /// Sets the number of node-step shards (clamped to at least 1).
@@ -1717,14 +1737,12 @@ fn step_node(
                 if let Some(v) = staged.remove(next_pixel) {
                     // one transposed 256-wide sub-vector per channel group
                     let groups = v.len().div_ceil(256);
-                    for q in 0..groups {
-                        let words: Vec<u16> = (0..256)
-                            .map(|c| {
-                                v.get(q * 256 + c).map_or(0, |&b| b as u8 as u16)
-                            })
-                            .collect();
-                        let planes = transpose::pack_words(&words, 8, 256);
-                        for (r, lanes) in planes.into_iter().enumerate() {
+                    for (q, group) in v.chunks(256).enumerate() {
+                        let words: Vec<u16> = group.iter().map(|&b| b as u8 as u16).collect();
+                        for (r, lanes) in transpose::pack_words(&words, 8, 256)
+                            .into_iter()
+                            .enumerate()
+                        {
                             out.push(Packet::new(
                                 coord,
                                 *first_cc,
@@ -1776,7 +1794,7 @@ fn step_node(
             if !slot.iter().all(Option::is_some) {
                 return Ok(());
             }
-            let rows: Vec<Vec<u64>> = arriving
+            let rows: Vec<Row> = arriving
                 .remove(&pixel)
                 .expect("checked complete")
                 .into_iter()
@@ -1915,7 +1933,7 @@ fn step_node(
             }
             // forward the vector and credit the DC
             if let Some(nh) = next_hop {
-                for (r, lanes) in rows.iter().enumerate() {
+                for (r, &lanes) in rows.iter().enumerate() {
                     out.push(Packet::new(
                         coord,
                         *nh,
@@ -1924,7 +1942,7 @@ fn step_node(
                             layer: *layer,
                             pixel,
                             row: r as u8,
-                            lanes: lanes.clone(),
+                            lanes,
                         },
                     ));
                 }
@@ -1991,6 +2009,32 @@ mod tests {
         // an image truncated to the wrong length is rejected too
         let short = StreamSim::weight_image(&cfg)[1..].to_vec();
         assert!(StreamSim::new_avoiding_warm(&cfg, &[], &short).is_err());
+    }
+
+    #[test]
+    fn warm_start_rejects_a_mismatch_in_the_last_vector() {
+        for cfg in [StreamConfig::small_test(), StreamConfig::two_layer_test()] {
+            let mut image = StreamSim::weight_image(&cfg);
+            let last = image.last_mut().expect("a model has weights");
+            last[255] = last[255].wrapping_add(1);
+            let err = StreamSim::new_avoiding_warm(&cfg, &[], &image).unwrap_err();
+            assert_eq!(err, warm_mismatch(), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn warm_start_rejects_an_image_with_one_vector_too_many() {
+        let cfg = StreamConfig::small_test();
+        let mut image = StreamSim::weight_image(&cfg);
+        image.push(image[0].clone());
+        let err = StreamSim::new_avoiding_warm(&cfg, &[], &image).unwrap_err();
+        assert_eq!(err, warm_mismatch(), "{err:?}");
+    }
+
+    fn warm_mismatch() -> SimError {
+        SimError::DoesNotFit {
+            reason: "warm start: resident weight image does not match the model".into(),
+        }
     }
 
     #[test]

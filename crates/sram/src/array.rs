@@ -263,6 +263,23 @@ impl SramArray {
         Ok(&self.data[row * self.lanes..(row + 1) * self.lanes])
     }
 
+    /// Reads word-lines `rows` as one packed slice: row `rows.start + i`
+    /// occupies words `i * lanes .. (i + 1) * lanes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::RowOutOfRange`] if the range runs past the
+    /// last word-line.
+    pub(crate) fn read_rows(&self, rows: std::ops::Range<usize>) -> Result<&[u64], SramError> {
+        if rows.end > self.rows {
+            return Err(SramError::RowOutOfRange {
+                row: rows.end - 1,
+                rows: self.rows,
+            });
+        }
+        Ok(&self.data[rows.start * self.lanes..rows.end * self.lanes])
+    }
+
     /// Overwrites one whole word-line with packed lanes.
     ///
     /// Bits beyond `cols` in the final lane are masked off so the stored

@@ -18,7 +18,7 @@ use crate::ecc::{EccMode, EccState, EccStats};
 use crate::energy::EnergyMeter;
 use crate::fault::{FaultPlan, FaultRng, FaultState, FaultStats, StuckAt};
 use crate::slice::{CmemSlice, ShiftDir};
-use crate::{timing, SramError, BITLINES, NUM_SLICES, SLICE_ROWS};
+use crate::{timing, Row, SramError, BITLINES, NUM_SLICES, SLICE_ROWS};
 use std::ops::Range;
 
 /// Bytes addressable in slice 0 (2 KB).
@@ -452,19 +452,10 @@ impl Cmem {
         let repairs = self.ecc_check(src_slice, src_row..src_row + bits)?;
         let restore = self.ecc_apply_repairs(src_slice, &repairs);
         for i in 0..bits {
-            let lanes = self.slices[src_slice]
-                .array()
-                .read_row(src_row + i)?
-                .to_vec();
-            if src_slice == dst_slice {
-                self.slices[src_slice]
-                    .array_mut()
-                    .write_row(dst_row + i, &lanes)?;
-            } else {
-                self.slices[dst_slice]
-                    .array_mut()
-                    .write_row(dst_row + i, &lanes)?;
-            }
+            let lanes = self.slices[src_slice].row(src_row + i)?;
+            self.slices[dst_slice]
+                .array_mut()
+                .write_row(dst_row + i, &lanes)?;
         }
         self.ecc_encode(dst_slice, dst_row..dst_row + bits, None);
         // A transient upset on the move path latches one wrong bit in the
@@ -581,10 +572,10 @@ impl Cmem {
     /// # Errors
     ///
     /// Propagates slice/row range errors.
-    pub fn read_row_remote(&mut self, slice: usize, row: usize) -> Result<Vec<u64>, SramError> {
+    pub fn read_row_remote(&mut self, slice: usize, row: usize) -> Result<Row, SramError> {
         self.check_slice(slice)?;
         self.check_alive(slice)?;
-        let mut lanes = self.slices[slice].array().read_row(row)?.to_vec();
+        let mut lanes = self.slices[slice].row(row)?;
         // Correct-on-read fixes the packet copy; the array keeps its value.
         for (_, col, intended) in self.ecc_check(slice, row..row + 1)? {
             let word = col / 64;
@@ -610,15 +601,11 @@ impl Cmem {
     /// # Errors
     ///
     /// Propagates slice/row range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not exactly four `u64` words (256 bit-lines).
     pub fn write_row_remote(
         &mut self,
         slice: usize,
         row: usize,
-        lanes: &[u64],
+        lanes: &Row,
     ) -> Result<(), SramError> {
         self.check_slice(slice)?;
         self.check_alive(slice)?;
@@ -1160,15 +1147,12 @@ mod tests {
             }
             let mut clean = Cmem::new();
             let mut faulty = Cmem::with_fault_plan(plan);
-            let trunc = |v: &[u16]| -> Vec<u16> {
-                v.iter().map(|&x| x & ((1u32 << bits) - 1) as u16).collect()
-            };
             for c in [&mut clean, &mut faulty] {
                 c.slice_mut(2).unwrap().set_mask(mask);
-                for (base, words) in [(0, trunc(&a)), (bits, trunc(&b))] {
-                    for i in 0..bits {
-                        let plane = crate::transpose::pack_bitplane(&words, i, crate::BITLINES);
-                        c.write_row_remote(2, base + i, &plane).unwrap();
+                for (base, words) in [(0, &a), (bits, &b)] {
+                    let planes = crate::transpose::pack_words(words, bits, crate::BITLINES);
+                    for (i, plane) in planes.iter().enumerate() {
+                        c.write_row_remote(2, base + i, plane).unwrap();
                     }
                 }
             }
@@ -1187,6 +1171,64 @@ mod tests {
                 crate::timing::mac_cycles(bits),
                 crate::slice::CmemSlice::mac_activations(bits)
             );
+        }
+
+        #[test]
+        fn prop_array_mac_sees_faults_in_words_the_operand_leaves_empty(
+            bits in 1usize..=16,
+            signed in any::<bool>(),
+            correct in any::<bool>(),
+            stuck_one in any::<bool>(),
+            word in 0usize..4,
+            off in 1usize..4,
+            lane in 0usize..64,
+            plane in 0usize..16,
+            a in proptest::collection::vec(any::<u16>(), 64),
+            b in proptest::collection::vec(any::<u16>(), 256),
+        ) {
+            // Operand A lives in one 64-lane word; a stuck cell of its rows
+            // sits in another. Stuck at 1, the cell is the only set bit of
+            // its word. Stuck at 0, it erases the one bit A wrote there, so
+            // the raw array leaves the word empty and only the ECC repair
+            // makes it live again. `Cmem::mac` must see the array as ECC
+            // presents it: the stuck value without ECC, the written value
+            // under Correct.
+            use crate::ecc::EccMode;
+            use crate::fault::{FaultPlan, StuckAt};
+            let plane = plane % bits;
+            let col = (word + off) % 4 * 64 + lane;
+            let width = ((1u32 << bits) - 1) as u16;
+            let mut written = vec![0u16; BITLINES];
+            for (k, &v) in a.iter().enumerate() {
+                written[word * 64 + k] = v & width;
+            }
+            let mut stuck = written.clone();
+            if stuck_one {
+                stuck[col] = 1 << plane;
+            } else {
+                written[col] = 1 << plane;
+            }
+            let value = if stuck_one { StuckAt::One } else { StuckAt::Zero };
+            let mut c = Cmem::with_fault_plan(FaultPlan::none().stuck(2, plane, col, value));
+            if correct {
+                c.set_ecc_mode(EccMode::Correct);
+            }
+            for (base, words) in [(0, &written), (bits, &b)] {
+                let planes = crate::transpose::pack_words(words, bits, BITLINES);
+                for (i, plane) in planes.iter().enumerate() {
+                    c.write_row_remote(2, base + i, plane).unwrap();
+                }
+            }
+            let seen = if correct { &written } else { &stuck };
+            let lane_value = |v: u16| {
+                let v = i64::from(v & width);
+                if signed && v >> (bits - 1) == 1 { v - (1 << bits) } else { v }
+            };
+            let expect: i64 = seen.iter().zip(&b).map(|(&x, &y)| lane_value(x) * lane_value(y)).sum();
+            prop_assert_eq!(c.mac(2, 0, bits, bits, signed).unwrap(), expect);
+            if !correct {
+                prop_assert_eq!(c.slice(2).unwrap().mac(0, bits, bits, signed).unwrap(), expect);
+            }
         }
 
         #[test]

@@ -71,6 +71,11 @@ pub use error::SramError;
 /// Number of bit-lines (columns) in every CMem slice and Neural Cache array.
 pub(crate) const BITLINES: usize = 256;
 
+/// One packed word-line of a CMem slice: bit-line `k` is bit `k % 64` of
+/// word `k / 64`. Row packets, forwarded rows and `Move.C` copies carry
+/// it by value, so none of them allocates.
+pub type Row = [u64; BITLINES / 64];
+
 /// Number of word-lines (rows) in one CMem slice (2 KB / 256 bit-lines).
 pub(crate) const SLICE_ROWS: usize = 64;
 

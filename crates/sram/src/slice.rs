@@ -10,7 +10,10 @@
 
 use crate::array::{BitlineReadout, SramArray};
 use crate::transpose;
-use crate::{SramError, BITLINES, MASK_GRANULE, SLICE_ROWS};
+use crate::{Row, SramError, BITLINES, MASK_GRANULE, SLICE_ROWS};
+
+/// `u64` words in one [`Row`].
+const ROW_WORDS: usize = BITLINES / 64;
 
 /// Direction of a `ShiftRow.C` operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,8 +82,8 @@ impl CmemSlice {
     /// Expands the mask CSR into per-bit-line lanes without allocating.
     #[must_use]
     #[inline]
-    pub(crate) fn mask_words(&self) -> [u64; BITLINES / 64] {
-        let mut lanes = [0u64; BITLINES / 64];
+    pub(crate) fn mask_words(&self) -> Row {
+        let mut lanes = [0u64; ROW_WORDS];
         for g in 0..8 {
             if (self.mask >> g) & 1 == 1 {
                 let start = g * MASK_GRANULE;
@@ -99,6 +102,27 @@ impl CmemSlice {
     /// Mutable access to the underlying array.
     pub fn array_mut(&mut self) -> &mut SramArray {
         &mut self.array
+    }
+
+    /// Copies word-line `row` out as one [`Row`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::RowOutOfRange`] if `row` is out of range.
+    pub(crate) fn row(&self, row: usize) -> Result<Row, SramError> {
+        let mut out = [0u64; ROW_WORDS];
+        out.copy_from_slice(self.array.read_row(row)?);
+        Ok(out)
+    }
+
+    /// Word-lines `base..base + bits` as rows, without copying.
+    fn rows(&self, base: usize, bits: usize) -> Result<&[Row], SramError> {
+        let (rows, rest) = self
+            .array
+            .read_rows(base..base + bits)?
+            .as_chunks::<ROW_WORDS>();
+        debug_assert!(rest.is_empty(), "a slice row is {ROW_WORDS} words");
+        Ok(rows)
     }
 
     fn check_vector(&self, base: usize, bits: usize) -> Result<(), SramError> {
@@ -124,9 +148,11 @@ impl CmemSlice {
     /// or [`SramError::UnsupportedWidth`] for widths outside `1..=16`.
     pub fn write_vector(&mut self, base: usize, words: &[u16], bits: usize) -> Result<(), SramError> {
         self.check_vector(base, bits)?;
-        for i in 0..bits {
-            let plane = transpose::pack_bitplane(words, i, BITLINES);
-            self.array.write_row(base + i, &plane)?;
+        for (i, plane) in transpose::pack_words(words, bits, BITLINES)
+            .iter()
+            .enumerate()
+        {
+            self.array.write_row(base + i, plane)?;
         }
         Ok(())
     }
@@ -138,9 +164,7 @@ impl CmemSlice {
     /// Same domain as [`Self::write_vector`].
     pub fn read_vector(&self, base: usize, bits: usize, count: usize) -> Result<Vec<u16>, SramError> {
         self.check_vector(base, bits)?;
-        let planes: Result<Vec<Vec<u64>>, _> = (0..bits)
-            .map(|i| self.array.read_row(base + i).map(<[u64]>::to_vec))
-            .collect();
+        let planes: Result<Vec<Row>, _> = (0..bits).map(|i| self.row(base + i)).collect();
         Ok(transpose::unpack_words(&planes?, bits, count))
     }
 
@@ -238,10 +262,16 @@ impl CmemSlice {
     ///
     /// Computes the identical dot product (same validation, same masking,
     /// same signed MSB-plane weighting) by reading each operand bit-plane
-    /// once and AND-popcounting whole `u64` lanes, instead of modelling the
+    /// once and AND-popcounting whole `u64` words, instead of modelling the
     /// `bits²` individual word-line activations. The slice state observed
     /// is the same state the sense amplifiers would observe, so the result
     /// is bit-identical to the bit-serial path by construction.
+    ///
+    /// Only *live* words cost anything: a word of 64 bit-lines where
+    /// either operand (A after the mask) holds no set bit in any plane
+    /// adds zero to every `(i, j)` term, so the loop skips it. The live
+    /// set is read from the array itself, so a stuck cell or a latched
+    /// flip in an otherwise empty lane still counts.
     ///
     /// Note this is a *host-side* shortcut only: latency and energy are
     /// charged analytically by the caller (see `maicc_sram::timing` and
@@ -277,18 +307,40 @@ impl CmemSlice {
             });
         }
         let mask = self.mask_words();
+        let (ra, rb) = (self.rows(base_a, bits)?, self.rows(base_b, bits)?);
+        let mut live_a = [0u64; ROW_WORDS];
+        let mut live_b = [0u64; ROW_WORDS];
+        for (pa, pb) in ra.iter().zip(rb) {
+            for w in 0..ROW_WORDS {
+                live_a[w] |= pa[w] & mask[w];
+                live_b[w] |= pb[w];
+            }
+        }
+        let msb = bits - 1;
         let mut res: i64 = 0;
-        for i in 0..bits {
-            let plane_a = self.array.read_row(base_a + i)?;
-            for j in 0..bits {
-                let plane_b = self.array.read_row(base_b + j)?;
-                let mut psum: u32 = 0;
-                for ((&a, &b), &m) in plane_a.iter().zip(plane_b).zip(&mask) {
-                    psum += (a & b & m).count_ones();
+        for w in 0..ROW_WORDS {
+            if live_a[w] == 0 || live_b[w] == 0 {
+                continue;
+            }
+            // word `w` of every plane, A masked
+            let (mut a, mut b) = ([0u64; 16], [0u64; 16]);
+            for i in 0..bits {
+                a[i] = ra[i][w] & mask[w];
+                b[i] = rb[i][w];
+            }
+            let (a, b) = (&a[..bits], &b[..bits]);
+            for (i, &pa) in a.iter().enumerate() {
+                let mut row: i64 = 0;
+                for (j, &pb) in b.iter().enumerate() {
+                    row += i64::from((pa & pb).count_ones()) << j;
                 }
-                let negative = signed && ((i == bits - 1) ^ (j == bits - 1));
-                let term = (psum as i64) << (i + j);
-                res += if negative { -term } else { term };
+                if signed {
+                    // the MSB plane of B weighs −2^msb, not the +2^msb
+                    // added above
+                    row -= i64::from((pa & b[msb]).count_ones()) << (msb + 1);
+                }
+                let term = row << i;
+                res += if signed && i == msb { -term } else { term };
             }
         }
         Ok(res)
@@ -504,7 +556,67 @@ mod tests {
                 s.mac(0, bits, bits, signed).unwrap()
             );
         }
+    }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_mac_fast_matches_bit_serial_on_sparse_operands(
+            bits in 1usize..=16,
+            signed in any::<bool>(),
+            mask in any::<u8>(),
+            shape_a in (0usize..5, 0usize..256, 1usize..=32),
+            shape_b in (0usize..5, 0usize..256, 1usize..=32),
+            a in proptest::collection::vec(any::<u16>(), 256),
+            b in proptest::collection::vec(any::<u16>(), 256),
+        ) {
+            // Operands that leave whole 64-lane words empty, so the
+            // live-word skip is taken: it must not change the sum.
+            let a = sparse(shape_a, mask, bits, &a);
+            let b = sparse(shape_b, mask, bits, &b);
+            let mut s = CmemSlice::new();
+            s.write_vector(0, &a, bits).unwrap();
+            s.write_vector(bits, &b, bits).unwrap();
+            s.set_mask(mask);
+            for (x, y) in [(0, bits), (bits, 0)] {
+                prop_assert_eq!(
+                    s.mac_fast(x, y, bits, signed).unwrap(),
+                    s.mac(x, y, bits, signed).unwrap()
+                );
+            }
+        }
+    }
+
+    /// A sparse `bits`-wide operand drawn from `vals`. `kind` picks which
+    /// lanes may be non-zero: none, the one lane `lane`, the 64-lane word
+    /// holding `lane`, `2·half` lanes straddling a word boundary, or the
+    /// lanes `mask` disables. Every kept lane is non-zero.
+    fn sparse(
+        (kind, lane, half): (usize, usize, usize),
+        mask: u8,
+        bits: usize,
+        vals: &[u16],
+    ) -> Vec<u16> {
+        let edge = 64 * (1 + lane % 3);
+        let keep = |k: usize| match kind {
+            0 => false,
+            1 => k == lane,
+            2 => k / 64 == lane / 64,
+            3 => (edge - half..edge + half).contains(&k),
+            _ => (mask >> (k / MASK_GRANULE)) & 1 == 0,
+        };
+        let width = ((1u32 << bits) - 1) as u16;
+        (0..BITLINES)
+            .map(|k| match vals[k] & width {
+                _ if !keep(k) => 0,
+                0 => 1 << (k % bits),
+                v => v,
+            })
+            .collect()
+    }
+
+    proptest! {
         #[test]
         fn prop_mask_partitions_sum(
             a in proptest::collection::vec(0u16..256, 256),

@@ -10,30 +10,7 @@
 //! packed row lanes, and are used both by the CMem model and by the Neural
 //! Cache baseline.
 
-/// Packs bit `bit` of every element of `words` into row lanes: element `k`
-/// contributes its chosen bit at bit-line `k`.
-///
-/// `cols` is the number of bit-lines (elements beyond `cols` are ignored,
-/// missing elements read as zero).
-///
-/// # Example
-///
-/// ```
-/// let row = maicc_sram::transpose::pack_bitplane(&[1, 2, 3], 1, 64);
-/// // bit 1 of 1,2,3 is 0,1,1 → columns 1 and 2 set
-/// assert_eq!(row[0], 0b110);
-/// ```
-#[must_use]
-pub fn pack_bitplane(words: &[u16], bit: usize, cols: usize) -> Vec<u64> {
-    let lanes = cols.div_ceil(64);
-    let mut out = vec![0u64; lanes];
-    for (k, &w) in words.iter().take(cols).enumerate() {
-        if (w >> bit) & 1 == 1 {
-            out[k / 64] |= 1u64 << (k % 64);
-        }
-    }
-    out
-}
+use crate::{Row, BITLINES};
 
 /// Extracts bit-line `col`'s bit from packed row lanes.
 #[must_use]
@@ -48,7 +25,7 @@ pub(crate) fn lane_bit(lanes: &[u64], col: usize) -> bool {
 ///
 /// Panics if `planes.len()` is smaller than `bits`.
 #[must_use]
-pub(crate) fn unpack_words(planes: &[Vec<u64>], bits: usize, count: usize) -> Vec<u16> {
+pub(crate) fn unpack_words(planes: &[Row], bits: usize, count: usize) -> Vec<u16> {
     assert!(planes.len() >= bits, "missing bit planes");
     let mut out = vec![0u16; count];
     for (i, plane) in planes.iter().take(bits).enumerate() {
@@ -61,17 +38,67 @@ pub(crate) fn unpack_words(planes: &[Vec<u64>], bits: usize, count: usize) -> Ve
     out
 }
 
-/// Convenience: packs all `bits` bit-planes of `words` at once
-/// (`result[i]` is the row holding bit `i`).
+/// Packs the low `bits` bit-planes of `words` into rows: `result[i]` is
+/// the row holding bit `i`, with element `k` at bit-line `k`.
+///
+/// One pass over the elements scatters each element's set bits below
+/// `bits` into their planes, so zero elements cost nothing. Bits at or
+/// above `bits` are ignored, elements at or beyond `cols` bit-lines are
+/// ignored, and missing elements read as zero.
+///
+/// # Example
+///
+/// ```
+/// let planes = maicc_sram::transpose::pack_words(&[1, 2, 3], 2, 64);
+/// // bit 1 of 1,2,3 is 0,1,1 → bit-lines 1 and 2 set
+/// assert_eq!(planes[1][0], 0b110);
+/// assert_eq!(planes[0][0], 0b101);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `bits` exceeds 16 or `cols` exceeds the 256 bit-lines of a
+/// [`Row`].
 #[must_use]
-pub fn pack_words(words: &[u16], bits: usize, cols: usize) -> Vec<Vec<u64>> {
-    (0..bits).map(|i| pack_bitplane(words, i, cols)).collect()
+pub fn pack_words(words: &[u16], bits: usize, cols: usize) -> Vec<Row> {
+    assert!(bits <= 16, "a u16 element has 16 bit-planes, not {bits}");
+    assert!(
+        cols <= BITLINES,
+        "a row has {BITLINES} bit-lines, not {cols}"
+    );
+    let keep = ((1u32 << bits) - 1) as u16;
+    let mut planes = vec![[0u64; BITLINES / 64]; bits];
+    for (k, &w) in words.iter().take(cols).enumerate() {
+        let (word, lane) = (k / 64, 1u64 << (k % 64));
+        let mut w = w & keep;
+        while w != 0 {
+            planes[w.trailing_zeros() as usize][word] |= lane;
+            w &= w - 1;
+        }
+    }
+    planes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Plane by plane, element by element: the layout `pack_words` must
+    /// produce, written without its single-pass scatter.
+    fn reference_planes(words: &[u16], bits: usize, cols: usize) -> Vec<Row> {
+        (0..bits)
+            .map(|i| {
+                let mut row = [0u64; BITLINES / 64];
+                for (k, &w) in words.iter().enumerate().take(cols) {
+                    if (w >> i) & 1 == 1 {
+                        row[k / 64] |= 1 << (k % 64);
+                    }
+                }
+                row
+            })
+            .collect()
+    }
 
     #[test]
     fn pack_unpack_roundtrip_small() {
@@ -90,9 +117,16 @@ mod tests {
     #[test]
     fn elements_beyond_cols_ignored() {
         let words = vec![1u16; 300];
-        let plane = pack_bitplane(&words, 0, 256);
-        let total: u32 = plane.iter().map(|l| l.count_ones()).sum();
+        let planes = pack_words(&words, 1, 256);
+        let total: u32 = planes[0].iter().map(|l| l.count_ones()).sum();
         assert_eq!(total, 256);
+    }
+
+    #[test]
+    fn bits_above_the_width_are_dropped() {
+        let planes = pack_words(&[0xFFFF, 0x0100], 8, 256);
+        assert_eq!(planes.len(), 8);
+        assert!(planes.iter().all(|p| p == &[1, 0, 0, 0]));
     }
 
     #[test]
@@ -118,10 +152,40 @@ mod tests {
 
         #[test]
         fn prop_bitplane_popcount_matches(words in proptest::collection::vec(0u16..256, 1..256), bit in 0usize..8) {
-            let plane = pack_bitplane(&words, bit, 256);
+            let planes = pack_words(&words, 8, 256);
             let expect = words.iter().filter(|&&w| (w >> bit) & 1 == 1).count() as u32;
-            let got: u32 = plane.iter().map(|l| l.count_ones()).sum();
+            let got: u32 = planes[bit].iter().map(|l| l.count_ones()).sum();
             prop_assert_eq!(got, expect);
+        }
+
+        #[test]
+        fn prop_pack_words_matches_per_plane_reference(
+            bits in 1usize..=16,
+            cols in 0usize..=256,
+            // full-range values set bits above every width below 16, and
+            // lengths from empty to past 256 cover short inputs and
+            // `cols` below the input length
+            words in proptest::collection::vec(any::<u16>(), 0..320),
+        ) {
+            prop_assert_eq!(
+                pack_words(&words, bits, cols),
+                reference_planes(&words, bits, cols)
+            );
+        }
+
+        #[test]
+        fn prop_pack_words_off_word_cols(
+            bits in 1usize..=16,
+            lanes in 0usize..4,
+            rem in 1usize..64,
+            words in proptest::collection::vec(any::<u16>(), 256),
+        ) {
+            // `cols` strictly below the input and never a multiple of 64
+            let cols = lanes * 64 + rem;
+            prop_assert_eq!(
+                pack_words(&words, bits, cols),
+                reference_planes(&words, bits, cols)
+            );
         }
     }
 }
