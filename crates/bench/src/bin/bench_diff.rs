@@ -6,15 +6,17 @@
 //!     [--fail-on-regress PCT]
 //! ```
 //!
-//! The parser is hand-rolled over the harness's own fixed JSON shape
-//! (`{"name": "...", "median_ns": N, ...}` entries), so the tool works
-//! without a serde backend. Without `--fail-on-regress` it is
+//! A report is read with the workspace's JSON reader
+//! (`maicc::serve::json`), which takes any valid JSON layout: the tool
+//! reads `benchmarks[].name`, `benchmarks[].median_ns` and the members
+//! of the `derived` object by key. Without `--fail-on-regress` it is
 //! *informational about measurements* but still honest about inputs:
-//! exit 0 annotates the log, while a usage error, an unreadable file,
-//! or a report no benchmark entry could be parsed from exits
-//! [`EXIT_MISSING`] (2) — distinct from the measured-regression exit 1
-//! so CI can tell "the code got slower" from "the comparison never
-//! happened". With `--fail-on-regress PCT` the exit code is 1 when any
+//! exit 0 annotates the log, while a usage error, an unreadable file, a
+//! report that is not JSON, a benchmark entry without a string `name`
+//! and an integer `median_ns`, a non-numeric derived value, or a report
+//! with no benchmark entries exits [`EXIT_MISSING`] (2), naming the file
+//! and the entry — distinct from the measured-regression exit 1 so CI
+//! can tell "the code got slower" from "the comparison never happened". With `--fail-on-regress PCT` the exit code is 1 when any
 //! benchmark's median regressed by more than `PCT` percent over the
 //! baseline, and 2 when a gated derived metric the baseline had
 //! measured is missing from the new report entirely. Benchmarks
@@ -42,34 +44,61 @@
 //! them pass — a green CI log should still show what was checked and
 //! how close it came.
 
+use maicc::serve::json::{self, Value};
 use std::process::ExitCode;
 
 /// Exit code for "the comparison could not be made": usage errors,
-/// unreadable inputs, reports with no parsable benchmark entries, and
-/// gated derived metrics that vanished from the new report. Distinct
-/// from exit 1 (a measured regression) so CI logs separate "slower"
-/// from "not measured".
+/// unreadable or unreadable-as-a-report inputs, reports with no
+/// benchmark entries, and gated derived metrics that vanished from the
+/// new report. Distinct from exit 1 (a measured regression) so CI logs
+/// separate "slower" from "not measured".
 const EXIT_MISSING: u8 = 2;
 
-/// `(name, median_ns)` pairs in file order.
-fn parse_medians(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("{\"name\": \"") {
-        let after = &rest[i + 10..];
-        let Some(q) = after.find('"') else { break };
-        let name = after[..q].to_string();
-        let Some(m) = after.find("\"median_ns\": ") else { break };
-        let digits: String = after[m + 13..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        if let Ok(median) = digits.parse() {
-            out.push((name, median));
+/// What the tool reads from one report, in file order.
+#[derive(Debug, Default)]
+struct Report {
+    /// `(name, median_ns)` per `benchmarks` entry.
+    medians: Vec<(String, u64)>,
+    /// `(key, value)` per `derived` member.
+    derived: Vec<(String, f64)>,
+}
+
+/// Reads a harness report. `benchmarks` and `derived` may be absent;
+/// when present, every benchmark entry needs a string `name` and an
+/// integer `median_ns`, and every derived member must be a number. A
+/// repeated derived key keeps its first place and takes its last value.
+fn parse_report(text: &str) -> Result<Report, String> {
+    let doc = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let mut report = Report::default();
+    if let Some(list) = doc.get("benchmarks") {
+        let list = list.as_array().ok_or("`benchmarks` is not an array")?;
+        for (i, entry) in list.iter().enumerate() {
+            let name = entry
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("benchmarks[{i}] has no string `name`"))?;
+            let median = entry
+                .get("median_ns")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("benchmarks[{i}] `{name}` has no integer `median_ns`"))?;
+            report.medians.push((name.to_string(), median));
         }
-        rest = &after[q..];
     }
-    out
+    if let Some(derived) = doc.get("derived") {
+        let Value::Object(members) = derived else {
+            return Err("`derived` is not an object".into());
+        };
+        for (key, value) in members {
+            let v = value
+                .as_f64()
+                .ok_or_else(|| format!("derived `{key}` is not a number"))?;
+            match report.derived.iter_mut().find(|(k, _)| k == key) {
+                Some(slot) => slot.1 = v,
+                None => report.derived.push((key.clone(), v)),
+            }
+        }
+    }
+    Ok(report)
 }
 
 /// The largest percentage slowdown of any benchmark present on both
@@ -82,31 +111,6 @@ fn worst_regression(base: &[(String, u64)], new: &[(String, u64)]) -> Option<(St
             (pct > 0.0).then(|| (name.clone(), pct))
         })
         .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-/// `(key, value)` pairs from the report's `"derived": {...}` object, in
-/// file order. Values are parsed as `f64` (the harness emits plain
-/// integers and fixed-point decimals, never exponents or strings).
-fn parse_derived(json: &str) -> Vec<(String, f64)> {
-    let Some(start) = json.find("\"derived\": {") else {
-        return Vec::new();
-    };
-    let body = &json[start + 12..];
-    let Some(end) = body.find('}') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in body[..end].lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
 }
 
 /// Whether a derived key is held to the relative regression gate.
@@ -225,21 +229,22 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_diff BASELINE.json NEW.json [--fail-on-regress PCT]");
         return ExitCode::from(EXIT_MISSING);
     };
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("bench_diff: cannot read {path}: {e}");
-            None
-        }
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| eprintln!("bench_diff: cannot read {path}: {e}"))
+            .ok()?;
+        parse_report(&text)
+            .map_err(|e| eprintln!("bench_diff: {path}: {e}"))
+            .ok()
     };
-    let (Some(base_json), Some(new_json)) = (read(baseline_path), read(new_path)) else {
+    let (Some(base_report), Some(new_report)) = (read(baseline_path), read(new_path)) else {
         return ExitCode::from(EXIT_MISSING);
     };
-    let base = parse_medians(&base_json);
-    let new = parse_medians(&new_json);
+    let (base, base_derived) = (base_report.medians, base_report.derived);
+    let (new, new_derived) = (new_report.medians, new_report.derived);
     if base.is_empty() || new.is_empty() {
         eprintln!(
-            "bench_diff: no benchmark entries parsed ({} baseline, {} new)",
+            "bench_diff: no benchmark entries ({} baseline, {} new)",
             base.len(),
             new.len()
         );
@@ -265,8 +270,6 @@ fn main() -> ExitCode {
             println!("{name:<34} {base_ns:>14} {:>14}  removed", "-");
         }
     }
-    let base_derived = parse_derived(&base_json);
-    let new_derived = parse_derived(&new_json);
     for (name, new_v) in &new_derived {
         match base_derived.iter().find(|(b, _)| b == name) {
             Some((_, base_v)) if *base_v > 0.0 => {
@@ -398,9 +401,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::{
         hard_lost_breach, hit_rate_floor_breach, is_gated_derived,
-        missing_gated_derived, parse_derived, parse_medians, speedup_floor_breach,
+        missing_gated_derived, parse_report, speedup_floor_breach,
         worst_derived_regression, worst_regression,
     };
+
+    fn parse_derived(json: &str) -> Vec<(String, f64)> {
+        parse_report(json).unwrap().derived
+    }
 
     #[test]
     fn parses_harness_shape() {
@@ -411,14 +418,14 @@ mod tests {
   ]
 }"#;
         assert_eq!(
-            parse_medians(json),
+            parse_report(json).unwrap().medians,
             vec![("a_bench".to_string(), 123), ("b_bench".to_string(), 456)]
         );
     }
 
     #[test]
     fn empty_input_yields_no_entries() {
-        assert!(parse_medians("{}").is_empty());
+        assert!(parse_report("{}").unwrap().medians.is_empty());
     }
 
     #[test]

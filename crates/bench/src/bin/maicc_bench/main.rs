@@ -95,6 +95,7 @@ use maicc::serve::cluster::{
     serve_cluster, serve_cluster_with_obs, ClusterConfig, ClusterFaultPlan, ClusterShedConfig,
     FabricFault, FabricFaultKind,
 };
+use maicc::serve::json;
 use maicc::serve::overload::RetryBudget;
 use maicc::serve::overload::Tier;
 use maicc::serve::registry::{overload_mix, three_model_mix};
@@ -300,11 +301,6 @@ struct ClusterStats {
     hard_lost: u64,
 }
 
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()));
-    s
-}
-
 fn write_json(
     path: &str,
     quick: bool,
@@ -332,9 +328,9 @@ fn write_json(
     out.push_str("  \"benchmarks\": [\n");
     for (i, s) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \
+            "    {{\"name\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \
              \"min_ns\": {}, \"max_ns\": {}, \"iterations\": {}, \"check\": {}}}{}\n",
-            json_escape_free(s.name),
+            json::quote(s.name),
             s.median_ns,
             s.p10_ns,
             s.p90_ns,

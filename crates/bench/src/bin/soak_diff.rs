@@ -34,15 +34,24 @@
 //! prints every gate with the observed value, the baseline, and the
 //! slack it was allowed, pass or fail.
 //!
+//! Every line is read with the workspace's JSON reader
+//! (`maicc::serve::json`), and each field by its path in the schema
+//! (`latency_cycles.p99`, `queue_depth.hard`, …), so key order and
+//! spacing do not matter. A stream is compared whole or not at all: a
+//! line that is not JSON or lacks a field the trend figures need
+//! rejects its stream, naming the file and the line.
+//!
 //! Exit codes mirror `bench_diff`: 0 clean, 1 when any gate drifted,
-//! [`EXIT_MISSING`] (2) on usage errors, unreadable files, or streams
-//! with no parsable window records — "worse" and "not comparable" are
-//! different CI outcomes.
+//! [`EXIT_MISSING`] (2) on usage errors, unreadable files, rejected
+//! streams, or streams with no window records — "worse" and "not
+//! comparable" are different CI outcomes.
 
+use maicc::serve::json::{self, Value};
 use std::process::ExitCode;
 
 /// Exit code for "the comparison could not be made" (usage error,
-/// unreadable file, no parsable windows), distinct from exit 1 (drift).
+/// unreadable file, rejected or empty stream), distinct from exit 1
+/// (drift).
 const EXIT_MISSING: u8 = 2;
 
 /// Absolute slack floors per metric, applied when the relative
@@ -66,35 +75,36 @@ struct Window {
     failovers: f64,
 }
 
-/// Reads one numeric field from a JSONL record by its `"key": ` prefix
-/// (the recorder always emits a space after the colon, and nested keys
-/// are unique across the schema).
-fn field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let i = line.find(&pat)?;
-    let rest = &line[i + pat.len()..];
-    let digits: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse().ok()
+/// Reads one line's window: the integer fields the trend figures need,
+/// each at its path in the schema.
+fn parse_line(line: &str) -> Result<Window, String> {
+    let doc = json::parse(line).map_err(|e| format!("not JSON: {e}"))?;
+    let read = |path: &str| {
+        path.split('.')
+            .try_fold(&doc, |v, key| v.get(key))
+            .and_then(Value::as_u64)
+            .map(|n| n as f64)
+            .ok_or_else(|| format!("no integer `{path}`"))
+    };
+    Ok(Window {
+        completions: read("completions")?,
+        p99: read("latency_cycles.p99")?,
+        hits: read("cache.hits")?,
+        misses: read("cache.misses")?,
+        queue_total: read("queue_depth.hard")?
+            + read("queue_depth.soft")?
+            + read("queue_depth.best_effort")?,
+        failovers: read("failovers")?,
+    })
 }
 
-/// Parses a stream into windows, skipping unparsable lines.
-fn parse_stream(text: &str) -> Vec<Window> {
+/// Parses a stream into windows, one per line; the first line that
+/// [`parse_line`] refuses rejects the stream, and the error names it
+/// (counting from 1).
+fn parse_stream(text: &str) -> Result<Vec<Window>, String> {
     text.lines()
-        .filter_map(|line| {
-            Some(Window {
-                completions: field(line, "completions")?,
-                p99: field(line, "p99")?,
-                hits: field(line, "hits")?,
-                misses: field(line, "misses")?,
-                queue_total: field(line, "hard")?
-                    + field(line, "soft")?
-                    + field(line, "best_effort")?,
-                failovers: field(line, "failovers")?,
-            })
-        })
+        .enumerate()
+        .map(|(i, line)| parse_line(line).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
 }
 
@@ -191,21 +201,20 @@ fn main() -> ExitCode {
         eprintln!("usage: soak_diff BASELINE.jsonl NEW.jsonl [--tolerance PCT]");
         return ExitCode::from(EXIT_MISSING);
     };
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("soak_diff: cannot read {path}: {e}");
-            None
-        }
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| eprintln!("soak_diff: cannot read {path}: {e}"))
+            .ok()?;
+        parse_stream(&text)
+            .map_err(|e| eprintln!("soak_diff: {path}: {e}"))
+            .ok()
     };
-    let (Some(base_text), Some(new_text)) = (read(baseline_path), read(new_path)) else {
+    let (Some(base_windows), Some(new_windows)) = (read(baseline_path), read(new_path)) else {
         return ExitCode::from(EXIT_MISSING);
     };
-    let base_windows = parse_stream(&base_text);
-    let new_windows = parse_stream(&new_text);
     if base_windows.is_empty() || new_windows.is_empty() {
         eprintln!(
-            "soak_diff: no telemetry windows parsed ({} baseline, {} new)",
+            "soak_diff: no telemetry windows ({} baseline, {} new)",
             base_windows.len(),
             new_windows.len()
         );
@@ -270,7 +279,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{drifted, field, parse_stream, slope, trajectory};
+    use super::{drifted, parse_stream, slope, trajectory, Window};
 
     /// A minimal schema-shaped line with the fields the analyzer reads.
     fn line(
@@ -293,20 +302,34 @@ mod tests {
     }
 
     #[test]
-    fn field_reads_nested_keys_without_aliasing() {
-        let l = line(3, 4200, 9, 1, 2, 1);
-        assert_eq!(field(&l, "completions"), Some(3.0));
-        assert_eq!(field(&l, "p99"), Some(4200.0));
-        // "hits" must not match inside "llc_hits"
-        assert_eq!(field(&l, "hits"), Some(9.0));
-        assert_eq!(field(&l, "llc_hits"), Some(0.0));
-        assert_eq!(field(&l, "absent"), None);
+    fn parse_stream_reads_nested_keys_without_aliasing() {
+        // `hits` must not be read from `llc_hits` (placed first here)
+        // or from a top-level decoy: each field is read at its path
+        let l = "{\"completions\": 3, \"failovers\": 1, \"hits\": 77, \
+                 \"latency_cycles\": {\"p50\": 7, \"p99\": 4200}, \
+                 \"queue_depth\": {\"hard\": 2, \"soft\": 0, \"best_effort\": 0}, \
+                 \"cache\": {\"llc_hits\": 5, \"hits\": 9, \"misses\": 1}}";
+        let expected = Window {
+            completions: 3.0,
+            p99: 4200.0,
+            hits: 9.0,
+            misses: 1.0,
+            queue_total: 2.0,
+            failovers: 1.0,
+        };
+        assert_eq!(parse_stream(l), Ok(vec![expected]));
+        assert_eq!(parse_stream(&line(3, 4200, 9, 1, 2, 1)), Ok(vec![expected]));
     }
 
     #[test]
-    fn unparsable_streams_yield_no_windows() {
-        assert!(parse_stream("").is_empty());
-        assert!(parse_stream("not json at all\n{}").is_empty());
+    fn unparsable_streams_are_rejected() {
+        assert_eq!(parse_stream(""), Ok(Vec::new()));
+        let err = parse_stream("not json at all\n{}").unwrap_err();
+        assert!(err.starts_with("line 1: not JSON"), "{err}");
+        // one bad line rejects the whole stream rather than shortening it
+        let good = line(5, 50_000, 9, 1, 3, 0);
+        let err = parse_stream(&format!("{good}\n{{}}\n{good}")).unwrap_err();
+        assert_eq!(err, "line 2: no integer `completions`");
     }
 
     #[test]
@@ -324,7 +347,7 @@ mod tests {
             .map(|_| line(5, 50_000, 9, 1, 3, 0))
             .collect::<Vec<_>>()
             .join("\n");
-        let t = trajectory(&parse_stream(&text));
+        let t = trajectory(&parse_stream(&text).unwrap());
         assert!(t.p99_slope.abs() < 1e-9);
         assert!(t.hit_decay.abs() < 1e-9);
         assert!(t.queue_slope.abs() < 1e-9);
@@ -350,8 +373,8 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        let base = trajectory(&parse_stream(&steady));
-        let cur = trajectory(&parse_stream(&decayed));
+        let base = trajectory(&parse_stream(&steady).unwrap());
+        let cur = trajectory(&parse_stream(&decayed).unwrap());
         assert!(cur.hit_decay > 0.3, "{}", cur.hit_decay);
         assert!(drifted(base.hit_decay, cur.hit_decay, 10.0, 0.05));
         // and the clean stream does not flag against itself
@@ -368,8 +391,8 @@ mod tests {
             .map(|i| line(5, 50_000 + i * 20_000, 9, 1, 3 + i, 0))
             .collect::<Vec<_>>()
             .join("\n");
-        let base = trajectory(&parse_stream(&steady));
-        let cur = trajectory(&parse_stream(&creeping));
+        let base = trajectory(&parse_stream(&steady).unwrap());
+        let cur = trajectory(&parse_stream(&creeping).unwrap());
         assert!(drifted(base.p99_slope, cur.p99_slope, 10.0, 1_000.0));
         assert!(drifted(base.queue_slope, cur.queue_slope, 10.0, 0.5));
         // failover accumulation stayed flat
@@ -390,7 +413,7 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        let t = trajectory(&parse_stream(&text));
+        let t = trajectory(&parse_stream(&text).unwrap());
         assert!(t.p99_slope.abs() < 1e-9, "{}", t.p99_slope);
     }
 }

@@ -171,3 +171,124 @@ fn diff_tools_match_the_fixture() {
 fn regenerate() {
     std::fs::write(fixture_path(), render(&scratch("regenerate"))).unwrap();
 }
+
+/// Two derived keys on one line are both read, so a gated regression
+/// among them fails the gate.
+#[test]
+fn bench_diff_reads_derived_keys_that_share_a_line() {
+    let dir = scratch("shared_line");
+    let report = |p99: u64| {
+        format!(
+            "{{\"benchmarks\": [{{\"name\": \"a\", \"median_ns\": 100}}],\n\
+             \"derived\": {{\"serve_overload_shed_rate\": 0.5, \
+             \"serve_overload_hard_p99_cycles\": {p99}}}}}\n"
+        )
+    };
+    std::fs::write(dir.join("base.json"), report(1_000)).unwrap();
+    std::fs::write(dir.join("new.json"), report(9_000)).unwrap();
+    let (code, stdout, stderr) = run(
+        &dir,
+        "bench_diff",
+        &["base.json", "new.json", "--fail-on-regress", "10"],
+    );
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    assert!(
+        stderr.contains("derived `serve_overload_hard_p99_cycles` worsened +800.0%"),
+        "{stderr}"
+    );
+}
+
+/// A benchmark entry without a median is refused, naming the file and
+/// the entry, instead of taking the next entry's median; so is a report
+/// that is not JSON.
+#[test]
+fn bench_diff_refuses_entries_it_cannot_read() {
+    let dir = scratch("bad_entry");
+    std::fs::write(
+        dir.join("base.json"),
+        r#"{"benchmarks": [{"name": "a", "median_ns": 100}, {"name": "b", "median_ns": 100}]}"#,
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("no_median.json"),
+        r#"{"benchmarks": [{"name": "a"}, {"name": "b", "median_ns": 100}]}"#,
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("truncated.json"),
+        r#"{"benchmarks": [{"name": "a", "median_ns": 100}, {"name": "b", "median_ns": 100}"#,
+    )
+    .unwrap();
+    let (code, stdout, stderr) = run(&dir, "bench_diff", &["base.json", "no_median.json"]);
+    assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
+    assert_eq!(
+        stderr,
+        "bench_diff: no_median.json: benchmarks[0] `a` has no integer `median_ns`\n"
+    );
+    let (code, stdout, stderr) = run(&dir, "bench_diff", &["base.json", "truncated.json"]);
+    assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
+    assert!(stderr.starts_with("bench_diff: truncated.json: not JSON: "), "{stderr}");
+}
+
+/// Lines written without spaces after `:` and `,` are read like the
+/// recorder's own, so the whole stream is compared: the same windows
+/// and the same gates as the stream against itself.
+#[test]
+fn soak_diff_reads_compact_lines() {
+    let dir = scratch("compact");
+    let soak = repo_file("crates/serve/tests/fixtures/soak_clean.jsonl");
+    let compact: String = soak
+        .lines()
+        .enumerate()
+        .map(|(i, l)| match i {
+            0..=16 => format!("{}\n", l.replace(": ", ":").replace(", ", ",")),
+            _ => format!("{l}\n"),
+        })
+        .collect();
+    assert_ne!(compact, soak);
+    std::fs::write(dir.join("clean.jsonl"), &soak).unwrap();
+    std::fs::write(dir.join("compact.jsonl"), compact).unwrap();
+    let (code, stdout, stderr) = run(&dir, "soak_diff", &["clean.jsonl", "compact.jsonl"]);
+    let (self_code, self_stdout, _) = run(&dir, "soak_diff", &["clean.jsonl", "clean.jsonl"]);
+    assert_eq!(code, self_code, "{stderr}");
+    assert_eq!(
+        stdout,
+        self_stdout.replace("-> clean.jsonl", "-> compact.jsonl")
+    );
+}
+
+/// A stream with a line that lacks a field, or is not JSON, is refused
+/// with the file and the line, not compared on the lines that remain.
+#[test]
+fn soak_diff_refuses_lines_it_cannot_read() {
+    let dir = scratch("bad_line");
+    let soak = repo_file("crates/serve/tests/fixtures/soak_clean.jsonl");
+    let lines: Vec<&str> = soak.lines().collect();
+    let with_line_4 = |l: &str| -> String {
+        lines
+            .iter()
+            .enumerate()
+            .map(|(i, orig)| format!("{}\n", if i == 3 { l } else { orig }))
+            .collect()
+    };
+    std::fs::write(dir.join("clean.jsonl"), &soak).unwrap();
+    std::fs::write(
+        dir.join("no_failovers.jsonl"),
+        with_line_4(&replace(lines[3], "\"failovers\": ", "\"fail_overs\": ", 1)),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("cut.jsonl"),
+        with_line_4(&lines[3][..lines[3].len() / 2]),
+    )
+    .unwrap();
+    let (code, stdout, stderr) = run(&dir, "soak_diff", &["clean.jsonl", "no_failovers.jsonl"]);
+    assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
+    assert_eq!(
+        stderr,
+        "soak_diff: no_failovers.jsonl: line 4: no integer `failovers`\n"
+    );
+    let (code, stdout, stderr) = run(&dir, "soak_diff", &["clean.jsonl", "cut.jsonl"]);
+    assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
+    assert!(stderr.starts_with("soak_diff: cut.jsonl: line 4: not JSON: "), "{stderr}");
+}

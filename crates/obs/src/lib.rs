@@ -49,6 +49,15 @@
 //! completions that landed in the window, `0` when none did. Empty
 //! intervals are emitted, not skipped, so trajectory analysis can
 //! index windows by time.
+//!
+//! ## Reading JSON back
+//!
+//! [`json`] is the workspace's one JSON reader: the stream above, the
+//! serving layer's trace files and the harness report are all read
+//! through [`json::parse`], and every JSON writer quotes strings with
+//! [`json::quote`].
+
+pub mod json;
 
 /// Cumulative weight-cache counters, snapshotted by the serving layer.
 ///
@@ -356,6 +365,15 @@ mod tests {
         s.lines().count()
     }
 
+    /// The integer at `path` in one stream line, which must be JSON.
+    fn field(line: &str, path: &[&str]) -> u64 {
+        let doc = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        path.iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("no integer at {path:?} in {line}"))
+    }
+
     #[test]
     fn short_run_emits_a_single_well_formed_window() {
         let r = Recorder::new(50_000, 1);
@@ -433,14 +451,7 @@ mod tests {
         assert!(lines[0].contains("\"cache\": {\"hits\": 1, \"misses\": 2, \"evictions\": 0,"));
         assert!(lines[1].contains("\"cache\": {\"hits\": 3, \"misses\": 0, \"evictions\": 1,"));
         // deltas across all windows sum to the final cumulative counters
-        let total: u64 = lines
-            .iter()
-            .map(|l| {
-                let i = l.find("\"hits\": ").unwrap() + 8;
-                l[i..].chars().take_while(char::is_ascii_digit).collect::<String>()
-            })
-            .map(|d| d.parse::<u64>().unwrap())
-            .sum();
+        let total: u64 = lines.iter().map(|l| field(l, &["cache", "hits"])).sum();
         assert_eq!(total, 4);
     }
 
@@ -491,21 +502,9 @@ mod tests {
             }
         }
         let s = r.finish(200);
-        let sum = |key: &str| -> u64 {
-            s.lines()
-                .map(|l| {
-                    let i = l.find(key).unwrap() + key.len();
-                    l[i..]
-                        .chars()
-                        .take_while(char::is_ascii_digit)
-                        .collect::<String>()
-                        .parse::<u64>()
-                        .unwrap()
-                })
-                .sum()
-        };
-        assert_eq!(sum("\"arrivals\": "), arrivals);
-        assert_eq!(sum("\"sheds\": "), sheds);
+        let sum = |key: &str| -> u64 { s.lines().map(|l| field(l, &[key])).sum() };
+        assert_eq!(sum("arrivals"), arrivals);
+        assert_eq!(sum("sheds"), sheds);
     }
 
     #[test]

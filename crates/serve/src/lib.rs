@@ -61,6 +61,9 @@ pub mod server;
 pub mod slo;
 pub mod trace;
 
+/// The workspace's one JSON reader and string quoting, from `maicc-obs`.
+pub use maicc_obs::json;
+
 use std::fmt;
 
 /// Errors raised by the serving layer.

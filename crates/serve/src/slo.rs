@@ -9,6 +9,7 @@
 //! the underlying simulations were driven.
 
 use crate::cache::CacheCounters;
+use crate::json::quote;
 use crate::overload::Tier;
 pub use maicc_obs::percentile;
 
@@ -448,7 +449,7 @@ impl ServeReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048 + 256 * self.outcomes.len());
         s.push_str("{\n");
-        s.push_str(&format!("  \"policy\": {},\n", json_str(&self.policy)));
+        s.push_str(&format!("  \"policy\": {},\n", quote(&self.policy)));
         s.push_str(&format!("  \"pool_tiles\": {},\n", self.pool_tiles));
         s.push_str(&format!("  \"degraded_tiles\": {},\n", self.degraded_tiles));
         s.push_str(&format!("  \"requests\": {},\n", self.requests));
@@ -499,7 +500,7 @@ impl ServeReport {
             s.push_str("    \"tenants\": [\n");
             for (i, t) in c.tenants.iter().enumerate() {
                 s.push_str("      {");
-                s.push_str(&format!("\"tenant\": {}, ", json_str(&t.tenant)));
+                s.push_str(&format!("\"tenant\": {}, ", quote(&t.tenant)));
                 s.push_str(&format!("\"warm_completed\": {}, ", t.warm_completed));
                 s.push_str(&format!("\"cold_completed\": {}, ", t.cold_completed));
                 s.push_str(&format!(
@@ -518,7 +519,7 @@ impl ServeReport {
         s.push_str("  \"tenants\": [\n");
         for (i, t) in self.tenants.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"tenant\": {}, ", json_str(&t.tenant)));
+            s.push_str(&format!("\"tenant\": {}, ", quote(&t.tenant)));
             s.push_str(&format!("\"requests\": {}, ", t.requests));
             s.push_str(&format!("\"completed\": {}, ", t.completed));
             s.push_str(&format!("\"dropped\": {}, ", t.dropped));
@@ -548,8 +549,8 @@ impl ServeReport {
         for (i, o) in self.outcomes.iter().enumerate() {
             s.push_str("    {");
             s.push_str(&format!("\"id\": {}, ", o.id));
-            s.push_str(&format!("\"tenant\": {}, ", json_str(&o.tenant)));
-            s.push_str(&format!("\"model\": {}, ", json_str(&o.model)));
+            s.push_str(&format!("\"tenant\": {}, ", quote(&o.tenant)));
+            s.push_str(&format!("\"model\": {}, ", quote(&o.model)));
             s.push_str(&format!("\"arrival\": {}, ", o.arrival));
             s.push_str(&format!("\"admitted\": {}, ", o.admitted));
             s.push_str(&format!("\"finished\": {}, ", o.finished));
@@ -558,7 +559,7 @@ impl ServeReport {
                 None => s.push_str("\"deadline\": null, "),
             }
             match o.tier {
-                Some(t) => s.push_str(&format!("\"tier\": {}, ", json_str(t.label()))),
+                Some(t) => s.push_str(&format!("\"tier\": {}, ", quote(t.label()))),
                 None => s.push_str("\"tier\": null, "),
             }
             s.push_str(&format!("\"ok\": {}, ", o.ok));
@@ -588,25 +589,6 @@ impl ServeReport {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// Quotes and escapes a string for JSON (shared with the trace writer).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

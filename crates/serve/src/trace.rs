@@ -23,6 +23,7 @@
 //! byte-identical trace (and, downstream, a byte-identical serving
 //! report) on every run.
 
+use crate::json::{self, Value};
 use crate::rng::Rng;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
@@ -381,8 +382,8 @@ impl Trace {
             }
             s.push_str(&format!(
                 "{{\"tenant\":{},\"model\":{},\"arrival\":{},\"deadline\":{}}}",
-                crate::slo::json_str(&r.tenant),
-                crate::slo::json_str(&r.model),
+                json::quote(&r.tenant),
+                json::quote(&r.model),
                 r.arrival,
                 r.deadline.map_or("null".to_string(), |d| d.to_string()),
             ));
@@ -401,323 +402,61 @@ impl Trace {
     /// ]}
     /// ```
     ///
-    /// `deadline` may be a number, `null`, or absent. Requests are
-    /// re-sorted and re-numbered, so hand-edited files need no care about
-    /// ordering or ids.
+    /// The text must be one JSON document (see [`crate::json`]): an
+    /// object whose `requests` member is an array of objects. In each
+    /// request `model` is a required string, `tenant` a string that
+    /// defaults to the model, `arrival` a required non-negative integer,
+    /// and `deadline` a non-negative integer, `null`, or absent. Keys
+    /// this loader does not know are ignored whatever they hold, and a
+    /// repeated key takes its last value. Requests are re-sorted and
+    /// re-numbered, so hand-edited files need no care about ordering or
+    /// ids.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadTrace`] on malformed JSON or missing
-    /// fields.
+    /// Returns [`ServeError::BadTrace`] for text that is not JSON (with
+    /// the byte offset) and for a document that breaks the rules above
+    /// (with the request's index).
     pub fn from_json(text: &str) -> Result<Self, ServeError> {
-        let mut p = Parser::new(text);
-        p.skip_ws();
-        p.expect('{')?;
-        let mut requests = Vec::new();
-        let mut saw_requests = false;
-        loop {
-            p.skip_ws();
-            if p.eat('}') {
-                break;
+        let bad = |reason: String| ServeError::BadTrace { reason };
+        let doc = json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let items = doc
+            .get("requests")
+            .and_then(Value::as_array)
+            .ok_or_else(|| bad("expected an object with a `requests` array".into()))?;
+        let mut requests = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let field = |key: &str, want: &str| bad(format!("request {i}: `{key}` must be {want}"));
+            if !matches!(item, Value::Object(_)) {
+                return Err(bad(format!("request {i} is not an object")));
             }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(':')?;
-            if key == "requests" {
-                saw_requests = true;
-                requests = p.request_array()?;
-            } else {
-                p.skip_value()?;
-            }
-            p.skip_ws();
-            if !p.eat(',') {
-                p.skip_ws();
-                p.expect('}')?;
-                break;
-            }
-        }
-        if !saw_requests {
-            return Err(ServeError::BadTrace {
-                reason: "missing `requests` array".into(),
+            let model = item
+                .get("model")
+                .and_then(Value::as_str)
+                .ok_or_else(|| field("model", "a string"))?;
+            let tenant = match item.get("tenant") {
+                None => model,
+                Some(v) => v.as_str().ok_or_else(|| field("tenant", "a string"))?,
+            };
+            let arrival = item
+                .get("arrival")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| field("arrival", "a non-negative integer"))?;
+            let deadline = match item.get("deadline") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(v.as_u64().ok_or_else(|| {
+                    field("deadline", "a non-negative integer or null")
+                })?),
+            };
+            requests.push(Request {
+                id: 0,
+                tenant: tenant.to_string(),
+                model: model.to_string(),
+                arrival,
+                deadline,
             });
         }
-        p.skip_ws();
-        if !p.done() {
-            return Err(p.err("trailing characters after the trace object"));
-        }
         Ok(Trace::from_requests(requests))
-    }
-}
-
-/// A hand-rolled parser for the trace subset of JSON (the serde shim has
-/// no deserializer — see `shims/README.md`).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, reason: &str) -> ServeError {
-        ServeError::BadTrace {
-            reason: format!("{reason} (at byte {})", self.pos),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c as u8) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), ServeError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{c}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ServeError> {
-        self.skip_ws();
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            out.push(self.unicode_escape()?);
-                            continue; // unicode_escape consumed its digits
-                        }
-                        _ => return Err(self.err("unsupported string escape")),
-                    }
-                    self.pos += 1;
-                }
-                // JSON requires escapes only below 0x20; anything else
-                // (including DEL and multi-byte leads) passes through raw.
-                Some(b) if b >= 0x20 => {
-                    // multi-byte UTF-8 passes through byte by byte; the
-                    // input is a &str so the bytes are valid
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                    );
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    /// Parses the `XXXX` of a `\uXXXX` escape (the `\u` is already
-    /// consumed), pairing surrogates per RFC 8259 §7.
-    fn unicode_escape(&mut self) -> Result<char, ServeError> {
-        let high = self.hex4()?;
-        let code = if (0xD800..=0xDBFF).contains(&high) {
-            if !(self.eat('\\') && self.eat('u')) {
-                return Err(self.err("unpaired high surrogate"));
-            }
-            let low = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&low) {
-                return Err(self.err("invalid low surrogate"));
-            }
-            0x1_0000 + ((high - 0xD800) << 10) + (low - 0xDC00)
-        } else {
-            high
-        };
-        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, ServeError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.peek() {
-                Some(b @ b'0'..=b'9') => u32::from(b - b'0'),
-                Some(b @ b'a'..=b'f') => u32::from(b - b'a') + 10,
-                Some(b @ b'A'..=b'F') => u32::from(b - b'A') + 10,
-                _ => return Err(self.err("expected four hex digits after \\u")),
-            };
-            v = (v << 4) | d;
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<u64, ServeError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err("expected a non-negative integer"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("integer out of range"))
-    }
-
-    fn keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Skips any value (used for unknown keys, keeping the format
-    /// forward-extensible).
-    fn skip_value(&mut self) -> Result<(), ServeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => {
-                self.string()?;
-            }
-            Some(b'0'..=b'9') => {
-                self.number()?;
-            }
-            Some(b'n') if self.keyword("null") => {}
-            Some(b't') if self.keyword("true") => {}
-            Some(b'f') if self.keyword("false") => {}
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if !self.eat(']') {
-                    loop {
-                        self.skip_value()?;
-                        self.skip_ws();
-                        if !self.eat(',') {
-                            self.expect(']')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if !self.eat('}') {
-                    loop {
-                        self.string()?;
-                        self.skip_ws();
-                        self.expect(':')?;
-                        self.skip_value()?;
-                        self.skip_ws();
-                        if !self.eat(',') {
-                            self.expect('}')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            _ => return Err(self.err("expected a JSON value")),
-        }
-        Ok(())
-    }
-
-    fn request_array(&mut self) -> Result<Vec<Request>, ServeError> {
-        self.skip_ws();
-        self.expect('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(']') {
-            return Ok(out);
-        }
-        loop {
-            out.push(self.request()?);
-            self.skip_ws();
-            if !self.eat(',') {
-                self.expect(']')?;
-                return Ok(out);
-            }
-        }
-    }
-
-    fn request(&mut self) -> Result<Request, ServeError> {
-        self.skip_ws();
-        self.expect('{')?;
-        let (mut tenant, mut model, mut arrival, mut deadline) = (None, None, None, None);
-        loop {
-            self.skip_ws();
-            if self.eat('}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "tenant" => tenant = Some(self.string()?),
-                "model" => model = Some(self.string()?),
-                "arrival" => arrival = Some(self.number()?),
-                "deadline" => {
-                    if self.keyword("null") {
-                        deadline = None;
-                    } else {
-                        deadline = Some(self.number()?);
-                    }
-                }
-                _ => self.skip_value()?,
-            }
-            self.skip_ws();
-            if !self.eat(',') {
-                self.skip_ws();
-                self.expect('}')?;
-                break;
-            }
-        }
-        let model = model.ok_or_else(|| self.err("request missing `model`"))?;
-        Ok(Request {
-            id: 0,
-            tenant: tenant.unwrap_or_else(|| model.clone()),
-            model,
-            arrival: arrival.ok_or_else(|| self.err("request missing `arrival`"))?,
-            deadline,
-        })
     }
 }
 
@@ -957,10 +696,12 @@ mod tests {
     fn json_accepts_sparse_requests() {
         let t = Trace::from_json(
             r#"{ "requests": [
-                {"model": "small", "arrival": 10},
+                {"model": "small", "arrival": 10, "offset": -3, "weight": 0.5},
                 {"tenant": "v", "model": "big", "arrival": 5,
-                 "deadline": 500, "note": "ignored", "extra": [1, {"a": true}]}
-            ] }"#,
+                 "deadline": 500, "note": "ignored", "extra": [1, {"a": true}],
+                 "scale": 1e3, "pinned": true, "meta": {"b": {"c": [-1.5e-2]}}}
+            ], "version": -3, "ratio": 0.5, "limit": 1e3, "strict": true,
+               "origin": {"tool": "hand", "n": [0]} }"#,
         )
         .unwrap();
         assert_eq!(t.requests.len(), 2);

@@ -9,6 +9,7 @@ use maicc_serve::cache::WeightCacheConfig;
 use maicc_serve::cluster::{
     serve_cluster_with_obs, ClusterConfig, ClusterFaultPlan, ClusterShedConfig,
 };
+use maicc_serve::json;
 use maicc_serve::overload::Tier;
 use maicc_serve::registry::three_model_mix;
 use maicc_serve::server::{serve_with_obs, Policy, ServeConfig};
@@ -50,17 +51,14 @@ fn soak_trace(horizon: u64, seed: u64) -> Trace {
     Trace::diurnal(&ranked, horizon, 12_000, 1.1, 200_000, seed)
 }
 
-/// Reads the integer after `"key": ` on one JSONL line. The leading
-/// quote keeps `"hits"` from matching inside `"llc_hits"`.
-fn field(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat).unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// Reads the integer at `path`, keys joined by dots (`cache.hits`), on
+/// one JSONL line.
+fn field(line: &str, path: &str) -> u64 {
+    let doc = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    path.split('.')
+        .try_fold(&doc, |v, key| v.get(key))
+        .and_then(json::Value::as_u64)
+        .unwrap_or_else(|| panic!("no integer at {path} in {line}"))
 }
 
 fn sum(jsonl: &str, key: &str) -> u64 {
@@ -120,11 +118,11 @@ fn soak_interval_counters_sum_to_cluster_report_totals() {
     assert_eq!(sum(&jsonl, "lost"), report.requests_lost);
     assert_eq!(sum(&jsonl, "failovers"), report.failovers);
     let cache = report.serve.cache.as_ref().expect("soak runs cached");
-    assert_eq!(sum(&jsonl, "hits"), cache.hits);
-    assert_eq!(sum(&jsonl, "misses"), cache.misses);
-    assert_eq!(sum(&jsonl, "evictions"), cache.evictions);
-    assert_eq!(sum(&jsonl, "llc_hits"), cache.llc_hits);
-    assert_eq!(sum(&jsonl, "prefetch_issued"), cache.prefetch_issued);
+    assert_eq!(sum(&jsonl, "cache.hits"), cache.hits);
+    assert_eq!(sum(&jsonl, "cache.misses"), cache.misses);
+    assert_eq!(sum(&jsonl, "cache.evictions"), cache.evictions);
+    assert_eq!(sum(&jsonl, "cache.llc_hits"), cache.llc_hits);
+    assert_eq!(sum(&jsonl, "cache.prefetch_issued"), cache.prefetch_issued);
     // Tile retirements across the stream match the per-fabric totals.
     let degraded: u64 = report
         .per_fabric
@@ -157,8 +155,8 @@ fn single_fabric_interval_counters_sum_to_serve_report_totals() {
         assert_eq!(sum(&jsonl, "lost"), report.unrecoverable, "{policy:?}");
         if cached {
             let cache = report.cache.as_ref().expect("run was cached");
-            assert_eq!(sum(&jsonl, "hits"), cache.hits, "{policy:?}");
-            assert_eq!(sum(&jsonl, "misses"), cache.misses, "{policy:?}");
+            assert_eq!(sum(&jsonl, "cache.hits"), cache.hits, "{policy:?}");
+            assert_eq!(sum(&jsonl, "cache.misses"), cache.misses, "{policy:?}");
         }
         // The stream does not perturb the report.
         let plain = maicc_serve::server::serve(&registry, &trace, &cfg).unwrap();
