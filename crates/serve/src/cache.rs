@@ -52,6 +52,9 @@ pub(crate) const WRITE_CYCLES_PER_BYTE: u64 = 3;
 /// write-driver figure `maicc_sram::energy::VERTICAL_WRITE_PJ`).
 pub(crate) const WRITE_PJ_PER_BYTE: f64 = maicc_sram::energy::VERTICAL_WRITE_PJ;
 
+/// Arrivals per model retained for the prefetcher's rate estimate.
+const ARRIVAL_WINDOW: usize = 8;
+
 /// Tuning knobs for the weight cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightCacheConfig {
@@ -62,10 +65,6 @@ pub struct WeightCacheConfig {
     /// Modeled capacity of the edge-LLC weight tier, bytes. Images
     /// beyond this fall to DRAM in LRU order.
     pub llc_capacity_bytes: usize,
-    /// Whether to speculatively stream a predicted model into free tiles.
-    pub prefetch: bool,
-    /// Arrivals per model retained for the rate estimate.
-    pub arrival_window: usize,
 }
 
 impl Default for WeightCacheConfig {
@@ -73,8 +72,6 @@ impl Default for WeightCacheConfig {
         WeightCacheConfig {
             enabled: true,
             llc_capacity_bytes: 64 * 1024,
-            prefetch: true,
-            arrival_window: 8,
         }
     }
 }
@@ -258,7 +255,7 @@ impl WeightCache {
     pub(crate) fn record_arrival(&mut self, model: &str, now: u64) {
         let q = self.arrivals.entry(model.to_string()).or_default();
         q.push_back(now);
-        while q.len() > self.cfg.arrival_window {
+        while q.len() > ARRIVAL_WINDOW {
             q.pop_front();
         }
     }
@@ -641,7 +638,7 @@ impl WeightCache {
     ) where
         P: Fn(usize, &[Tile]) -> Option<Vec<Tile>>,
     {
-        if !self.cfg.enabled || !self.cfg.prefetch || self.prefetch.is_some() {
+        if !self.cfg.enabled || self.prefetch.is_some() {
             return;
         }
         // Rank candidates by observed arrival rate (count/span, integer

@@ -53,7 +53,7 @@ use maicc_exec::mapping::{healthy_order, zigzag_order, Tile};
 use maicc_obs::{CacheSample, Recorder};
 
 use crate::cache::{AdmissionPlan, CacheCounters, WeightCache};
-use crate::overload::Tier;
+use crate::overload::{Tier, PER_TENANT_RETRIES};
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::server::{placement_for, run_request, validate_requests, Policy, RunMemo, ServeConfig};
 use crate::slo::{percentile, CacheReport, RequestOutcome, ServeReport};
@@ -1698,7 +1698,7 @@ impl<'a> Cluster<'a> {
         if let Some(budget) = self.cfg.base.retry_budget {
             let tenant = &self.trace.requests[e.idx].tenant;
             let used = self.tenant_retries.get(tenant).copied().unwrap_or(0);
-            if e.attempt < budget.max_retries_per_request && used < budget.per_tenant_retries {
+            if e.attempt < budget.max_retries_per_request && used < PER_TENANT_RETRIES {
                 self.tenant_retries.insert(tenant.clone(), used + 1);
                 self.fabrics[fi].queue.push(Pending {
                     tier: e.tier.elevated(),

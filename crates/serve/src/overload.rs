@@ -104,14 +104,16 @@ impl Tier {
     }
 }
 
+/// Total retries one tenant may spend across a whole run.
+pub(crate) const PER_TENANT_RETRIES: u32 = 16;
+
 /// Bounded-exponential-backoff retry for requests whose run ends
 /// unrecoverable (the simulation failed past every replay/remap).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudget {
-    /// Retries allowed per request (0 disables retry).
+    /// Retries allowed per request (0 disables retry). Each tenant may
+    /// spend at most 16 across the whole run.
     pub max_retries_per_request: u32,
-    /// Total retries allowed per tenant across the whole run.
-    pub per_tenant_retries: u32,
     /// Backoff before the first retry, cycles; attempt `n` waits
     /// `base << n`, capped at [`RetryBudget::max_backoff_cycles`].
     pub base_backoff_cycles: u64,
@@ -123,7 +125,6 @@ impl Default for RetryBudget {
     fn default() -> Self {
         RetryBudget {
             max_retries_per_request: 3,
-            per_tenant_retries: 16,
             base_backoff_cycles: 10_000,
             max_backoff_cycles: 160_000,
         }

@@ -28,7 +28,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = StreamConfig::small_test();
-//! let mut sim = StreamSim::single_layer(&cfg)?;
+//! let mut sim = StreamSim::new(&cfg)?;
 //! let result = sim.run(2_000_000)?;
 //! assert_eq!(result.ofmap, cfg.golden());
 //! assert!(result.cycles > 0);
@@ -44,4 +44,4 @@ pub mod workload;
 mod error;
 
 pub use error::{ComponentError, SimError};
-pub use stream::{Engine, RecoveryPolicy, RecoveryStats};
+pub use stream::{Engine, RecoveryPolicy};

@@ -620,15 +620,6 @@ fn to_coord(t: Tile) -> Coord {
 }
 
 impl StreamSim {
-    /// Builds the simulator for a single-layer config (doctest helper).
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamSim::new`].
-    pub fn single_layer(cfg: &StreamConfig) -> Result<Self, SimError> {
-        Self::new(cfg)
-    }
-
     /// Builds node groups for every layer, places them zig-zag, and loads
     /// the filters into the computing cores' CMems.
     ///
