@@ -536,6 +536,17 @@ enum Role {
         /// arrays stay the architectural source of truth and every other
         /// operation (ingest, broadcast, energy) still runs on them.
         shadow_w: Vec<Vec<i8>>,
+        /// The slices `residents` occupy, ascending and deduplicated: the
+        /// broadcast stops at the first failed move, so its order is
+        /// observable (energy accounting, abort point).
+        used: Vec<usize>,
+        /// Indices into `residents`, stably sorted by channel group: the
+        /// MAC order, one broadcast per group.
+        group_order: Vec<usize>,
+        /// `(local, global)` filter of each resident that finishes a
+        /// window, the `(ky, kx, group) == (0, 0, 0)` ones, in `residents`
+        /// order.
+        completes: Vec<(usize, usize)>,
         /// rows collected for the pixel currently arriving
         arriving: HashMap<usize, Vec<Option<Row>>>,
         /// i32 partial sums, `[local filters × OH × OW]`
@@ -753,6 +764,16 @@ impl StreamSim {
                     .flat_map(|f| std::iter::repeat_n(l.bias[f], out_dim.1 * out_dim.2))
                     .collect();
                 let next_hop = g.computing.get(k + 1).map(|t| to_coord(*t));
+                let mut used: Vec<usize> = residents.iter().map(|r| r.slice).collect();
+                used.sort_unstable();
+                used.dedup();
+                let mut group_order: Vec<usize> = (0..residents.len()).collect();
+                group_order.sort_by_key(|&ri| residents[ri].group);
+                let completes = residents
+                    .iter()
+                    .filter(|r| (r.ky, r.kx, r.group) == (0, 0, 0))
+                    .map(|r| (r.local_filter, r.global_filter))
+                    .collect();
                 nodes.push(SimNode {
                     coord,
                     busy_until: 0,
@@ -762,6 +783,9 @@ impl StreamSim {
                         cmem,
                         residents,
                         shadow_w,
+                        used,
+                        group_order,
+                        completes,
                         arriving: HashMap::new(),
                         psums,
                         next_hop,
@@ -1760,6 +1784,9 @@ fn step_node(
             cmem,
             residents,
             shadow_w,
+            used,
+            group_order,
+            completes,
             arriving,
             psums,
             next_hop,
@@ -1800,16 +1827,6 @@ fn step_node(
             // partial sums accumulating across groups in data memory
             let stride = l.shape.stride;
             let mut macs = 0u64;
-            let mut completed: Vec<(usize, usize)> = Vec::new();
-            // ascending slice order: the broadcast below stops at the
-            // first failed move, so its iteration order is observable
-            // (energy accounting, abort point) and must be deterministic
-            let used: Vec<usize> = {
-                let mut v: Vec<usize> = residents.iter().map(|r| r.slice).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
             // Host-side MAC shortcut (partitioned engine only): legal
             // when every touched slice's MAC is a pure function of its
             // operands. The ingest and broadcast below still run on the
@@ -1838,14 +1855,12 @@ fn step_node(
             } else {
                 Vec::new()
             };
-            let mut group_order: Vec<(usize, &Resident)> =
-                residents.iter().enumerate().collect();
-            group_order.sort_by_key(|(_, r)| r.group);
             let mut current_group = usize::MAX;
-            for (ri, r) in group_order {
+            for &ri in group_order.iter() {
+                let r = &residents[ri];
                 if r.group != current_group {
                     current_group = r.group;
-                    for &s in &used {
+                    for &s in used.iter() {
                         cmem.move_vector(0, r.group * 8, s, 0, 8)?;
                     }
                 }
@@ -1885,6 +1900,7 @@ fn step_node(
                 cmem.charge_macs(macs);
             }
             // windows whose bottom-right corner this pixel was are done
+            let mut values = 0u64;
             if y + 1 >= l.shape.kernel_h
                 && x + 1 >= l.shape.kernel_w
                 && (y + 1 - l.shape.kernel_h).is_multiple_of(stride)
@@ -1895,12 +1911,8 @@ fn step_node(
                     (x + 1 - l.shape.kernel_w) / stride,
                 );
                 if oy < out_dim.1 && ox < out_dim.2 {
-                    for r in residents.iter() {
-                        if (r.ky, r.kx, r.group) == (0, 0, 0) {
-                            completed.push((r.local_filter, r.global_filter));
-                        }
-                    }
-                    for (local, global) in completed.iter() {
+                    values = completes.len() as u64;
+                    for (local, global) in completes.iter() {
                         let o = (local * out_dim.1 + oy) * out_dim.2 + ox;
                         let mut acc = psums[o];
                         if l.relu {
@@ -1945,7 +1957,7 @@ fn step_node(
             node.busy_until = now
                 + compute
                 + macs * ACCUM_PER_MAC
-                + completed.len() as u64 * AUX_PER_VALUE
+                + values * AUX_PER_VALUE
                 + if next_hop.is_some() {
                     groups as u64 * 8 * ROW_SEND
                 } else {
