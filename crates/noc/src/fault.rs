@@ -202,6 +202,14 @@ pub enum NocError {
         /// Flits queued behind the stalled head.
         occupancy: usize,
     },
+    /// A packet reached its destination with a failed CRC and no
+    /// [`RetryPolicy`] to retransmit it: its payload is suspect.
+    Corrupted {
+        /// Source tile.
+        src: Coord,
+        /// Destination tile.
+        dst: Coord,
+    },
     /// The cycle budget elapsed with traffic still in flight but the mesh
     /// still making (slow) progress.
     Budget {
@@ -237,6 +245,10 @@ impl fmt::Display for NocError {
                     Direction::Local => "injection queue".to_string(),
                     d => format!("{d:?}-input"),
                 }
+            ),
+            NocError::Corrupted { src, dst } => write!(
+                f,
+                "packet {src} -> {dst} failed its CRC with no retry policy to resend it"
             ),
             NocError::Budget { budget, in_flight } => write!(
                 f,

@@ -1354,8 +1354,18 @@ impl StreamSim {
     }
 
     /// Routes one delivered packet into its destination node's inbox,
-    /// applying the armed in-flight row fault if this is its packet.
+    /// applying the armed in-flight row fault if this is its packet. A
+    /// packet whose CRC failed (NoC corruption without a retry policy)
+    /// is a detected [`NocError::Corrupted`] fault, never consumed.
     fn deliver(&mut self, d: Delivered<Msg>) -> Result<(), SimError> {
+        if d.corrupted {
+            return Err(SimError::Fault {
+                source: ComponentError::Noc(NocError::Corrupted {
+                    src: d.packet.src,
+                    dst: d.packet.dst,
+                }),
+            });
+        }
         let key = (d.packet.dst.x, d.packet.dst.y);
         let idx = *self.tile_of.get(&key).ok_or_else(|| SimError::Protocol {
             reason: format!("delivery to unknown tile {}", d.packet.dst),
@@ -2500,6 +2510,40 @@ mod tests {
         let r = sim.run(5_000_000).unwrap();
         assert_eq!(r.ofmap, cfg.golden());
         assert!(sim.recovery_stats().replays > 0, "{:?}", sim.recovery_stats());
+    }
+
+    #[test]
+    fn crc_failed_packets_are_faults_not_payloads() {
+        // without a retry policy the mesh hands over packets whose CRC
+        // failed; consuming one would pass suspect data on, so it is a
+        // typed fault, the same on every engine and thread count
+        let cfg = StreamConfig::small_test();
+        let run = |engine: Engine, threads: usize, retry: Option<RetryPolicy>| {
+            let mut sim = StreamSim::new(&cfg).unwrap();
+            sim.set_engine(engine);
+            sim.set_parallelism(threads);
+            sim.attach_noc_fault_plan(NocFaultPlan::with_seed(7).corrupt_rate(0.01));
+            sim.set_noc_retry_policy(retry);
+            (sim.run(5_000_000), sim.noc_fault_stats())
+        };
+        let (bare, _) = run(Engine::EventDriven, 1, None);
+        let err = bare.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Fault {
+                    source: ComponentError::Noc(NocError::Corrupted { .. })
+                }
+            ),
+            "{err:?}"
+        );
+        for (engine, threads) in [(Engine::EventDriven, 2), (Engine::CycleAccurate, 1)] {
+            assert_eq!(run(engine, threads, None).0, Err(err.clone()), "{engine:?} x {threads}");
+        }
+        // a retry policy NACKs each damaged packet and resends it
+        let (r, stats) = run(Engine::EventDriven, 1, Some(RetryPolicy::default()));
+        assert_eq!(r.unwrap().ofmap, cfg.golden());
+        assert!(stats.crc_rejects > 0, "{stats:?}");
     }
 
     #[test]
