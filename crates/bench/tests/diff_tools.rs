@@ -13,7 +13,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn fixture_path() -> String {
-    format!("{}/tests/fixtures/diff_tools.txt", env!("CARGO_MANIFEST_DIR"))
+    format!(
+        "{}/tests/fixtures/diff_tools.txt",
+        env!("CARGO_MANIFEST_DIR")
+    )
 }
 
 /// A committed file, by its path from the repository root.
@@ -112,19 +115,40 @@ fn write_inputs(dir: &Path) {
 /// written.
 const CASES: &[(&str, &[&str])] = &[
     ("bench_diff", &["base.json", "base.json"]),
-    ("bench_diff", &["base.json", "base.json", "--fail-on-regress", "10"]),
+    (
+        "bench_diff",
+        &["base.json", "base.json", "--fail-on-regress", "10"],
+    ),
     ("bench_diff", &["base.json", "slower.json"]),
-    ("bench_diff", &["base.json", "slower.json", "--fail-on-regress", "10"]),
-    ("bench_diff", &["base.json", "faster.json", "--fail-on-regress", "10"]),
-    ("bench_diff", &["base.json", "hard_p99.json", "--fail-on-regress", "10"]),
-    ("bench_diff", &["base.json", "hard_lost.json", "--fail-on-regress", "10"]),
-    ("bench_diff", &["base.json", "no_soak_p99.json", "--fail-on-regress", "10"]),
+    (
+        "bench_diff",
+        &["base.json", "slower.json", "--fail-on-regress", "10"],
+    ),
+    (
+        "bench_diff",
+        &["base.json", "faster.json", "--fail-on-regress", "10"],
+    ),
+    (
+        "bench_diff",
+        &["base.json", "hard_p99.json", "--fail-on-regress", "10"],
+    ),
+    (
+        "bench_diff",
+        &["base.json", "hard_lost.json", "--fail-on-regress", "10"],
+    ),
+    (
+        "bench_diff",
+        &["base.json", "no_soak_p99.json", "--fail-on-regress", "10"],
+    ),
     ("bench_diff", &["base.json", "missing.json"]),
     ("soak_diff", &["clean.jsonl", "clean.jsonl"]),
     ("soak_diff", &["clean.jsonl", "churn.jsonl"]),
     ("soak_diff", &["clean.jsonl", "one_failover.jsonl"]),
     ("soak_diff", &["clean.jsonl", "reversed.jsonl"]),
-    ("soak_diff", &["clean.jsonl", "reversed.jsonl", "--tolerance", "1000"]),
+    (
+        "soak_diff",
+        &["clean.jsonl", "reversed.jsonl", "--tolerance", "1000"],
+    ),
     ("soak_diff", &["clean.jsonl", "missing.jsonl"]),
 ];
 
@@ -227,7 +251,10 @@ fn bench_diff_refuses_entries_it_cannot_read() {
     );
     let (code, stdout, stderr) = run(&dir, "bench_diff", &["base.json", "truncated.json"]);
     assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
-    assert!(stderr.starts_with("bench_diff: truncated.json: not JSON: "), "{stderr}");
+    assert!(
+        stderr.starts_with("bench_diff: truncated.json: not JSON: "),
+        "{stderr}"
+    );
 }
 
 /// Lines written without spaces after `:` and `,` are read like the
@@ -290,5 +317,8 @@ fn soak_diff_refuses_lines_it_cannot_read() {
     );
     let (code, stdout, stderr) = run(&dir, "soak_diff", &["clean.jsonl", "cut.jsonl"]);
     assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
-    assert!(stderr.starts_with("soak_diff: cut.jsonl: line 4: not JSON: "), "{stderr}");
+    assert!(
+        stderr.starts_with("soak_diff: cut.jsonl: line 4: not JSON: "),
+        "{stderr}"
+    );
 }

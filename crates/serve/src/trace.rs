@@ -444,9 +444,10 @@ impl Trace {
                 .ok_or_else(|| field("arrival", "a non-negative integer"))?;
             let deadline = match item.get("deadline") {
                 None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    field("deadline", "a non-negative integer or null")
-                })?),
+                Some(v) => Some(
+                    v.as_u64()
+                        .ok_or_else(|| field("deadline", "a non-negative integer or null"))?,
+                ),
             };
             requests.push(Request {
                 id: 0,

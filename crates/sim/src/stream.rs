@@ -2538,7 +2538,11 @@ mod tests {
             "{err:?}"
         );
         for (engine, threads) in [(Engine::EventDriven, 2), (Engine::CycleAccurate, 1)] {
-            assert_eq!(run(engine, threads, None).0, Err(err.clone()), "{engine:?} x {threads}");
+            assert_eq!(
+                run(engine, threads, None).0,
+                Err(err.clone()),
+                "{engine:?} x {threads}"
+            );
         }
         // a retry policy NACKs each damaged packet and resends it
         let (r, stats) = run(Engine::EventDriven, 1, Some(RetryPolicy::default()));
