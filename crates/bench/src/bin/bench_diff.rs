@@ -16,7 +16,8 @@
 //! and an integer `median_ns`, a non-numeric derived value, or a report
 //! with no benchmark entries exits [`EXIT_MISSING`] (2), naming the file
 //! and the entry — distinct from the measured-regression exit 1 so CI
-//! can tell "the code got slower" from "the comparison never happened". With `--fail-on-regress PCT` the exit code is 1 when any
+//! can tell "the code got slower" from "the comparison never happened".
+//! With `--fail-on-regress PCT` the exit code is 1 when any
 //! benchmark's median regressed by more than `PCT` percent over the
 //! baseline, and 2 when a gated derived metric the baseline had
 //! measured is missing from the new report entirely. Benchmarks
@@ -48,9 +49,9 @@ use maicc::serve::json::{self, Value};
 use std::process::ExitCode;
 
 /// Exit code for "the comparison could not be made": usage errors,
-/// unreadable or unreadable-as-a-report inputs, reports with no
-/// benchmark entries, and gated derived metrics that vanished from the
-/// new report. Distinct from exit 1 (a measured regression) so CI logs
+/// unreadable files, reports that are not JSON or lack a field the tool
+/// reads, reports with no benchmark entries, and gated derived metrics
+/// that vanished from the new report. Distinct from exit 1 (a measured regression) so CI logs
 /// separate "slower" from "not measured".
 const EXIT_MISSING: u8 = 2;
 
