@@ -1,9 +1,9 @@
 //! Pinned `bench_diff` and `soak_diff` runs: the committed
 //! `BENCH_results.json` and the clean soak stream, each against itself
 //! and against perturbed copies, with every run's exit code and stdout
-//! compared with the committed fixture. The tools run in a scratch
-//! directory on bare file names, so the paths they print are the same
-//! on every machine.
+//! compared with the committed fixture. The tools run in a directory
+//! under the target directory on bare file names, so the paths they
+//! print are the same on every machine.
 //!
 //! Regenerate the fixture after a deliberate change with
 //! `cargo test -p maicc-bench --test diff_tools -- --ignored regenerate`,
@@ -25,8 +25,9 @@ fn repo_file(path: &str) -> String {
     std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("cannot read {full}: {e}"))
 }
 
-/// A scratch directory of `test`'s own: tests run in parallel.
-fn scratch(test: &str) -> PathBuf {
+/// A directory of `test`'s own under the target directory: tests run
+/// in parallel.
+fn work_dir(test: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("diff_tools")
         .join(test);
@@ -187,20 +188,20 @@ fn render(dir: &Path) -> String {
 #[test]
 fn diff_tools_match_the_fixture() {
     let fixture = std::fs::read_to_string(fixture_path()).expect("fixture present");
-    assert_eq!(render(&scratch("pinned")), fixture);
+    assert_eq!(render(&work_dir("pinned")), fixture);
 }
 
 #[test]
 #[ignore = "rewrites tests/fixtures/diff_tools.txt"]
 fn regenerate() {
-    std::fs::write(fixture_path(), render(&scratch("regenerate"))).unwrap();
+    std::fs::write(fixture_path(), render(&work_dir("regenerate"))).unwrap();
 }
 
 /// Two derived keys on one line are both read, so a gated regression
 /// among them fails the gate.
 #[test]
 fn bench_diff_reads_derived_keys_that_share_a_line() {
-    let dir = scratch("shared_line");
+    let dir = work_dir("shared_line");
     let report = |p99: u64| {
         format!(
             "{{\"benchmarks\": [{{\"name\": \"a\", \"median_ns\": 100}}],\n\
@@ -227,7 +228,7 @@ fn bench_diff_reads_derived_keys_that_share_a_line() {
 /// that is not JSON.
 #[test]
 fn bench_diff_refuses_entries_it_cannot_read() {
-    let dir = scratch("bad_entry");
+    let dir = work_dir("bad_entry");
     std::fs::write(
         dir.join("base.json"),
         r#"{"benchmarks": [{"name": "a", "median_ns": 100}, {"name": "b", "median_ns": 100}]}"#,
@@ -262,7 +263,7 @@ fn bench_diff_refuses_entries_it_cannot_read() {
 /// and the same gates as the stream against itself.
 #[test]
 fn soak_diff_reads_compact_lines() {
-    let dir = scratch("compact");
+    let dir = work_dir("compact");
     let soak = repo_file("crates/serve/tests/fixtures/soak_clean.jsonl");
     let compact: String = soak
         .lines()
@@ -288,7 +289,7 @@ fn soak_diff_reads_compact_lines() {
 /// with the file and the line, not compared on the lines that remain.
 #[test]
 fn soak_diff_refuses_lines_it_cannot_read() {
-    let dir = scratch("bad_line");
+    let dir = work_dir("bad_line");
     let soak = repo_file("crates/serve/tests/fixtures/soak_clean.jsonl");
     let lines: Vec<&str> = soak.lines().collect();
     let with_line_4 = |l: &str| -> String {
