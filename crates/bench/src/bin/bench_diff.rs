@@ -11,10 +11,11 @@
 //! reads `benchmarks[].name`, `benchmarks[].median_ns` and the members
 //! of the `derived` object by key. Without `--fail-on-regress` it is
 //! *informational about measurements* but still honest about inputs:
-//! exit 0 annotates the log, while a usage error, an unreadable file, a
-//! report that is not JSON, a benchmark entry without a string `name`
-//! and an integer `median_ns`, a non-numeric derived value, or a report
-//! with no benchmark entries exits [`EXIT_MISSING`] (2), naming the file
+//! exit 0 annotates the log, while a usage error (an argument the tool
+//! does not read, or a `--fail-on-regress` without a number), an
+//! unreadable file, a report that is not JSON, a benchmark entry
+//! without a string `name` and an integer `median_ns`, a non-numeric
+//! derived value, or a report with no benchmark entries exits [`EXIT_MISSING`] (2), naming the file
 //! and the entry — distinct from the measured-regression exit 1 so CI
 //! can tell "the code got slower" from "the comparison never happened".
 //! With `--fail-on-regress PCT` the exit code is 1 when any
@@ -45,6 +46,7 @@
 //! them pass — a green CI log should still show what was checked and
 //! how close it came.
 
+use maicc::cli::Args;
 use maicc::serve::json::{self, Value};
 use std::process::ExitCode;
 
@@ -212,23 +214,26 @@ fn missing_gated_derived(
         .collect()
 }
 
+/// The two report paths and the `--fail-on-regress` limit.
+fn read_args() -> Result<(String, String, Option<f64>), String> {
+    let mut args: Args = std::env::args().skip(1).collect();
+    let limit = args.value("--fail-on-regress")?;
+    let paths = (args.positional(), args.positional());
+    args.finish()?;
+    match paths {
+        (Some(base), Some(new)) => Ok((base, new, limit)),
+        _ => Err("needs two reports".into()),
+    }
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fail_limit: Option<f64> = args
-        .iter()
-        .position(|a| a == "--fail-on-regress")
-        .map(|i| {
-            let v = args.drain(i..(i + 2).min(args.len())).nth(1);
-            v.as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("bench_diff: bad --fail-on-regress value, ignoring");
-                    f64::INFINITY
-                })
-        });
-    let [baseline_path, new_path] = args.as_slice() else {
-        eprintln!("usage: bench_diff BASELINE.json NEW.json [--fail-on-regress PCT]");
-        return ExitCode::from(EXIT_MISSING);
+    let (baseline_path, new_path, fail_limit) = match read_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("bench_diff: {e}");
+            eprintln!("usage: bench_diff BASELINE.json NEW.json [--fail-on-regress PCT]");
+            return ExitCode::from(EXIT_MISSING);
+        }
     };
     let read = |path: &str| {
         let text = std::fs::read_to_string(path)
@@ -238,7 +243,7 @@ fn main() -> ExitCode {
             .map_err(|e| eprintln!("bench_diff: {path}: {e}"))
             .ok()
     };
-    let (Some(base_report), Some(new_report)) = (read(baseline_path), read(new_path)) else {
+    let (Some(base_report), Some(new_report)) = (read(&baseline_path), read(&new_path)) else {
         return ExitCode::from(EXIT_MISSING);
     };
     let (base, base_derived) = (base_report.medians, base_report.derived);

@@ -4,8 +4,9 @@
 //! Each paper section ([`sections`]) prints its modelled rows once, with
 //! the published values beside them, and asserts the paper's claims. Each
 //! timed row measures *host* wall-clock time with `std::time::Instant` —
-//! warmup runs followed by N timed iterations, reporting median/p10/p90 —
-//! and, with `--json PATH`, the rows go to `PATH` as JSON. Without it the
+//! warmup runs followed by N timed iterations, reporting the nearest-rank
+//! median/p10/p90 of the serving reports (`maicc::serve::slo::percentile`)
+//! — and, with `--json PATH`, the rows go to `PATH` as JSON. Without it the
 //! harness writes no file, so no run replaces the committed
 //! `BENCH_results.json` unless asked to.
 //!
@@ -23,6 +24,9 @@
 //!   --json PATH         write the timed rows to PATH as JSON (default:
 //!                       write no file)
 //! ```
+//!
+//! An unknown option, a missing or malformed value, `--iters 0` and a
+//! `--bench` that selects nothing exit 2; an unwritable `--json` exits 1.
 //!
 //! Sections: `table4`, `table5`, `table6`, `table7` (with §6.3), `fig9`,
 //! `fig10`, `ablation_slices`, `ablation_reduction`,
@@ -87,6 +91,7 @@
 
 mod sections;
 
+use maicc::cli::Args;
 use maicc::core::kernels::{CmemConvKernel, ConvWorkload};
 use maicc::core::pipeline::{PipelineConfig, Timing};
 use maicc::exec::segment::Strategy;
@@ -100,10 +105,12 @@ use maicc::serve::overload::RetryBudget;
 use maicc::serve::overload::Tier;
 use maicc::serve::registry::{overload_mix, three_model_mix};
 use maicc::serve::server::{serve, FaultConfig, Policy, ServeConfig};
+use maicc::serve::slo::percentile;
 use maicc::serve::trace::Trace;
 use maicc::sim::stream::{Engine, RecoveryPolicy, StreamConfig, StreamSim};
 use maicc::sram::fault::FaultPlan;
-use maicc_bench::{percentile, pre_pr};
+use maicc_bench::pre_pr;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Cycle budget for the streaming runs (the segment drains in < 100 k).
@@ -129,7 +136,7 @@ fn measure(name: &'static str, warmup: usize, iters: usize, mut f: impl FnMut() 
     for _ in 0..warmup {
         check = Some(f());
     }
-    let mut samples = Vec::with_capacity(iters);
+    let mut samples = Vec::new();
     for _ in 0..iters {
         let start = Instant::now();
         let c = f();
@@ -176,8 +183,8 @@ fn measure_pair(
         assert_eq!(c, f_b(), "{name_a}/{name_b}: check values diverge");
         check = Some(c);
     }
-    let mut samples_a = Vec::with_capacity(iters);
-    let mut samples_b = Vec::with_capacity(iters);
+    let mut samples_a = Vec::new();
+    let mut samples_b = Vec::new();
     for _ in 0..iters {
         for (f, samples) in [
             (&mut f_a as &mut dyn FnMut() -> u64, &mut samples_a),
@@ -308,7 +315,7 @@ fn write_json(
     threads: usize,
     results: &[Summary],
     stats: &ScenarioStats,
-) {
+) -> std::io::Result<()> {
     let (overload, repeat, cluster, soak) = (
         stats.overload.as_ref(),
         stats.repeat.as_ref(),
@@ -498,48 +505,62 @@ fn write_json(
         soak.map_or(0.0, |s| s.hit_rate)
     ));
     out.push_str("  }\n}\n");
-    std::fs::write(path, out).expect("write the --json report");
+    std::fs::write(path, out)
 }
 
-fn main() {
-    let mut quick = false;
-    let mut iters = 5usize;
-    let mut out: Option<String> = None;
-    let mut threads = 0usize;
-    let mut filter: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iters takes a positive integer");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a positive integer");
-            }
-            "--bench" => filter = Some(args.next().expect("--bench takes a substring")),
-            "--json" => out = Some(args.next().expect("--json takes a path")),
-            other => panic!(
-                "unknown option {other} (try --quick, --iters N, --threads N, \
-                 --bench SUBSTRING, --json PATH)"
-            ),
+/// Exit code for a refused command line or a `--bench` that selects nothing.
+const EXIT_USAGE: u8 = 2;
+
+/// The command line, as the module doc describes it; `iters` is 1 under
+/// `--quick`, and `threads` 0 means the host's core count.
+struct Options {
+    quick: bool,
+    iters: usize,
+    threads: usize,
+    filter: Option<String>,
+    out: Option<String>,
+}
+
+fn read_args() -> Result<Options, String> {
+    let mut args: Args = std::env::args().skip(1).collect();
+    let quick = args.switch("--quick")?;
+    let iters = args.value("--iters")?.unwrap_or(5);
+    let threads = args.value("--threads")?.unwrap_or(0);
+    let filter = args.value("--bench")?;
+    let out = args.value("--json")?;
+    args.finish()?;
+    let iters = if quick { 1 } else { iters };
+    if iters == 0 {
+        return Err("--iters needs at least one iteration".into());
+    }
+    Ok(Options {
+        quick,
+        iters,
+        threads,
+        filter,
+        out,
+    })
+}
+
+fn main() -> ExitCode {
+    let Options {
+        quick,
+        iters,
+        mut threads,
+        filter,
+        out,
+    } = match read_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("maicc_bench: {e}");
+            return ExitCode::from(EXIT_USAGE);
         }
-    }
-    if quick {
-        iters = 1;
-    }
+    };
     // two per-bench warmup runs: the first pays first-touch allocation
     // (pools, page faults), the second settles branch predictors and
     // caches, so the timed percentiles measure steady state — this is
     // what kept table5_scheduled_replay's p90 at 2.4x its median
     let warmup = if quick { 0 } else { 2 };
-    assert!(iters > 0, "need at least one iteration");
     if threads == 0 {
         threads = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
     }
@@ -908,11 +929,13 @@ fn main() {
             run_soak().0.serve.p99_latency_cycles
         }));
     }
-    assert!(
-        !results.is_empty() || any_section,
-        "--bench {:?} matched no benchmark",
-        filter.as_deref().unwrap_or("")
-    );
+    if results.is_empty() && !any_section {
+        eprintln!(
+            "maicc_bench: --bench {:?} matched no benchmark",
+            filter.as_deref().unwrap_or("")
+        );
+        return ExitCode::from(EXIT_USAGE);
+    }
 
     // Modelled cycles must agree across fast, parallel, oracle, and
     // slow-path runs of the streaming segment.
@@ -927,19 +950,16 @@ fn main() {
     );
 
     if let Some(path) = &out {
-        write_json(
-            path,
-            quick,
-            iters,
-            threads,
-            &results,
-            &ScenarioStats {
-                overload: overload_stats,
-                repeat: repeat_stats,
-                cluster: cluster_stats,
-                soak: soak_stats,
-            },
-        );
+        let stats = ScenarioStats {
+            overload: overload_stats,
+            repeat: repeat_stats,
+            cluster: cluster_stats,
+            soak: soak_stats,
+        };
+        if let Err(e) = write_json(path, quick, iters, threads, &results, &stats) {
+            eprintln!("maicc_bench: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
         println!("wrote {path}");
     }
 
@@ -977,4 +997,5 @@ fn main() {
             }
         }
     }
+    ExitCode::SUCCESS
 }

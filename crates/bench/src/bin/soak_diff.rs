@@ -42,10 +42,12 @@
 //! rejects its stream, naming the file and the line.
 //!
 //! Exit codes mirror `bench_diff`: 0 clean, 1 when any gate drifted,
-//! [`EXIT_MISSING`] (2) on usage errors, unreadable files, rejected
-//! streams, or streams with no window records — "worse" and "not
-//! comparable" are different CI outcomes.
+//! [`EXIT_MISSING`] (2) on usage errors (an argument the tool does not
+//! read, or a `--tolerance` without a number), unreadable files,
+//! rejected streams, or streams with no window records — "worse" and
+//! "not comparable" are different CI outcomes.
 
+use maicc::cli::Args;
 use maicc::serve::json::{self, Value};
 use std::process::ExitCode;
 
@@ -185,21 +187,26 @@ fn drifted(base: f64, cur: f64, rel_pct: f64, floor: f64) -> bool {
     cur > base + (base.abs() * rel_pct / 100.0).max(floor)
 }
 
+/// The two stream paths and the `--tolerance` percentage.
+fn read_args() -> Result<(String, String, f64), String> {
+    let mut args: Args = std::env::args().skip(1).collect();
+    let tolerance = args.value("--tolerance")?.unwrap_or(10.0);
+    let paths = (args.positional(), args.positional());
+    args.finish()?;
+    match paths {
+        (Some(base), Some(new)) => Ok((base, new, tolerance)),
+        _ => Err("needs two streams".into()),
+    }
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let tolerance: f64 = args
-        .iter()
-        .position(|a| a == "--tolerance")
-        .map_or(10.0, |i| {
-            let v = args.drain(i..(i + 2).min(args.len())).nth(1);
-            v.as_deref().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("soak_diff: bad --tolerance value, using 10");
-                10.0
-            })
-        });
-    let [baseline_path, new_path] = args.as_slice() else {
-        eprintln!("usage: soak_diff BASELINE.jsonl NEW.jsonl [--tolerance PCT]");
-        return ExitCode::from(EXIT_MISSING);
+    let (baseline_path, new_path, tolerance) = match read_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("soak_diff: {e}");
+            eprintln!("usage: soak_diff BASELINE.jsonl NEW.jsonl [--tolerance PCT]");
+            return ExitCode::from(EXIT_MISSING);
+        }
     };
     let read = |path: &str| {
         let text = std::fs::read_to_string(path)
@@ -209,7 +216,7 @@ fn main() -> ExitCode {
             .map_err(|e| eprintln!("soak_diff: {path}: {e}"))
             .ok()
     };
-    let (Some(base_windows), Some(new_windows)) = (read(baseline_path), read(new_path)) else {
+    let (Some(base_windows), Some(new_windows)) = (read(&baseline_path), read(&new_path)) else {
         return ExitCode::from(EXIT_MISSING);
     };
     if base_windows.is_empty() || new_windows.is_empty() {

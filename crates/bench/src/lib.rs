@@ -41,18 +41,6 @@ pub mod pre_pr {
     pub const RESNET18_SEGMENT_NS: u64 = 1_356_117_893;
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample set.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty.
-#[must_use]
-pub fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample set");
-    let idx = (pct / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Prints a `measured vs paper` row with the deviation factor.
 pub fn row(label: &str, measured: f64, paper: f64, unit: &str) {
     let ratio = if paper != 0.0 { measured / paper } else { f64::NAN };
@@ -66,16 +54,6 @@ pub fn header(title: &str) {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s = [10u64, 20, 30, 40, 50];
-        assert_eq!(super::percentile(&s, 0.0), 10);
-        assert_eq!(super::percentile(&s, 50.0), 30);
-        assert_eq!(super::percentile(&s, 100.0), 50);
-        assert_eq!(super::percentile(&s, 90.0), 50);
-        assert_eq!(super::percentile(&[7], 50.0), 7);
-    }
-
     #[test]
     fn paper_constants_are_positive() {
         for v in super::paper::TABLE4_CYCLES {

@@ -151,6 +151,16 @@ const CASES: &[(&str, &[&str])] = &[
         &["clean.jsonl", "reversed.jsonl", "--tolerance", "1000"],
     ),
     ("soak_diff", &["clean.jsonl", "missing.jsonl"]),
+    // a malformed gate value is a usage error, not a gate switched off
+    (
+        "bench_diff",
+        &["base.json", "slower.json", "--fail-on-regress", "1O"],
+    ),
+    ("bench_diff", &["base.json", "slower.json", "--fail-on-regress"]),
+    (
+        "soak_diff",
+        &["clean.jsonl", "churn.jsonl", "--tolerance", "x5"],
+    ),
 ];
 
 /// Runs `tool` in `dir` and returns its exit code, stdout and stderr.

@@ -1,40 +1,16 @@
-//! The `maicc` command-line tool.
+//! The `maicc` command-line tool; `maicc help` prints the subcommands
+//! and their flags.
 //!
-//! ```text
-//! maicc map    [--model resnet18|vgg11|tinynet] [--strategy heuristic|greedy|single] [--cores N]
-//! maicc node   [--width 4|8|16]          # Table-4 single-node conv
-//! maicc asm    <file.s>                  # assemble and hex-dump a program
-//! maicc run    <file.s> [--max-steps N]  # execute a program on one node
-//! maicc stream                           # conv pipeline through the mesh
-//! maicc campaign [--workload small|resnet18] [--seed N] [--ecc off|detect|correct]
-//!                [--retry on|off] [--assert-no-unrecoverable] [--json]
-//! maicc serve  [--policy fcfs|sjf|partitioned|time-shared] [--trace file.json]
-//!              [--seed N] [--horizon N] [--bursty] [--zipf EXP] [--overload] [--pool N]
-//!              [--weight-cache] [--cold-cache] [--cache-llc-bytes N]
-//!              [--fabrics N] [--replicas K] [--heartbeat N]
-//!              [--fabric-fault SPEC]... [--serve-only]
-//!              [--engine event|cycle] [--threads N] [--quick] [--json]
-//! maicc soak   [--fabrics N] [--replicas K] [--heartbeat N] [--pool N]
-//!              [--horizon N] [--interval N] [--seed N] [--no-churn]
-//!              [--churn-period N] [--out FILE]
-//!              [--engine event|cycle] [--threads N] [--quick]
-//! ```
+//! Every argument goes through [`maicc::cli::Args`]: each subcommand
+//! reads the flags it knows and refuses anything else before it starts,
+//! and every error exits 1.
 //!
-//! `--fabrics N` routes the trace through the multi-fabric cluster
-//! front-end instead of a single serving loop. `--fabric-fault` injects
-//! fabric-level faults and repeats; a SPEC is one of
-//! `outage:FABRIC:AT[:DURATION]`, `brownout:FABRIC:AT:FACTOR:DURATION`,
-//! or `tileloss:FABRIC:AT:TILES` (cycles and counts are decimal).
-//! `--serve-only` prints just the merged serve report JSON — byte-
-//! comparable against a plain `serve --json` run when `--fabrics 1` and
-//! no faults are given (the CI parity check).
-//!
-//! `soak` runs a long diurnal Zipf trace through the full cluster stack
-//! under continuous seeded fault churn and streams interval telemetry
-//! (one JSON line per `--interval` simulated cycles — the `maicc-obs`
-//! schema) to stdout or `--out FILE`; the human summary goes to stderr,
-//! so the stream stays byte-comparable across engines and thread counts.
+//! `soak` streams the interval telemetry (one JSON line per `--interval`
+//! simulated cycles, the `maicc-obs` schema) to stdout or `--out FILE`;
+//! the human summary goes to stderr, so the stream stays byte-comparable
+//! across engines and thread counts.
 
+use maicc::cli::Args;
 use maicc::core::kernels::{CmemConvKernel, ConvWorkload};
 use maicc::core::node::{Node, NullPort};
 use maicc::core::pipeline::{PipelineConfig, Timing};
@@ -46,23 +22,23 @@ use maicc::isa::parse::assemble_text;
 use maicc::isa::reg::Reg;
 use maicc::model::power::EnergyBreakdown;
 use maicc::nn::graph::Network;
+use maicc::sim::stream::Engine;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("map") => cmd_map(&args[1..]),
-        Some("node") => cmd_node(&args[1..]),
-        Some("asm") => cmd_asm(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("stream") => cmd_stream(),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("soak") => cmd_soak(&args[1..]),
-        Some("help") | None => {
-            print_help();
-            Ok(())
-        }
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next();
+    let args: Args = argv.collect();
+    let result = match command.as_deref() {
+        Some("map") => cmd_map(args),
+        Some("node") => cmd_node(args),
+        Some("asm") => cmd_asm(args),
+        Some("run") => cmd_run(args),
+        Some("stream") => cmd_stream(args),
+        Some("campaign") => cmd_campaign(args),
+        Some("serve") => cmd_serve(args),
+        Some("soak") => cmd_soak(args),
+        Some("help") | None => args.finish().map(|()| print_help()),
         Some(other) => Err(format!("unknown subcommand `{other}` (try `maicc help`)")),
     };
     match result {
@@ -96,7 +72,7 @@ fn print_help() {
          \u{20}            [--seed N] [--horizon N] [--bursty] [--zipf EXP] [--overload] [--pool N]\n  \
          \u{20}            [--weight-cache] [--cold-cache] [--cache-llc-bytes N]\n  \
          \u{20}            [--fabrics N] [--replicas K] [--heartbeat N]\n  \
-         \u{20}            [--fabric-fault SPEC]... [--serve-only]\n  \
+         \u{20}            [--fabric-fault SPEC]...\n  \
          \u{20}            [--engine event|cycle] [--threads N] [--quick] [--json]\n  \
          maicc soak   [--fabrics N] [--replicas K] [--heartbeat N] [--pool N]\n  \
          \u{20}            [--horizon N] [--interval N] [--seed N] [--no-churn]\n  \
@@ -117,30 +93,33 @@ fn print_help() {
     );
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// `--engine event|cycle` and `--threads N`, which `serve` and `soak`
+/// share.
+fn engine_flags(args: &mut Args) -> Result<(Engine, usize), String> {
+    let engine = match args.value::<String>("--engine")?.as_deref() {
+        None | Some("event") => Engine::EventDriven,
+        Some("cycle") => Engine::CycleAccurate,
+        Some(other) => return Err(format!("unknown engine `{other}` (event|cycle)")),
+    };
+    Ok((engine, args.value("--threads")?.unwrap_or(1)))
 }
 
-fn cmd_map(args: &[String]) -> Result<(), String> {
-    let model = flag(args, "--model").unwrap_or_else(|| "resnet18".into());
+fn cmd_map(mut args: Args) -> Result<(), String> {
+    let model = args.value("--model")?.unwrap_or_else(|| "resnet18".to_string());
+    let strategy = args.value::<String>("--strategy")?;
+    let cores = args.value("--cores")?.unwrap_or(210);
+    args.finish()?;
     let (net, input): (Network, [usize; 3]) = match model.as_str() {
         "resnet18" => (maicc::nn::resnet::resnet18(1000), [64, 56, 56]),
         "vgg11" => (maicc::nn::resnet::vgg11(1000), [64, 32, 32]),
         "tinynet" => (maicc::nn::resnet::tinynet(10), [32, 32, 32]),
         other => return Err(format!("unknown model `{other}`")),
     };
-    let strategy = match flag(args, "--strategy").as_deref() {
+    let strategy = match strategy.as_deref() {
         None | Some("heuristic") => Strategy::Heuristic,
         Some("greedy") => Strategy::Greedy,
         Some("single") => Strategy::SingleLayer,
         Some(other) => return Err(format!("unknown strategy `{other}`")),
-    };
-    let cores = match flag(args, "--cores") {
-        Some(c) => c.parse().map_err(|_| format!("bad core count `{c}`"))?,
-        None => 210,
     };
     let cfg = ExecConfig {
         cores,
@@ -183,8 +162,10 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_node(args: &[String]) -> Result<(), String> {
-    let width = match flag(args, "--width").as_deref() {
+fn cmd_node(mut args: Args) -> Result<(), String> {
+    let width = args.value::<String>("--width")?;
+    args.finish()?;
+    let width = match width.as_deref() {
         None | Some("8") => VecWidth::W8,
         Some("4") => VecWidth::W4,
         Some("16") => VecWidth::W16,
@@ -227,10 +208,11 @@ fn cmd_node(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_asm(args: &[String]) -> Result<(), String> {
+fn cmd_asm(mut args: Args) -> Result<(), String> {
     use std::io::Write;
-    let path = args.first().ok_or("usage: maicc asm <file.s>")?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let path = args.positional().ok_or("usage: maicc asm <file.s>")?;
+    args.finish()?;
+    let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let prog = assemble_text(&src).map_err(|e| e.to_string())?;
     // ignore write failures so `maicc asm … | head` exits cleanly
     let mut out = std::io::stdout().lock();
@@ -246,13 +228,11 @@ fn cmd_asm(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: maicc run <file.s>")?;
-    let max_steps = match flag(args, "--max-steps") {
-        Some(v) => v.parse().map_err(|_| format!("bad step count `{v}`"))?,
-        None => 10_000_000u64,
-    };
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+fn cmd_run(mut args: Args) -> Result<(), String> {
+    let max_steps = args.value("--max-steps")?.unwrap_or(10_000_000);
+    let path = args.positional().ok_or("usage: maicc run <file.s>")?;
+    args.finish()?;
+    let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let prog = assemble_text(&src).map_err(|e| e.to_string())?;
     let mut node = Node::new(prog, NullPort::default());
     let mut timing = Timing::new(PipelineConfig::default());
@@ -279,26 +259,29 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
+fn cmd_campaign(mut args: Args) -> Result<(), String> {
     use maicc::noc::RetryPolicy;
     use maicc::sim::campaign::{FaultCampaign, Outcome, RecoveryConfig};
     use maicc::sram::ecc::EccMode;
-    let seed = match flag(args, "--seed") {
-        Some(v) => v.parse().map_err(|_| format!("bad seed `{v}`"))?,
-        None => 42u64,
-    };
-    let mut campaign = match flag(args, "--workload").as_deref() {
+    let seed = args.value("--seed")?.unwrap_or(42);
+    let workload = args.value::<String>("--workload")?;
+    let ecc = args.value::<String>("--ecc")?;
+    let retry = args.value::<String>("--retry")?;
+    let json = args.switch("--json")?;
+    let assert_recoverable = args.switch("--assert-no-unrecoverable")?;
+    args.finish()?;
+    let mut campaign = match workload.as_deref() {
         None | Some("small") => FaultCampaign::small_default(seed),
         Some("resnet18") => FaultCampaign::resnet18_default(seed),
         Some(other) => return Err(format!("unknown workload `{other}`")),
     };
-    let ecc = match flag(args, "--ecc").as_deref() {
+    let ecc = match ecc.as_deref() {
         None | Some("correct") => EccMode::Correct,
         Some("detect") => EccMode::DetectOnly,
         Some("off") => EccMode::Off,
         Some(other) => return Err(format!("unknown ECC mode `{other}`")),
     };
-    let noc_retry = match flag(args, "--retry").as_deref() {
+    let noc_retry = match retry.as_deref() {
         None | Some("on") => Some(RetryPolicy::default()),
         Some("off") => None,
         Some(other) => return Err(format!("bad retry setting `{other}`")),
@@ -309,7 +292,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         ..RecoveryConfig::default()
     });
     let report = campaign.run().map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--json") {
+    if json {
         println!("{}", report.to_json());
     } else {
         println!(
@@ -334,50 +317,65 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         }
     }
     let unrecoverable = report.count(Outcome::Unrecoverable);
-    if args.iter().any(|a| a == "--assert-no-unrecoverable") && unrecoverable > 0 {
+    if assert_recoverable && unrecoverable > 0 {
         return Err(format!("{unrecoverable} run(s) ended unrecoverable"));
     }
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(mut args: Args) -> Result<(), String> {
     use maicc::serve::cache::WeightCacheConfig;
+    use maicc::serve::cluster::{ClusterConfig, ClusterFaultPlan};
     use maicc::serve::overload::RetryBudget;
     use maicc::serve::registry::{overload_mix, three_model_mix};
     use maicc::serve::server::{serve, FaultConfig, Policy, ServeConfig};
     use maicc::serve::trace::Trace;
-    use maicc::sim::stream::{Engine, RecoveryPolicy};
+    use maicc::sim::stream::RecoveryPolicy;
 
-    let overload = args.iter().any(|a| a == "--overload");
-    let policy = match flag(args, "--policy") {
+    let overload = args.switch("--overload")?;
+    let quick = args.switch("--quick")?;
+    let json = args.switch("--json")?;
+    let bursty = args.switch("--bursty")?;
+    let cold_cache = args.switch("--cold-cache")?;
+    let cached = args.switch("--weight-cache")? || cold_cache;
+    let policy = match args.value::<String>("--policy")? {
         None if overload => Policy::Sjf,
         None => Policy::Fcfs,
         Some(p) => Policy::from_label(&p).ok_or(format!("unknown policy `{p}`"))?,
     };
-    let seed = match flag(args, "--seed") {
-        Some(v) => v.parse().map_err(|_| format!("bad seed `{v}`"))?,
-        None => 42u64,
+    let seed = args.value("--seed")?.unwrap_or(42);
+    let horizon = args
+        .value("--horizon")?
+        .unwrap_or(if quick { 300_000 } else { 1_500_000 });
+    let (engine, threads) = engine_flags(&mut args)?;
+    let pool_tiles = args.value("--pool")?.unwrap_or(if overload { 10 } else { 16 });
+    let zipf = args.value::<f64>("--zipf")?;
+    let trace_path = args.value::<String>("--trace")?;
+    let llc_bytes = if cached {
+        args.value("--cache-llc-bytes")?
+    } else {
+        None
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    let horizon = match flag(args, "--horizon") {
-        Some(v) => v.parse().map_err(|_| format!("bad horizon `{v}`"))?,
-        None if quick => 300_000u64,
-        None => 1_500_000u64,
+    // the cluster flags count only with `--fabrics`
+    let cluster = match args.value("--fabrics")? {
+        Some(fabrics) => {
+            let specs = args.values("--fabric-fault")?;
+            let mut ccfg = ClusterConfig {
+                fabrics,
+                replicas: args.value("--replicas")?.unwrap_or(1),
+                faults: ClusterFaultPlan {
+                    events: specs.iter().map(|s| parse_fabric_fault(s)).collect::<Result<_, _>>()?,
+                },
+                ..ClusterConfig::default()
+            };
+            if let Some(h) = args.value("--heartbeat")? {
+                ccfg.heartbeat_interval = h;
+            }
+            Some(ccfg)
+        }
+        None => None,
     };
-    let engine = match flag(args, "--engine").as_deref() {
-        None | Some("event") => Engine::EventDriven,
-        Some("cycle") => Engine::CycleAccurate,
-        Some(other) => return Err(format!("unknown engine `{other}` (event|cycle)")),
-    };
-    let threads = match flag(args, "--threads") {
-        Some(v) => v.parse().map_err(|_| format!("bad thread count `{v}`"))?,
-        None => 1usize,
-    };
-    let pool_tiles = match flag(args, "--pool") {
-        Some(v) => v.parse().map_err(|_| format!("bad pool size `{v}`"))?,
-        None if overload => 10usize,
-        None => 16usize,
-    };
+    args.finish()?;
 
     // `--overload` swaps in the 2×-rate mix with priority tiers and the
     // full hardening kit; otherwise the plain three-model mix.
@@ -388,48 +386,32 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let (r, l) = three_model_mix();
         (r, l, None)
     };
-    let zipf = match (
-        args.iter().any(|a| a == "--zipf"),
-        flag(args, "--zipf"),
-    ) {
-        (false, _) => None,
-        (true, Some(v)) => {
-            Some(v.parse::<f64>().map_err(|_| format!("bad zipf exponent `{v}`"))?)
-        }
-        (true, None) => return Err("--zipf takes an exponent (e.g. --zipf 2.0)".into()),
-    };
-    let trace = match flag(args, "--trace") {
-        Some(path) => {
+    let trace = match (trace_path, zipf) {
+        (Some(path), _) => {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
             Trace::from_json(&text).map_err(|e| e.to_string())?
         }
-        None if zipf.is_some() => {
+        (None, Some(exponent)) => {
             // Popularity ranks lightest-first (the repeat-heavy shape the
             // weight cache serves): reverse the mix so `small` is rank 0.
             let mut ranked = loads.clone();
             ranked.reverse();
-            Trace::zipf(&ranked, horizon, 14_000, zipf.unwrap_or(2.0), seed)
+            Trace::zipf(&ranked, horizon, 14_000, exponent, seed)
         }
-        None if overload || args.iter().any(|a| a == "--bursty") => {
-            Trace::bursty(&loads, horizon, 200_000, seed)
-        }
-        None => Trace::poisson(&loads, horizon, seed),
+        (None, None) if overload || bursty => Trace::bursty(&loads, horizon, 200_000, seed),
+        (None, None) => Trace::poisson(&loads, horizon, seed),
     };
 
-    let cold_cache = args.iter().any(|a| a == "--cold-cache");
-    let weight_cache = if args.iter().any(|a| a == "--weight-cache") || cold_cache {
+    let weight_cache = cached.then(|| {
         let mut wc = WeightCacheConfig {
             enabled: !cold_cache,
             ..WeightCacheConfig::default()
         };
-        if let Some(v) = flag(args, "--cache-llc-bytes") {
-            wc.llc_capacity_bytes =
-                v.parse().map_err(|_| format!("bad LLC capacity `{v}`"))?;
+        if let Some(bytes) = llc_bytes {
+            wc.llc_capacity_bytes = bytes;
         }
-        Some(wc)
-    } else {
-        None
-    };
+        wc
+    });
 
     // Under overload, keep the hardware churning too: hard-fault the
     // first two Hard-tier arrivals (deterministic ids), so remap
@@ -470,23 +452,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         weight_cache,
         ..ServeConfig::default()
     };
-    let cluster_only_flags = ["--replicas", "--heartbeat", "--fabric-fault", "--serve-only"];
-    match flag(args, "--fabrics") {
-        Some(v) => {
-            let fabrics = v.parse().map_err(|_| format!("bad fabric count `{v}`"))?;
-            return cmd_serve_cluster(args, fabrics, cfg, &registry, &trace);
-        }
-        None => {
-            if let Some(f) = cluster_only_flags
-                .iter()
-                .find(|f| args.iter().any(|a| a.as_str() == **f))
-            {
-                return Err(format!("{f} needs --fabrics N (cluster mode)"));
-            }
-        }
+    if let Some(ccfg) = cluster {
+        return cmd_serve_cluster(ClusterConfig { base: cfg, ..ccfg }, &registry, &trace, json);
     }
     let report = serve(&registry, &trace, &cfg).map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--json") {
+    if json {
         println!("{}", report.to_json());
     } else {
         println!(
@@ -554,7 +524,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `maicc soak`: a long diurnal cluster run with continuous seeded
 /// fault churn, streaming the `maicc-obs` interval telemetry (JSONL) to
 /// stdout or `--out FILE` while the human summary goes to stderr.
-fn cmd_soak(args: &[String]) -> Result<(), String> {
+fn cmd_soak(mut args: Args) -> Result<(), String> {
     use maicc::serve::cache::WeightCacheConfig;
     use maicc::serve::cluster::{
         serve_cluster_with_obs, ClusterConfig, ClusterFaultPlan,
@@ -564,32 +534,22 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
     use maicc::serve::registry::three_model_mix;
     use maicc::serve::server::{Policy, ServeConfig};
     use maicc::serve::trace::Trace;
-    use maicc::sim::stream::Engine;
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let num = |name: &str, default: u64| -> Result<u64, String> {
-        match flag(args, name) {
-            Some(v) => v.parse().map_err(|_| format!("bad {name} `{v}`")),
-            None => Ok(default),
-        }
-    };
-    let seed = num("--seed", 42)?;
-    let horizon = num("--horizon", if quick { 600_000 } else { 2_000_000 })?;
-    let interval = num("--interval", 50_000)?;
-    let fabrics = num("--fabrics", 4)? as usize;
-    let replicas = num("--replicas", 2.min(fabrics as u64))? as usize;
-    let heartbeat = num("--heartbeat", 20_000)?;
-    let pool_tiles = num("--pool", 16)? as usize;
-    let churn_period = num("--churn-period", 150_000)?;
-    let engine = match flag(args, "--engine").as_deref() {
-        None | Some("event") => Engine::EventDriven,
-        Some("cycle") => Engine::CycleAccurate,
-        Some(other) => return Err(format!("unknown engine `{other}` (event|cycle)")),
-    };
-    let threads = match flag(args, "--threads") {
-        Some(v) => v.parse().map_err(|_| format!("bad thread count `{v}`"))?,
-        None => 1usize,
-    };
+    let quick = args.switch("--quick")?;
+    let no_churn = args.switch("--no-churn")?;
+    let seed = args.value("--seed")?.unwrap_or(42);
+    let horizon = args
+        .value("--horizon")?
+        .unwrap_or(if quick { 600_000 } else { 2_000_000 });
+    let interval = args.value("--interval")?.unwrap_or(50_000u64);
+    let fabrics = args.value("--fabrics")?.unwrap_or(4);
+    let replicas = args.value("--replicas")?.unwrap_or(2.min(fabrics));
+    let heartbeat = args.value("--heartbeat")?.unwrap_or(20_000);
+    let pool_tiles = args.value("--pool")?.unwrap_or(16);
+    let churn_period = args.value("--churn-period")?.unwrap_or(150_000);
+    let out = args.value::<String>("--out")?;
+    let (engine, threads) = engine_flags(&mut args)?;
+    args.finish()?;
 
     // The repeat-heavy diurnal mix: popularity ranks lightest-first so
     // the weight cache has a head model to keep warm, exactly as the
@@ -599,7 +559,7 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
     ranked.reverse();
     let trace = Trace::diurnal(&ranked, horizon, 12_000, 1.1, 200_000, seed);
 
-    let faults = if args.iter().any(|a| a == "--no-churn") {
+    let faults = if no_churn {
         ClusterFaultPlan::default()
     } else {
         ClusterFaultPlan::churn(fabrics, horizon, churn_period, seed)
@@ -629,7 +589,7 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
     let (report, jsonl) =
         serve_cluster_with_obs(&registry, &trace, &cfg, interval)
             .map_err(|e| e.to_string())?;
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
             std::fs::write(&path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
         }
@@ -719,49 +679,17 @@ fn parse_fabric_fault(spec: &str) -> Result<maicc::serve::cluster::FabricFault, 
     })
 }
 
+/// `maicc serve --fabrics N`: the trace through the multi-fabric
+/// cluster front-end.
 fn cmd_serve_cluster(
-    args: &[String],
-    fabrics: usize,
-    base: maicc::serve::server::ServeConfig,
+    ccfg: maicc::serve::cluster::ClusterConfig,
     registry: &maicc::serve::registry::ModelRegistry,
     trace: &maicc::serve::trace::Trace,
+    json: bool,
 ) -> Result<(), String> {
-    use maicc::serve::cluster::{serve_cluster, ClusterConfig, ClusterFaultPlan};
-
-    let replicas = match flag(args, "--replicas") {
-        Some(v) => v.parse().map_err(|_| format!("bad replica factor `{v}`"))?,
-        None => 1usize,
-    };
-    let mut ccfg = ClusterConfig {
-        fabrics,
-        replicas,
-        base,
-        ..ClusterConfig::default()
-    };
-    if let Some(v) = flag(args, "--heartbeat") {
-        ccfg.heartbeat_interval = v
-            .parse()
-            .map_err(|_| format!("bad heartbeat interval `{v}`"))?;
-    }
-    let mut events = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--fabric-fault" {
-            let spec = args
-                .get(i + 1)
-                .ok_or("--fabric-fault takes a SPEC argument")?;
-            events.push(parse_fabric_fault(spec)?);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    ccfg.faults = ClusterFaultPlan { events };
-
-    let report = serve_cluster(registry, trace, &ccfg).map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--serve-only") {
-        println!("{}", report.serve.to_json());
-    } else if args.iter().any(|a| a == "--json") {
+    let report = maicc::serve::cluster::serve_cluster(registry, trace, &ccfg)
+        .map_err(|e| e.to_string())?;
+    if json {
         println!("{}", report.to_json());
     } else {
         println!(
@@ -805,8 +733,9 @@ fn cmd_serve_cluster(
     Ok(())
 }
 
-fn cmd_stream() -> Result<(), String> {
+fn cmd_stream(args: Args) -> Result<(), String> {
     use maicc::sim::stream::{StreamConfig, StreamSim};
+    args.finish()?;
     let cfg = StreamConfig::two_layer_test();
     let mut sim = StreamSim::new(&cfg).map_err(|e| e.to_string())?;
     let r = sim.run(50_000_000).map_err(|e| e.to_string())?;

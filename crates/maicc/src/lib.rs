@@ -18,6 +18,9 @@
 //! | [`sim`] | `maicc-sim` | full-system streaming simulation and multi-DNN scenarios |
 //! | [`serve`] | `maicc-serve` | online multi-tenant serving: traces, fabric schedulers, SLO accounting |
 //!
+//! [`cli`] is the strict command-line reader the workspace's binaries
+//! share.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -36,6 +39,8 @@
 //! See the `examples/` directory for end-to-end scenarios: the Table-4
 //! node comparison, ResNet-18 mapping (Table 6), a live streaming
 //! convolution through the mesh, and multi-DNN parallel inference.
+
+pub mod cli;
 
 pub use maicc_core as core;
 pub use maicc_exec as exec;

@@ -148,3 +148,39 @@ fn soak_quick_equals_the_clean_stream() {
         repo_file("crates/serve/tests/fixtures/soak_clean.jsonl")
     );
 }
+
+/// Asserts that `args` exits 1 before printing anything, with an error
+/// that names `arg`.
+fn assert_refused(args: &[&str], arg: &str) {
+    let (code, stdout, stderr) = run(Path::new(env!("CARGO_TARGET_TMPDIR")), args);
+    assert_eq!((code, stdout.as_str()), (1, ""), "{args:?}: {stderr}");
+    assert!(stderr.contains(arg), "{args:?}: {stderr}");
+}
+
+#[test]
+fn a_misspelt_flag_is_refused() {
+    assert_refused(&["serve", "--quick", "--json", "--polcy", "sjf"], "`--polcy`");
+    assert_refused(&["campaign", "--workload", "small", "--jsn"], "`--jsn`");
+}
+
+#[test]
+fn a_flag_without_its_value_is_refused() {
+    assert_refused(&["serve", "--quick", "--json", "--trace"], "--trace needs a value");
+    assert_refused(&["serve", "--quick", "--json", "--seed"], "--seed needs a value");
+}
+
+#[test]
+fn a_flag_given_twice_is_refused() {
+    assert_refused(
+        &["serve", "--quick", "--json", "--seed", "42", "--seed", "7"],
+        "--seed given twice",
+    );
+}
+
+#[test]
+fn run_takes_its_flag_before_the_program() {
+    let dir = work_dir("flag_first");
+    let flag_last = run(&dir, &["run", "prog.s", "--max-steps", "50"]);
+    assert_eq!(flag_last.0, 0, "{}", flag_last.2);
+    assert_eq!(run(&dir, &["run", "--max-steps", "50", "prog.s"]), flag_last);
+}
