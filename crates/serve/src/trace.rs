@@ -2,8 +2,8 @@
 //!
 //! A [`Trace`] is the serving layer's input: a time-sorted list of
 //! [`Request`]s, each naming a tenant, a registered model, an arrival
-//! cycle, and an optional absolute deadline. Traces come from three
-//! places:
+//! cycle, and an optional absolute deadline. Traces come from five
+//! seeded generators, which share one arrival loop, and from a file:
 //!
 //! * [`Trace::poisson`] — per-tenant Poisson processes (exponential
 //!   inter-arrival gaps) merged into one stream;
@@ -71,6 +71,101 @@ pub struct Trace {
 /// offered load matches the Poisson generator's.
 const BURST_DUTY: f64 = 0.25;
 
+/// RNG salt of the merged Zipf streams ([`Trace::zipf`],
+/// [`Trace::zipf_bursty`]).
+const ZIPF_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// A generator's arrival rate at one cycle.
+enum Rate {
+    /// Arrivals come with this mean gap, cycles.
+    Gap(f64),
+    /// No arrivals until this cycle.
+    PausedUntil(u64),
+}
+
+/// The arrival loop of every generator. From cycle 0 it draws an
+/// exponential gap with the mean `rate` gives at the current cycle,
+/// rounded and at least one cycle, and pushes a request for the load
+/// `pick` then chooses, until the horizon. Where `rate` pauses it jumps
+/// to the pause's end without a draw; a gap that lands inside a pause is
+/// dropped, and the stream resumes after that pause.
+fn arrivals<'a>(
+    requests: &mut Vec<Request>,
+    rng: &mut Rng,
+    horizon: u64,
+    rate: impl Fn(u64) -> Rate,
+    mut pick: impl FnMut(&mut Rng) -> &'a TenantLoad,
+) {
+    let mut t = 0u64;
+    while t < horizon {
+        match rate(t) {
+            Rate::PausedUntil(end) => t = end,
+            Rate::Gap(mean) => {
+                t = t.saturating_add(rng.next_exp(mean).round().max(1.0) as u64);
+                if t < horizon && matches!(rate(t), Rate::Gap(_)) {
+                    let load = pick(rng);
+                    requests.push(Request {
+                        id: 0,
+                        tenant: load.tenant.clone(),
+                        model: load.model.clone(),
+                        arrival: t,
+                        deadline: load.deadline.map(|d| t + d),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The on/off rate of the bursty generators: the first quarter of every
+/// `burst_period` cycles (at least 4) carries the whole load at a gap of
+/// `mean_gap × BURST_DUTY`, and the rest pauses until the next period.
+fn bursts(mean_gap: u64, burst_period: u64) -> impl Fn(u64) -> Rate {
+    let period = burst_period.max(4);
+    let on = ((period as f64 * BURST_DUTY) as u64).max(1);
+    let gap = mean_gap as f64 * BURST_DUTY;
+    move |t| {
+        if t % period < on {
+            Rate::Gap(gap)
+        } else {
+            // saturating: a huge period must clamp at the horizon, not
+            // overflow the window arithmetic
+            Rate::PausedUntil((t / period).saturating_add(1).saturating_mul(period))
+        }
+    }
+}
+
+/// One merged stream over `loads` at `rate`, each request picking its
+/// load by Zipf rank after its gap: the `i`-th entry has weight
+/// `1 / (i + 1)^exponent`. Empty `loads` or `mean_gap == 0` offers no
+/// load.
+fn zipf_stream(
+    loads: &[TenantLoad],
+    horizon: u64,
+    mean_gap: u64,
+    exponent: f64,
+    mut rng: Rng,
+    rate: impl Fn(u64) -> Rate,
+) -> Trace {
+    let mut requests = Vec::new();
+    if !loads.is_empty() && mean_gap > 0 {
+        let weights: Vec<f64> = (0..loads.len())
+            .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        arrivals(&mut requests, &mut rng, horizon, rate, |rng| {
+            let mut pick = rng.next_f64() * total;
+            let mut idx = 0usize;
+            while idx + 1 < loads.len() && pick >= weights[idx] {
+                pick -= weights[idx];
+                idx += 1;
+            }
+            &loads[idx]
+        });
+    }
+    Trace::from_requests(requests)
+}
+
 impl Trace {
     /// Builds a trace from raw requests: sorts by `(arrival, tenant,
     /// model)` and reassigns dense ids, so equal inputs give identical
@@ -95,26 +190,10 @@ impl Trace {
     #[must_use]
     pub fn poisson(loads: &[TenantLoad], horizon: u64, seed: u64) -> Self {
         let mut requests = Vec::new();
-        for (ti, load) in loads.iter().enumerate() {
-            if load.mean_gap == 0 {
-                continue;
-            }
+        for (ti, load) in loads.iter().enumerate().filter(|(_, l)| l.mean_gap > 0) {
             let mut rng = Rng::new(seed.wrapping_add((ti as u64).wrapping_mul(0x9E37)));
-            let mut t = 0u64;
-            loop {
-                let gap = rng.next_exp(load.mean_gap as f64).round().max(1.0);
-                t = t.saturating_add(gap as u64);
-                if t >= horizon {
-                    break;
-                }
-                requests.push(Request {
-                    id: 0,
-                    tenant: load.tenant.clone(),
-                    model: load.model.clone(),
-                    arrival: t,
-                    deadline: load.deadline.map(|d| t + d),
-                });
-            }
+            let gap = load.mean_gap as f64;
+            arrivals(&mut requests, &mut rng, horizon, |_| Rate::Gap(gap), |_| load);
         }
         Trace::from_requests(requests)
     }
@@ -131,45 +210,11 @@ impl Trace {
     /// with `mean_gap == 0` offers no load, as in [`Trace::poisson`].
     #[must_use]
     pub fn bursty(loads: &[TenantLoad], horizon: u64, burst_period: u64, seed: u64) -> Self {
-        let burst_period = burst_period.max(4);
-        let on = ((burst_period as f64 * BURST_DUTY) as u64).max(1);
         let mut requests = Vec::new();
-        for (ti, load) in loads.iter().enumerate() {
-            if load.mean_gap == 0 {
-                continue;
-            }
+        for (ti, load) in loads.iter().enumerate().filter(|(_, l)| l.mean_gap > 0) {
             let mut rng = Rng::new(seed.wrapping_add((ti as u64).wrapping_mul(0xB5E7)));
-            // inside a burst the gap shrinks by the duty factor, so the
-            // long-run rate stays the tenant's mean
-            let burst_gap = load.mean_gap as f64 * BURST_DUTY;
-            let mut t = 0u64;
-            loop {
-                let gap = rng.next_exp(burst_gap).round().max(1.0);
-                t = t.saturating_add(gap as u64);
-                if t >= horizon {
-                    break;
-                }
-                // skip the off phase: arrivals only land inside a window
-                if t % burst_period >= on {
-                    // saturating: a huge period must clamp at the
-                    // horizon, not overflow the window arithmetic
-                    t = (t / burst_period)
-                        .saturating_add(1)
-                        .saturating_mul(burst_period);
-                    if t >= horizon {
-                        break;
-                    }
-                    // the gap's remainder restarts inside the next window
-                    continue;
-                }
-                requests.push(Request {
-                    id: 0,
-                    tenant: load.tenant.clone(),
-                    model: load.model.clone(),
-                    arrival: t,
-                    deadline: load.deadline.map(|d| t + d),
-                });
-            }
+            let rate = bursts(load.mean_gap, burst_period);
+            arrivals(&mut requests, &mut rng, horizon, rate, |_| load);
         }
         Trace::from_requests(requests)
     }
@@ -192,38 +237,9 @@ impl Trace {
         exponent: f64,
         seed: u64,
     ) -> Self {
-        if loads.is_empty() || mean_gap == 0 {
-            return Trace::from_requests(Vec::new());
-        }
-        let weights: Vec<f64> = (0..loads.len())
-            .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut rng = Rng::new(seed.wrapping_add(0xC2B2_AE3D_27D4_EB4F));
-        let mut requests = Vec::new();
-        let mut t = 0u64;
-        loop {
-            let gap = rng.next_exp(mean_gap as f64).round().max(1.0);
-            t = t.saturating_add(gap as u64);
-            if t >= horizon {
-                break;
-            }
-            let mut pick = rng.next_f64() * total;
-            let mut idx = 0usize;
-            while idx + 1 < loads.len() && pick >= weights[idx] {
-                pick -= weights[idx];
-                idx += 1;
-            }
-            let load = &loads[idx];
-            requests.push(Request {
-                id: 0,
-                tenant: load.tenant.clone(),
-                model: load.model.clone(),
-                arrival: t,
-                deadline: load.deadline.map(|d| t + d),
-            });
-        }
-        Trace::from_requests(requests)
+        let rng = Rng::new(seed.wrapping_add(ZIPF_SALT));
+        let gap = mean_gap as f64;
+        zipf_stream(loads, horizon, mean_gap, exponent, rng, |_| Rate::Gap(gap))
     }
 
     /// [`Trace::zipf`]'s popularity skew with [`Trace::bursty`]'s on/off
@@ -243,50 +259,9 @@ impl Trace {
         burst_period: u64,
         seed: u64,
     ) -> Self {
-        if loads.is_empty() || mean_gap == 0 {
-            return Trace::from_requests(Vec::new());
-        }
-        let burst_period = burst_period.max(4);
-        let on = ((burst_period as f64 * BURST_DUTY) as u64).max(1);
-        let weights: Vec<f64> = (0..loads.len())
-            .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut rng = Rng::new(seed.wrapping_add(0xC2B2_AE3D_27D4_EB4F));
-        let burst_gap = mean_gap as f64 * BURST_DUTY;
-        let mut requests = Vec::new();
-        let mut t = 0u64;
-        loop {
-            let gap = rng.next_exp(burst_gap).round().max(1.0);
-            t = t.saturating_add(gap as u64);
-            if t >= horizon {
-                break;
-            }
-            if t % burst_period >= on {
-                t = (t / burst_period)
-                    .saturating_add(1)
-                    .saturating_mul(burst_period);
-                if t >= horizon {
-                    break;
-                }
-                continue;
-            }
-            let mut pick = rng.next_f64() * total;
-            let mut idx = 0usize;
-            while idx + 1 < loads.len() && pick >= weights[idx] {
-                pick -= weights[idx];
-                idx += 1;
-            }
-            let load = &loads[idx];
-            requests.push(Request {
-                id: 0,
-                tenant: load.tenant.clone(),
-                model: load.model.clone(),
-                arrival: t,
-                deadline: load.deadline.map(|d| t + d),
-            });
-        }
-        Trace::from_requests(requests)
+        let rng = Rng::new(seed.wrapping_add(ZIPF_SALT));
+        let rate = bursts(mean_gap, burst_period);
+        zipf_stream(loads, horizon, mean_gap, exponent, rng, rate)
     }
 
     /// Diurnal Zipf traffic for soak runs: one merged arrival stream
@@ -315,60 +290,14 @@ impl Trace {
         seed: u64,
     ) -> Self {
         const PHASES: [u64; 8] = [0, 1, 2, 5, 8, 5, 2, 1];
-        if loads.is_empty() || mean_gap == 0 {
-            return Trace::from_requests(Vec::new());
-        }
         let phase_len = (day / 8).max(1);
         let day = phase_len * 8; // phases tile the absolute cycle grid
-        let weights: Vec<f64> = (0..loads.len())
-            .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut rng = Rng::new(seed.wrapping_add(0xD1AB_4A1D_27D4_EB4F));
-        let mut requests = Vec::new();
-        let mut t = 0u64;
-        loop {
-            let phase = ((t % day) / phase_len) as usize;
-            let m = PHASES[phase];
-            if m == 0 {
-                // zero-rate phase: skip straight to the next boundary
-                t = (t / phase_len)
-                    .saturating_add(1)
-                    .saturating_mul(phase_len);
-                if t >= horizon {
-                    break;
-                }
-                continue;
-            }
-            let gap = rng
-                .next_exp(mean_gap as f64 / m as f64)
-                .round()
-                .max(1.0);
-            t = t.saturating_add(gap as u64);
-            if t >= horizon {
-                break;
-            }
-            // a gap drawn in the evening can land inside the night:
-            // re-check the landing phase and suppress, never emit
-            if PHASES[((t % day) / phase_len) as usize] == 0 {
-                continue;
-            }
-            let mut pick = rng.next_f64() * total;
-            let mut idx = 0usize;
-            while idx + 1 < loads.len() && pick >= weights[idx] {
-                pick -= weights[idx];
-                idx += 1;
-            }
-            let load = &loads[idx];
-            requests.push(Request {
-                id: 0,
-                tenant: load.tenant.clone(),
-                model: load.model.clone(),
-                arrival: t,
-                deadline: load.deadline.map(|d| t + d),
-            });
-        }
-        Trace::from_requests(requests)
+        let rate = |t: u64| match PHASES[((t % day) / phase_len) as usize] {
+            0 => Rate::PausedUntil((t / phase_len).saturating_add(1).saturating_mul(phase_len)),
+            m => Rate::Gap(mean_gap as f64 / m as f64),
+        };
+        let rng = Rng::new(seed.wrapping_add(0xD1AB_4A1D_27D4_EB4F));
+        zipf_stream(loads, horizon, mean_gap, exponent, rng, rate)
     }
 
     /// Renders the trace as a JSON document ([`Trace::from_json`] reads
