@@ -457,16 +457,17 @@ mod tests {
         assert!(r.counters.seconds > 0.0);
     }
 
+    /// §6.2: filter pre-loads take under 10 % of the run, the paper's
+    /// bound, under every strategy.
     #[test]
     fn filter_load_is_small_fraction() {
         let net = resnet18(1000);
-        let r = run_network(&net, [64, 56, 56], Strategy::Heuristic, &cfg()).unwrap();
-        let load: f64 = r.segments.iter().map(|s| s.filter_load).sum();
-        assert!(
-            load / r.total_cycles < 0.25,
-            "filter load share {}",
-            load / r.total_cycles
-        );
+        for strategy in Strategy::ALL {
+            let r = run_network(&net, [64, 56, 56], strategy, &cfg()).unwrap();
+            let load: f64 = r.segments.iter().map(|s| s.filter_load).sum();
+            let share = load / r.total_cycles;
+            assert!(share < 0.10, "{strategy:?}: filter load share {share}");
+        }
     }
 
     #[test]
