@@ -156,7 +156,10 @@ const CASES: &[(&str, &[&str])] = &[
         "bench_diff",
         &["base.json", "slower.json", "--fail-on-regress", "1O"],
     ),
-    ("bench_diff", &["base.json", "slower.json", "--fail-on-regress"]),
+    (
+        "bench_diff",
+        &["base.json", "slower.json", "--fail-on-regress"],
+    ),
     (
         "soak_diff",
         &["clean.jsonl", "churn.jsonl", "--tolerance", "x5"],

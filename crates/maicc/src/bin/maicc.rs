@@ -105,7 +105,9 @@ fn engine_flags(args: &mut Args) -> Result<(Engine, usize), String> {
 }
 
 fn cmd_map(mut args: Args) -> Result<(), String> {
-    let model = args.value("--model")?.unwrap_or_else(|| "resnet18".to_string());
+    let model = args
+        .value("--model")?
+        .unwrap_or_else(|| "resnet18".to_string());
     let strategy = args.value::<String>("--strategy")?;
     let cores = args.value("--cores")?.unwrap_or(210);
     args.finish()?;
@@ -348,7 +350,9 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         .value("--horizon")?
         .unwrap_or(if quick { 300_000 } else { 1_500_000 });
     let (engine, threads) = engine_flags(&mut args)?;
-    let pool_tiles = args.value("--pool")?.unwrap_or(if overload { 10 } else { 16 });
+    let pool_tiles = args
+        .value("--pool")?
+        .unwrap_or(if overload { 10 } else { 16 });
     let zipf = args.value::<f64>("--zipf")?;
     let trace_path = args.value::<String>("--trace")?;
     let llc_bytes = if cached {
@@ -364,7 +368,10 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
                 fabrics,
                 replicas: args.value("--replicas")?.unwrap_or(1),
                 faults: ClusterFaultPlan {
-                    events: specs.iter().map(|s| parse_fabric_fault(s)).collect::<Result<_, _>>()?,
+                    events: specs
+                        .iter()
+                        .map(|s| parse_fabric_fault(s))
+                        .collect::<Result<_, _>>()?,
                 },
                 ..ClusterConfig::default()
             };
@@ -687,8 +694,8 @@ fn cmd_serve_cluster(
     trace: &maicc::serve::trace::Trace,
     json: bool,
 ) -> Result<(), String> {
-    let report = maicc::serve::cluster::serve_cluster(registry, trace, &ccfg)
-        .map_err(|e| e.to_string())?;
+    let report =
+        maicc::serve::cluster::serve_cluster(registry, trace, &ccfg).map_err(|e| e.to_string())?;
     if json {
         println!("{}", report.to_json());
     } else {

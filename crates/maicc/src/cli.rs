@@ -120,8 +120,14 @@ mod tests {
         assert_eq!(err("--seed", seed), "--seed needs a value");
         assert_eq!(err("--seed --json", seed), "--seed needs a value");
         assert_eq!(err("--seed x", seed), "bad --seed value `x`");
-        assert_eq!(err("--seed 1 --polcy sjf", seed), "unexpected argument `--polcy`");
-        assert_eq!(err("--json --json", |a| a.switch("--json").map(drop)), "--json given twice");
+        assert_eq!(
+            err("--seed 1 --polcy sjf", seed),
+            "unexpected argument `--polcy`"
+        );
+        assert_eq!(
+            err("--json --json", |a| a.switch("--json").map(drop)),
+            "--json given twice"
+        );
         let faults = |a: &mut Args| a.values("--fault").map(drop);
         assert_eq!(err("--fault a --fault", faults), "--fault needs a value");
     }
@@ -134,7 +140,11 @@ mod tests {
     /// Reads every known flag and switch, tolerating errors.
     fn read_all(a: &mut Args) -> Vec<Result<Option<String>, String>> {
         let mut seen: Vec<_> = FLAGS.iter().map(|f| a.value(f)).collect();
-        seen.extend(SWITCHES.iter().map(|s| a.switch(s).map(|on| on.then(String::new))));
+        seen.extend(
+            SWITCHES
+                .iter()
+                .map(|s| a.switch(s).map(|on| on.then(String::new))),
+        );
         seen
     }
 

@@ -25,7 +25,9 @@ fn repo_file(path: &str) -> String {
 /// A directory of `test`'s own under the target directory, holding the
 /// inputs the command lines name: `prog.s` and `trace.json`.
 fn work_dir(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli").join(test);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli")
+        .join(test);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
         dir.join("prog.s"),
@@ -48,54 +50,40 @@ fn work_dir(test: &str) -> PathBuf {
 
 /// Every pinned command line: each subcommand, and the values each one
 /// refuses.
-const CASES: &[&[&str]] = &[
-    &["help"],
-    &["map"],
-    &["map", "--model", "tinynet", "--strategy", "greedy", "--cores", "64"],
-    &["node"],
-    &["node", "--width", "16"],
-    &["asm", "prog.s"],
-    &["run", "prog.s", "--max-steps", "1000"],
-    &["stream"],
-    &[
-        "campaign", "--workload", "small", "--seed", "7", "--ecc", "off", "--retry", "off",
-        "--json",
-    ],
-    &["campaign", "--assert-no-unrecoverable"],
-    &["serve", "--quick"],
-    &["serve", "--overload", "--quick"],
-    &["serve", "--quick", "--trace", "trace.json", "--policy", "sjf", "--json"],
-    &[
-        "serve", "--quick", "--policy", "sjf", "--zipf", "2.0", "--weight-cache",
-        "--cache-llc-bytes", "1048576",
-    ],
-    &[
-        "serve", "--quick", "--bursty", "--policy", "sjf", "--weight-cache", "--fabrics", "8",
-        "--replicas", "2", "--heartbeat", "20000", "--pool", "8", "--fabric-fault",
-        "outage:0:120000", "--json",
-    ],
-    &[
-        "serve", "--quick", "--fabrics", "4", "--replicas", "2", "--fabric-fault",
-        "outage:0:120000", "--fabric-fault", "brownout:1:50000:2:100000", "--fabric-fault",
-        "tileloss:2:80000:4",
-    ],
-    &[
-        "soak", "--quick", "--no-churn", "--fabrics", "2", "--horizon", "300000", "--interval",
-        "100000", "--seed", "3",
-    ],
-    &["map", "--cores", "many"],
-    &["node", "--width", "5"],
-    &["serve", "--quick", "--policy", "lifo"],
-    &["serve", "--quick", "--engine", "warp"],
-    &["serve", "--quick", "--fabrics", "2", "--fabric-fault", "melt:0:1"],
-    &["nosuch"],
+const CASES: &[&str] = &[
+    "help",
+    "map",
+    "map --model tinynet --strategy greedy --cores 64",
+    "node",
+    "node --width 16",
+    "asm prog.s",
+    "run prog.s --max-steps 1000",
+    "stream",
+    "campaign --workload small --seed 7 --ecc off --retry off --json",
+    "campaign --assert-no-unrecoverable",
+    "serve --quick",
+    "serve --overload --quick",
+    "serve --quick --trace trace.json --policy sjf --json",
+    "serve --quick --policy sjf --zipf 2.0 --weight-cache --cache-llc-bytes 1048576",
+    "serve --quick --bursty --policy sjf --weight-cache --fabrics 8 --replicas 2 \
+     --heartbeat 20000 --pool 8 --fabric-fault outage:0:120000 --json",
+    "serve --quick --fabrics 4 --replicas 2 --fabric-fault outage:0:120000 \
+     --fabric-fault brownout:1:50000:2:100000 --fabric-fault tileloss:2:80000:4",
+    "soak --quick --no-churn --fabrics 2 --horizon 300000 --interval 100000 --seed 3",
+    "map --cores many",
+    "node --width 5",
+    "serve --quick --policy lifo",
+    "serve --quick --engine warp",
+    "serve --quick --fabrics 2 --fabric-fault melt:0:1",
+    "nosuch",
 ];
 
-/// Runs `maicc` in `dir` and returns its exit code, stdout and stderr.
-fn run(dir: &Path, args: &[&str]) -> (i32, String, String) {
+/// Runs `maicc` with the space-separated `line` in `dir` and returns its
+/// exit code, stdout and stderr.
+fn run(dir: &Path, line: &str) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_maicc"))
         .current_dir(dir)
-        .args(args)
+        .args(line.split_whitespace())
         .output()
         .expect("maicc starts");
     (
@@ -110,9 +98,9 @@ fn run(dir: &Path, args: &[&str]) -> (i32, String, String) {
 fn render(dir: &Path) -> String {
     CASES
         .iter()
-        .map(|args| {
-            let (code, stdout, _) = run(dir, args);
-            format!("### maicc {}\nexit {code}\n{stdout}", args.join(" "))
+        .map(|line| {
+            let (code, stdout, _) = run(dir, line);
+            format!("### maicc {line}\nexit {code}\n{stdout}")
         })
         .collect()
 }
@@ -131,7 +119,7 @@ fn regenerate() {
 
 #[test]
 fn serve_quick_json_equals_the_serving_fixture() {
-    let (code, stdout, stderr) = run(&work_dir("serve_quick"), &["serve", "--quick", "--json"]);
+    let (code, stdout, stderr) = run(&work_dir("serve_quick"), "serve --quick --json");
     assert_eq!(code, 0, "{stderr}");
     assert_eq!(
         stdout,
@@ -141,7 +129,7 @@ fn serve_quick_json_equals_the_serving_fixture() {
 
 #[test]
 fn soak_quick_equals_the_clean_stream() {
-    let (code, stdout, stderr) = run(&work_dir("soak_quick"), &["soak", "--quick"]);
+    let (code, stdout, stderr) = run(&work_dir("soak_quick"), "soak --quick");
     assert_eq!(code, 0, "{stderr}");
     assert_eq!(
         stdout,
@@ -149,30 +137,30 @@ fn soak_quick_equals_the_clean_stream() {
     );
 }
 
-/// Asserts that `args` exits 1 before printing anything, with an error
+/// Asserts that `line` exits 1 before printing anything, with an error
 /// that names `arg`.
-fn assert_refused(args: &[&str], arg: &str) {
-    let (code, stdout, stderr) = run(Path::new(env!("CARGO_TARGET_TMPDIR")), args);
-    assert_eq!((code, stdout.as_str()), (1, ""), "{args:?}: {stderr}");
-    assert!(stderr.contains(arg), "{args:?}: {stderr}");
+fn assert_refused(line: &str, arg: &str) {
+    let (code, stdout, stderr) = run(Path::new(env!("CARGO_TARGET_TMPDIR")), line);
+    assert_eq!((code, stdout.as_str()), (1, ""), "{line}: {stderr}");
+    assert!(stderr.contains(arg), "{line}: {stderr}");
 }
 
 #[test]
 fn a_misspelt_flag_is_refused() {
-    assert_refused(&["serve", "--quick", "--json", "--polcy", "sjf"], "`--polcy`");
-    assert_refused(&["campaign", "--workload", "small", "--jsn"], "`--jsn`");
+    assert_refused("serve --quick --json --polcy sjf", "`--polcy`");
+    assert_refused("campaign --workload small --jsn", "`--jsn`");
 }
 
 #[test]
 fn a_flag_without_its_value_is_refused() {
-    assert_refused(&["serve", "--quick", "--json", "--trace"], "--trace needs a value");
-    assert_refused(&["serve", "--quick", "--json", "--seed"], "--seed needs a value");
+    assert_refused("serve --quick --json --trace", "--trace needs a value");
+    assert_refused("serve --quick --json --seed", "--seed needs a value");
 }
 
 #[test]
 fn a_flag_given_twice_is_refused() {
     assert_refused(
-        &["serve", "--quick", "--json", "--seed", "42", "--seed", "7"],
+        "serve --quick --json --seed 42 --seed 7",
         "--seed given twice",
     );
 }
@@ -180,7 +168,7 @@ fn a_flag_given_twice_is_refused() {
 #[test]
 fn run_takes_its_flag_before_the_program() {
     let dir = work_dir("flag_first");
-    let flag_last = run(&dir, &["run", "prog.s", "--max-steps", "50"]);
+    let flag_last = run(&dir, "run prog.s --max-steps 50");
     assert_eq!(flag_last.0, 0, "{}", flag_last.2);
-    assert_eq!(run(&dir, &["run", "--max-steps", "50", "prog.s"]), flag_last);
+    assert_eq!(run(&dir, "run --max-steps 50 prog.s"), flag_last);
 }

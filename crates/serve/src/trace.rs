@@ -193,7 +193,8 @@ impl Trace {
         for (ti, load) in loads.iter().enumerate().filter(|(_, l)| l.mean_gap > 0) {
             let mut rng = Rng::new(seed.wrapping_add((ti as u64).wrapping_mul(0x9E37)));
             let gap = load.mean_gap as f64;
-            arrivals(&mut requests, &mut rng, horizon, |_| Rate::Gap(gap), |_| load);
+            let rate = |_| Rate::Gap(gap);
+            arrivals(&mut requests, &mut rng, horizon, rate, |_| load);
         }
         Trace::from_requests(requests)
     }

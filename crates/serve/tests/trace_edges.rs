@@ -139,7 +139,12 @@ fn generators_match_the_pinned_digest() {
         traces += 1;
     };
     for loads in &load_sets {
-        let min_gap = loads.iter().map(|l| l.mean_gap).filter(|&g| g > 0).min().unwrap_or(1);
+        let min_gap = loads
+            .iter()
+            .map(|l| l.mean_gap)
+            .filter(|&g| g > 0)
+            .min()
+            .unwrap_or(1);
         for &seed in &seeds {
             for &horizon in &horizons {
                 if small(horizon, min_gap) {
@@ -152,7 +157,9 @@ fn generators_match_the_pinned_digest() {
                     for &exponent in &exponents {
                         feed(Trace::zipf(loads, horizon, gap, exponent, seed));
                         for &burst in &bursts {
-                            feed(Trace::zipf_bursty(loads, horizon, gap, exponent, burst, seed));
+                            feed(Trace::zipf_bursty(
+                                loads, horizon, gap, exponent, burst, seed,
+                            ));
                         }
                         for &day in &days {
                             feed(Trace::diurnal(loads, horizon, gap, exponent, day, seed));
@@ -162,5 +169,8 @@ fn generators_match_the_pinned_digest() {
             }
         }
     }
-    assert_eq!((traces, format!("{hash:016x}")), (5934, "32090507de19f32d".into()));
+    assert_eq!(
+        (traces, format!("{hash:016x}")),
+        (5934, "32090507de19f32d".into())
+    );
 }
