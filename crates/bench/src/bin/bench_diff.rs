@@ -12,7 +12,7 @@
 //! of the `derived` object by key. Without `--fail-on-regress` it is
 //! *informational about measurements* but still honest about inputs:
 //! exit 0 annotates the log, while a usage error (an argument the tool
-//! does not read, or a `--fail-on-regress` without a number), an
+//! does not read, or a `--fail-on-regress` without a finite number), an
 //! unreadable file, a report that is not JSON, a benchmark entry
 //! without a string `name` and an integer `median_ns`, a non-numeric
 //! derived value, or a report with no benchmark entries exits [`EXIT_MISSING`] (2), naming the file
@@ -217,7 +217,10 @@ fn missing_gated_derived(
 /// The two report paths and the `--fail-on-regress` limit.
 fn read_args() -> Result<(String, String, Option<f64>), String> {
     let mut args: Args = std::env::args().skip(1).collect();
-    let limit = args.value("--fail-on-regress")?;
+    let limit: Option<f64> = args.value("--fail-on-regress")?;
+    if limit.is_some_and(|l| !l.is_finite()) {
+        return Err("--fail-on-regress needs a finite PCT".into());
+    }
     let paths = (args.positional(), args.positional());
     args.finish()?;
     match paths {

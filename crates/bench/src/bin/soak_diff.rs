@@ -43,7 +43,7 @@
 //!
 //! Exit codes mirror `bench_diff`: 0 clean, 1 when any gate drifted,
 //! [`EXIT_MISSING`] (2) on usage errors (an argument the tool does not
-//! read, or a `--tolerance` without a number), unreadable files,
+//! read, or a `--tolerance` without a finite number), unreadable files,
 //! rejected streams, or streams with no window records — "worse" and
 //! "not comparable" are different CI outcomes.
 
@@ -190,7 +190,10 @@ fn drifted(base: f64, cur: f64, rel_pct: f64, floor: f64) -> bool {
 /// The two stream paths and the `--tolerance` percentage.
 fn read_args() -> Result<(String, String, f64), String> {
     let mut args: Args = std::env::args().skip(1).collect();
-    let tolerance = args.value("--tolerance")?.unwrap_or(10.0);
+    let tolerance: f64 = args.value("--tolerance")?.unwrap_or(10.0);
+    if !tolerance.is_finite() {
+        return Err("--tolerance needs a finite PCT".into());
+    }
     let paths = (args.positional(), args.positional());
     args.finish()?;
     match paths {

@@ -164,6 +164,15 @@ const CASES: &[(&str, &[&str])] = &[
         "soak_diff",
         &["clean.jsonl", "churn.jsonl", "--tolerance", "x5"],
     ),
+    // NaN parses as a number but fails every comparison
+    (
+        "bench_diff",
+        &["base.json", "slower.json", "--fail-on-regress", "nan"],
+    ),
+    (
+        "soak_diff",
+        &["clean.jsonl", "churn.jsonl", "--tolerance", "inf"],
+    ),
 ];
 
 /// Runs `tool` in `dir` and returns its exit code, stdout and stderr.
