@@ -23,7 +23,7 @@ fn repo_file(path: &str) -> String {
 }
 
 /// A directory of `test`'s own under the target directory, holding the
-/// inputs the command lines name: `prog.s` and `trace.json`.
+/// inputs the command lines name: `prog.s`, `every_op.s` and `trace.json`.
 fn work_dir(test: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("cli")
@@ -32,6 +32,11 @@ fn work_dir(test: &str) -> PathBuf {
     std::fs::write(
         dir.join("prog.s"),
         repo_file("examples/programs/dot_product.s"),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("every_op.s"),
+        repo_file("crates/maicc/tests/fixtures/every_op.s"),
     )
     .unwrap();
     std::fs::write(
@@ -76,6 +81,7 @@ const CASES: &[&str] = &[
     "serve --quick --engine warp",
     "serve --quick --fabrics 2 --fabric-fault melt:0:1",
     "nosuch",
+    "asm every_op.s",
 ];
 
 /// Runs `maicc` with the space-separated `line` in `dir` and returns its
