@@ -1,9 +1,10 @@
 //! A small two-pass assembler with label resolution.
 //!
 //! Kernels and tests build instruction sequences programmatically; labels
-//! spare them from computing branch displacements by hand. The assembler
-//! checks displacement ranges against the B-type (±4 KiB) and J-type
-//! (±1 MiB) immediate fields.
+//! spare them from computing branch displacements by hand. A target that
+//! reads as a number is a byte offset, as `Instruction`'s `Display` prints
+//! it. The assembler checks every displacement against the B-type
+//! (±4 KiB) and J-type (±1 MiB) immediate fields, which hold even offsets.
 //!
 //! # Example
 //!
@@ -125,19 +126,23 @@ impl Assembler {
     /// # Errors
     ///
     /// Returns [`IsaError::UndefinedLabel`] for a dangling reference or
-    /// [`IsaError::OffsetOutOfRange`] for unreachable displacements.
+    /// [`IsaError::OffsetOutOfRange`] for an unreachable or odd displacement.
     pub fn assemble(&self) -> Result<Vec<Instruction>, IsaError> {
         let resolve = |label: &str, from: usize, bits: u32| -> Result<i32, IsaError> {
-            let target = self
-                .labels
-                .get(label)
-                .ok_or_else(|| IsaError::UndefinedLabel {
-                    label: label.to_string(),
-                })?;
-            let offset = (*target as i64 - from as i64) * 4;
+            let offset = match label.parse::<i64>() {
+                Ok(offset) => offset,
+                Err(_) => {
+                    let target = self.labels.get(label).ok_or_else(|| {
+                        IsaError::UndefinedLabel {
+                            label: label.to_string(),
+                        }
+                    })?;
+                    (*target as i64 - from as i64) * 4
+                }
+            };
             let max = (1i64 << (bits - 1)) - 1;
             let min = -(1i64 << (bits - 1));
-            if offset < min || offset > max {
+            if offset < min || offset > max || offset % 2 != 0 {
                 return Err(IsaError::OffsetOutOfRange { offset, bits });
             }
             Ok(offset as i32)

@@ -1,7 +1,7 @@
 //! Bit-exact 32-bit instruction decoding (inverse of [`crate::encode`]).
 
 use crate::inst::{
-    AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, StoreKind, VecWidth,
+    AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, OpTable, StoreKind, VecWidth,
 };
 use crate::reg::Reg;
 use crate::{IsaError, CUSTOM0};
@@ -73,133 +73,57 @@ pub fn decode(word: u32) -> Result<Instruction, IsaError> {
                 offset: i_imm(word),
             }
         }
-        0x63 => {
-            let kind = match f3 {
-                0 => BranchKind::Beq,
-                1 => BranchKind::Bne,
-                4 => BranchKind::Blt,
-                5 => BranchKind::Bge,
-                6 => BranchKind::Bltu,
-                7 => BranchKind::Bgeu,
-                _ => return Err(illegal()),
-            };
-            Instruction::Branch {
-                kind,
-                rs1: reg(word, 15),
-                rs2: reg(word, 20),
-                offset: b_imm(word),
-            }
-        }
-        0x03 => {
-            let kind = match f3 {
-                0 => LoadKind::Lb,
-                1 => LoadKind::Lh,
-                2 => LoadKind::Lw,
-                4 => LoadKind::Lbu,
-                5 => LoadKind::Lhu,
-                _ => return Err(illegal()),
-            };
-            Instruction::Load {
-                kind,
-                rd: reg(word, 7),
-                rs1: reg(word, 15),
-                offset: i_imm(word),
-            }
-        }
-        0x23 => {
-            let kind = match f3 {
-                0 => StoreKind::Sb,
-                1 => StoreKind::Sh,
-                2 => StoreKind::Sw,
-                _ => return Err(illegal()),
-            };
-            Instruction::Store {
-                kind,
-                rs1: reg(word, 15),
-                rs2: reg(word, 20),
-                offset: s_imm(word),
-            }
-        }
+        0x63 => Instruction::Branch {
+            kind: BranchKind::from_code(f3).ok_or_else(illegal)?,
+            rs1: reg(word, 15),
+            rs2: reg(word, 20),
+            offset: b_imm(word),
+        },
+        0x03 => Instruction::Load {
+            kind: LoadKind::from_code(f3).ok_or_else(illegal)?,
+            rd: reg(word, 7),
+            rs1: reg(word, 15),
+            offset: i_imm(word),
+        },
+        0x23 => Instruction::Store {
+            kind: StoreKind::from_code(f3).ok_or_else(illegal)?,
+            rs1: reg(word, 15),
+            rs2: reg(word, 20),
+            offset: s_imm(word),
+        },
         0x13 => {
-            let (kind, imm) = match f3 {
-                0 => (OpImmKind::Addi, i_imm(word)),
-                2 => (OpImmKind::Slti, i_imm(word)),
-                3 => (OpImmKind::Sltiu, i_imm(word)),
-                4 => (OpImmKind::Xori, i_imm(word)),
-                6 => (OpImmKind::Ori, i_imm(word)),
-                7 => (OpImmKind::Andi, i_imm(word)),
-                1 => {
-                    if f7 != 0 {
-                        return Err(illegal());
-                    }
-                    (OpImmKind::Slli, ((word >> 20) & 0x1F) as i32)
-                }
-                5 => match f7 {
-                    0x00 => (OpImmKind::Srli, ((word >> 20) & 0x1F) as i32),
-                    0x20 => (OpImmKind::Srai, ((word >> 20) & 0x1F) as i32),
-                    _ => return Err(illegal()),
-                },
-                _ => return Err(illegal()),
+            let (code, imm) = if OpImmKind::is_shift(f3) {
+                (f7 << 3 | f3, ((word >> 20) & 0x1F) as i32)
+            } else {
+                (f3, i_imm(word))
             };
             Instruction::OpImm {
-                kind,
+                kind: OpImmKind::from_code(code).ok_or_else(illegal)?,
                 rd: reg(word, 7),
                 rs1: reg(word, 15),
                 imm,
             }
         }
-        0x33 => {
-            let kind = match (f7, f3) {
-                (0x00, 0) => OpKind::Add,
-                (0x20, 0) => OpKind::Sub,
-                (0x00, 1) => OpKind::Sll,
-                (0x00, 2) => OpKind::Slt,
-                (0x00, 3) => OpKind::Sltu,
-                (0x00, 4) => OpKind::Xor,
-                (0x00, 5) => OpKind::Srl,
-                (0x20, 5) => OpKind::Sra,
-                (0x00, 6) => OpKind::Or,
-                (0x00, 7) => OpKind::And,
-                (0x01, 0) => OpKind::Mul,
-                (0x01, 1) => OpKind::Mulh,
-                (0x01, 2) => OpKind::Mulhsu,
-                (0x01, 3) => OpKind::Mulhu,
-                (0x01, 4) => OpKind::Div,
-                (0x01, 5) => OpKind::Divu,
-                (0x01, 6) => OpKind::Rem,
-                (0x01, 7) => OpKind::Remu,
-                _ => return Err(illegal()),
-            };
-            Instruction::Op {
-                kind,
-                rd: reg(word, 7),
-                rs1: reg(word, 15),
-                rs2: reg(word, 20),
-            }
-        }
+        0x33 => Instruction::Op {
+            kind: OpKind::from_code(f7 << 3 | f3).ok_or_else(illegal)?,
+            rd: reg(word, 7),
+            rs1: reg(word, 15),
+            rs2: reg(word, 20),
+        },
         0x2F => {
-            if f3 != 2 {
+            let kind = AmoKind::from_code(f7 >> 2)
+                .filter(|_| f3 == 2)
+                .ok_or_else(illegal)?;
+            let rs2 = reg(word, 20);
+            // `lr.w` has no `rs2` operand; its field must be zero
+            if kind == AmoKind::LrW && rs2 != Reg::Zero {
                 return Err(illegal());
             }
-            let kind = match f7 >> 2 {
-                0b00010 => AmoKind::LrW,
-                0b00011 => AmoKind::ScW,
-                0b00001 => AmoKind::Swap,
-                0b00000 => AmoKind::Add,
-                0b00100 => AmoKind::Xor,
-                0b01100 => AmoKind::And,
-                0b01000 => AmoKind::Or,
-                0b10000 => AmoKind::Min,
-                0b10100 => AmoKind::Max,
-                0b11000 => AmoKind::Minu,
-                0b11100 => AmoKind::Maxu,
-                _ => return Err(illegal()),
-            };
             Instruction::Amo {
                 kind,
                 rd: reg(word, 7),
                 rs1: reg(word, 15),
-                rs2: reg(word, 20),
+                rs2,
             }
         }
         0x0F => Instruction::Fence,
@@ -298,8 +222,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lr_w_with_a_nonzero_rs2_is_illegal() {
+        let lr = Instruction::Amo {
+            kind: AmoKind::LrW,
+            rd: Reg::A0,
+            rs1: Reg::A1,
+            rs2: Reg::Zero,
+        };
+        let word = encode(&lr);
+        assert_eq!(decode(word), Ok(lr));
+        assert!(decode(word | (Reg::A2.index() as u32) << 20).is_err());
+    }
+
     fn arb_reg() -> impl Strategy<Value = Reg> {
         (0u32..32).prop_map(|i| Reg::from_index(i).unwrap())
+    }
+
+    /// An operation drawn from the kind's table.
+    fn arb_kind<K: OpTable>() -> impl Strategy<Value = K> {
+        (0..K::ROWS.len()).prop_map(|k| K::ROWS[k].0)
     }
 
     fn arb_instruction() -> impl Strategy<Value = Instruction> {
@@ -308,42 +250,59 @@ mod tests {
                 rd,
                 imm: v & 0xFFFF_F000u32 as i32
             }),
+            (arb_reg(), any::<i32>()).prop_map(|(rd, v)| Instruction::Auipc {
+                rd,
+                imm: v & 0xFFFF_F000u32 as i32
+            }),
+            (arb_reg(), -(1i32 << 19)..1 << 19)
+                .prop_map(|(rd, half)| Instruction::Jal { rd, offset: half * 2 }),
             (arb_reg(), arb_reg(), -2048i32..2048)
-                .prop_map(|(rd, rs1, imm)| Instruction::addi(rd, rs1, imm)),
-            (arb_reg(), arb_reg(), arb_reg(), 0usize..18).prop_map(|(rd, rs1, rs2, k)| {
-                let kinds = [
-                    OpKind::Add,
-                    OpKind::Sub,
-                    OpKind::Sll,
-                    OpKind::Slt,
-                    OpKind::Sltu,
-                    OpKind::Xor,
-                    OpKind::Srl,
-                    OpKind::Sra,
-                    OpKind::Or,
-                    OpKind::And,
-                    OpKind::Mul,
-                    OpKind::Mulh,
-                    OpKind::Mulhsu,
-                    OpKind::Mulhu,
-                    OpKind::Div,
-                    OpKind::Divu,
-                    OpKind::Rem,
-                    OpKind::Remu,
-                ];
-                Instruction::Op {
-                    kind: kinds[k],
-                    rd,
+                .prop_map(|(rd, rs1, offset)| Instruction::Jalr { rd, rs1, offset }),
+            (arb_kind(), arb_reg(), arb_reg(), -2048i32..2048).prop_map(
+                |(kind, rs1, rs2, half)| Instruction::Branch {
+                    kind,
                     rs1,
                     rs2,
+                    offset: half * 2
                 }
-            }),
-            (arb_reg(), arb_reg(), -2048i32..2048).prop_map(|(rd, rs1, off)| {
-                Instruction::lw(rd, rs1, off)
-            }),
-            (arb_reg(), arb_reg(), -2048i32..2048).prop_map(|(rs2, rs1, off)| {
-                Instruction::sw(rs2, rs1, off)
-            }),
+            ),
+            (arb_kind(), arb_reg(), arb_reg(), -2048i32..2048).prop_map(
+                |(kind, rd, rs1, offset)| Instruction::Load {
+                    kind,
+                    rd,
+                    rs1,
+                    offset
+                }
+            ),
+            (arb_kind(), arb_reg(), arb_reg(), -2048i32..2048).prop_map(
+                |(kind, rs1, rs2, offset)| Instruction::Store {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset
+                }
+            ),
+            (arb_kind(), arb_reg(), arb_reg(), -2048i32..2048).prop_map(
+                |(kind, rd, rs1, imm): (OpImmKind, _, _, i32)| Instruction::OpImm {
+                    kind,
+                    rd,
+                    rs1,
+                    imm: if OpImmKind::is_shift(kind.code()) { imm & 0x1F } else { imm },
+                }
+            ),
+            (arb_kind(), arb_reg(), arb_reg(), arb_reg())
+                .prop_map(|(kind, rd, rs1, rs2)| Instruction::Op { kind, rd, rs1, rs2 }),
+            (arb_kind(), arb_reg(), arb_reg(), arb_reg()).prop_map(
+                |(kind, rd, rs1, rs2)| Instruction::Amo {
+                    kind,
+                    rd,
+                    rs1,
+                    rs2: if kind == AmoKind::LrW { Reg::Zero } else { rs2 },
+                }
+            ),
+            Just(Instruction::Fence),
+            Just(Instruction::Ecall),
+            Just(Instruction::Ebreak),
             (arb_reg(), 0u8..8, 0u8..64, 0u8..64, 0u32..4).prop_map(
                 |(rd, slice, row_a, row_b, w)| Instruction::MacC {
                     rd,

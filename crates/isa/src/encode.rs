@@ -14,7 +14,7 @@
 //! | 101 | `StoreRow.RC` — slice\[9:7\], rs1\[19:15\], row\[25:20\] |
 //! | 110 | `SetMask.C` — slice\[9:7\], rs1\[19:15\] |
 
-use crate::inst::{AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, StoreKind};
+use crate::inst::{Instruction, OpImmKind, OpTable};
 use crate::reg::Reg;
 use crate::CUSTOM0;
 
@@ -62,8 +62,10 @@ fn jtype(op: u32, rd: Reg, imm: i32) -> u32 {
 /// Encodes an instruction to its 32-bit word.
 ///
 /// Field overflow (e.g. a branch offset beyond ±4 KiB) silently truncates,
-/// matching what an assembler emitting raw fields would produce; the
-/// [`crate::asm::Assembler`] checks ranges before calling this.
+/// matching what an assembler emitting raw fields would produce. The
+/// [`crate::asm::Assembler`] range-checks branch and jump displacements,
+/// and the text parser refuses an instruction whose word does not decode
+/// back to it.
 #[must_use]
 pub fn encode(inst: &Instruction) -> u32 {
     match *inst {
@@ -76,95 +78,32 @@ pub fn encode(inst: &Instruction) -> u32 {
             rs1,
             rs2,
             offset,
-        } => {
-            let f3 = match kind {
-                BranchKind::Beq => 0,
-                BranchKind::Bne => 1,
-                BranchKind::Blt => 4,
-                BranchKind::Bge => 5,
-                BranchKind::Bltu => 6,
-                BranchKind::Bgeu => 7,
-            };
-            btype(0x63, f3, rs1, rs2, offset)
-        }
+        } => btype(0x63, kind.code(), rs1, rs2, offset),
         Instruction::Load {
             kind,
             rd,
             rs1,
             offset,
-        } => {
-            let f3 = match kind {
-                LoadKind::Lb => 0,
-                LoadKind::Lh => 1,
-                LoadKind::Lw => 2,
-                LoadKind::Lbu => 4,
-                LoadKind::Lhu => 5,
-            };
-            itype(0x03, rd, f3, rs1, offset)
-        }
+        } => itype(0x03, rd, kind.code(), rs1, offset),
         Instruction::Store {
             kind,
             rs1,
             rs2,
             offset,
-        } => {
-            let f3 = match kind {
-                StoreKind::Sb => 0,
-                StoreKind::Sh => 1,
-                StoreKind::Sw => 2,
+        } => stype(0x23, kind.code(), rs1, rs2, offset),
+        Instruction::OpImm { kind, rd, rs1, imm } => {
+            let code = kind.code();
+            let imm = if OpImmKind::is_shift(code) {
+                ((code >> 3) << 5) as i32 | (imm & 0x1F)
+            } else {
+                imm
             };
-            stype(0x23, f3, rs1, rs2, offset)
+            itype(0x13, rd, code & 7, rs1, imm)
         }
-        Instruction::OpImm { kind, rd, rs1, imm } => match kind {
-            OpImmKind::Addi => itype(0x13, rd, 0, rs1, imm),
-            OpImmKind::Slti => itype(0x13, rd, 2, rs1, imm),
-            OpImmKind::Sltiu => itype(0x13, rd, 3, rs1, imm),
-            OpImmKind::Xori => itype(0x13, rd, 4, rs1, imm),
-            OpImmKind::Ori => itype(0x13, rd, 6, rs1, imm),
-            OpImmKind::Andi => itype(0x13, rd, 7, rs1, imm),
-            OpImmKind::Slli => itype(0x13, rd, 1, rs1, imm & 0x1F),
-            OpImmKind::Srli => itype(0x13, rd, 5, rs1, imm & 0x1F),
-            OpImmKind::Srai => itype(0x13, rd, 5, rs1, (imm & 0x1F) | 0x400),
-        },
         Instruction::Op { kind, rd, rs1, rs2 } => {
-            let (f3, f7) = match kind {
-                OpKind::Add => (0, 0x00),
-                OpKind::Sub => (0, 0x20),
-                OpKind::Sll => (1, 0x00),
-                OpKind::Slt => (2, 0x00),
-                OpKind::Sltu => (3, 0x00),
-                OpKind::Xor => (4, 0x00),
-                OpKind::Srl => (5, 0x00),
-                OpKind::Sra => (5, 0x20),
-                OpKind::Or => (6, 0x00),
-                OpKind::And => (7, 0x00),
-                OpKind::Mul => (0, 0x01),
-                OpKind::Mulh => (1, 0x01),
-                OpKind::Mulhsu => (2, 0x01),
-                OpKind::Mulhu => (3, 0x01),
-                OpKind::Div => (4, 0x01),
-                OpKind::Divu => (5, 0x01),
-                OpKind::Rem => (6, 0x01),
-                OpKind::Remu => (7, 0x01),
-            };
-            rtype(0x33, rd, f3, rs1, rs2, f7)
+            rtype(0x33, rd, kind.code() & 7, rs1, rs2, kind.code() >> 3)
         }
-        Instruction::Amo { kind, rd, rs1, rs2 } => {
-            let f5 = match kind {
-                AmoKind::LrW => 0b00010,
-                AmoKind::ScW => 0b00011,
-                AmoKind::Swap => 0b00001,
-                AmoKind::Add => 0b00000,
-                AmoKind::Xor => 0b00100,
-                AmoKind::And => 0b01100,
-                AmoKind::Or => 0b01000,
-                AmoKind::Min => 0b10000,
-                AmoKind::Max => 0b10100,
-                AmoKind::Minu => 0b11000,
-                AmoKind::Maxu => 0b11100,
-            };
-            rtype(0x2F, rd, 2, rs1, rs2, f5 << 2)
-        }
+        Instruction::Amo { kind, rd, rs1, rs2 } => rtype(0x2F, rd, 2, rs1, rs2, kind.code() << 2),
         Instruction::Fence => 0x0F,
         Instruction::Ecall => 0x73,
         Instruction::Ebreak => 0x0010_0073,
@@ -240,6 +179,7 @@ pub fn encode(inst: &Instruction) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::OpKind;
 
     #[test]
     fn canonical_nop_encoding() {

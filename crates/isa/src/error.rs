@@ -14,19 +14,13 @@ pub enum IsaError {
         /// The label name.
         label: String,
     },
-    /// A branch/jump displacement does not fit its immediate field.
+    /// A branch/jump displacement does not fit its immediate field: it is
+    /// out of range, or odd.
     OffsetOutOfRange {
         /// The displacement in bytes.
         offset: i64,
         /// The number of immediate bits available.
         bits: u32,
-    },
-    /// An operand value does not fit its encoding field.
-    FieldOutOfRange {
-        /// Which field.
-        field: &'static str,
-        /// The offending value.
-        value: i64,
     },
 }
 
@@ -38,10 +32,7 @@ impl fmt::Display for IsaError {
             }
             IsaError::UndefinedLabel { label } => write!(f, "undefined label `{label}`"),
             IsaError::OffsetOutOfRange { offset, bits } => {
-                write!(f, "offset {offset} does not fit in {bits} bits")
-            }
-            IsaError::FieldOutOfRange { field, value } => {
-                write!(f, "value {value} does not fit field `{field}`")
+                write!(f, "offset {offset} does not fit an even {bits}-bit displacement")
             }
         }
     }

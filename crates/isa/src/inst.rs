@@ -113,6 +113,141 @@ pub enum AmoKind {
     Maxu,
 }
 
+/// An RV32IMA operation kind's table: one row per operation, giving its
+/// assembler mnemonic and its encoding bits. `encode`, `decode`, the text
+/// parser and `Display` all read the rows, so adding an operation to a
+/// kind is one row.
+///
+/// The bits are `funct3` for branches, loads and stores,
+/// `funct7 << 3 | funct3` for `Op` and `OpImm` (a shift's `funct7` is the
+/// top of its immediate field), and `funct5` for AMOs.
+pub(crate) trait OpTable: Copy + PartialEq + 'static {
+    /// (operation, mnemonic, bits), one row per operation of the kind.
+    const ROWS: &'static [(Self, &'static str, u32)];
+
+    /// This operation's row.
+    fn row(self) -> &'static (Self, &'static str, u32) {
+        Self::ROWS
+            .iter()
+            .find(|row| row.0 == self)
+            .expect("every operation has a row")
+    }
+
+    /// The assembler mnemonic.
+    fn mnemonic(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The encoding bits.
+    fn code(self) -> u32 {
+        self.row().2
+    }
+
+    /// The operation whose encoding bits are `code`.
+    fn from_code(code: u32) -> Option<Self> {
+        Self::ROWS.iter().find(|row| row.2 == code).map(|row| row.0)
+    }
+
+    /// The operation spelt `mnemonic` (lower case).
+    fn from_mnemonic(mnemonic: &str) -> Option<Self> {
+        Self::ROWS
+            .iter()
+            .find(|row| row.1 == mnemonic)
+            .map(|row| row.0)
+    }
+}
+
+impl OpTable for BranchKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (BranchKind::Beq, "beq", 0),
+        (BranchKind::Bne, "bne", 1),
+        (BranchKind::Blt, "blt", 4),
+        (BranchKind::Bge, "bge", 5),
+        (BranchKind::Bltu, "bltu", 6),
+        (BranchKind::Bgeu, "bgeu", 7),
+    ];
+}
+
+impl OpTable for LoadKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (LoadKind::Lb, "lb", 0),
+        (LoadKind::Lh, "lh", 1),
+        (LoadKind::Lw, "lw", 2),
+        (LoadKind::Lbu, "lbu", 4),
+        (LoadKind::Lhu, "lhu", 5),
+    ];
+}
+
+impl OpTable for StoreKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (StoreKind::Sb, "sb", 0),
+        (StoreKind::Sh, "sh", 1),
+        (StoreKind::Sw, "sw", 2),
+    ];
+}
+
+impl OpTable for OpImmKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (OpImmKind::Addi, "addi", 0),
+        (OpImmKind::Slti, "slti", 2),
+        (OpImmKind::Sltiu, "sltiu", 3),
+        (OpImmKind::Xori, "xori", 4),
+        (OpImmKind::Ori, "ori", 6),
+        (OpImmKind::Andi, "andi", 7),
+        (OpImmKind::Slli, "slli", 1),
+        (OpImmKind::Srli, "srli", 5),
+        (OpImmKind::Srai, "srai", 0x20 << 3 | 5),
+    ];
+}
+
+impl OpImmKind {
+    /// Whether `OpImm` encoding bits (or a bare `funct3`) name a shift:
+    /// `funct3` 001 or 101, whose immediate field holds `funct7` above a
+    /// 5-bit shift amount.
+    pub(crate) fn is_shift(code: u32) -> bool {
+        code & 3 == 1
+    }
+}
+
+impl OpTable for OpKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (OpKind::Add, "add", 0),
+        (OpKind::Sub, "sub", 0x20 << 3),
+        (OpKind::Sll, "sll", 1),
+        (OpKind::Slt, "slt", 2),
+        (OpKind::Sltu, "sltu", 3),
+        (OpKind::Xor, "xor", 4),
+        (OpKind::Srl, "srl", 5),
+        (OpKind::Sra, "sra", 0x20 << 3 | 5),
+        (OpKind::Or, "or", 6),
+        (OpKind::And, "and", 7),
+        (OpKind::Mul, "mul", 1 << 3),
+        (OpKind::Mulh, "mulh", 1 << 3 | 1),
+        (OpKind::Mulhsu, "mulhsu", 1 << 3 | 2),
+        (OpKind::Mulhu, "mulhu", 1 << 3 | 3),
+        (OpKind::Div, "div", 1 << 3 | 4),
+        (OpKind::Divu, "divu", 1 << 3 | 5),
+        (OpKind::Rem, "rem", 1 << 3 | 6),
+        (OpKind::Remu, "remu", 1 << 3 | 7),
+    ];
+}
+
+impl OpTable for AmoKind {
+    const ROWS: &'static [(Self, &'static str, u32)] = &[
+        (AmoKind::LrW, "lr.w", 0b00010),
+        (AmoKind::ScW, "sc.w", 0b00011),
+        (AmoKind::Swap, "amoswap.w", 0b00001),
+        (AmoKind::Add, "amoadd.w", 0b00000),
+        (AmoKind::Xor, "amoxor.w", 0b00100),
+        (AmoKind::And, "amoand.w", 0b01100),
+        (AmoKind::Or, "amoor.w", 0b01000),
+        (AmoKind::Min, "amomin.w", 0b10000),
+        (AmoKind::Max, "amomax.w", 0b10100),
+        (AmoKind::Minu, "amominu.w", 0b11000),
+        (AmoKind::Maxu, "amomaxu.w", 0b11100),
+    ];
+}
+
 /// Vector element widths the CMem supports (§2.2: 16/8/4/2-bit fixed point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VecWidth {
@@ -515,6 +650,8 @@ impl Instruction {
 }
 
 impl fmt::Display for Instruction {
+    /// The text the parser reads back to this instruction; branch and
+    /// `jal` targets print as byte offsets.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Instruction::Lui { rd, imm } => write!(f, "lui {rd}, {:#x}", (imm as u32) >> 12),
@@ -526,25 +663,32 @@ impl fmt::Display for Instruction {
                 rs1,
                 rs2,
                 offset,
-            } => write!(f, "{kind:?} {rs1}, {rs2}, {offset}").map(|()| ()),
+            } => write!(f, "{} {rs1}, {rs2}, {offset}", kind.mnemonic()),
             Instruction::Load {
                 kind,
                 rd,
                 rs1,
                 offset,
-            } => write!(f, "{kind:?} {rd}, {offset}({rs1})"),
+            } => write!(f, "{} {rd}, {offset}({rs1})", kind.mnemonic()),
             Instruction::Store {
                 kind,
                 rs1,
                 rs2,
                 offset,
-            } => write!(f, "{kind:?} {rs2}, {offset}({rs1})"),
+            } => write!(f, "{} {rs2}, {offset}({rs1})", kind.mnemonic()),
             Instruction::OpImm { kind, rd, rs1, imm } => {
-                write!(f, "{kind:?} {rd}, {rs1}, {imm}")
+                write!(f, "{} {rd}, {rs1}, {imm}", kind.mnemonic())
             }
-            Instruction::Op { kind, rd, rs1, rs2 } => write!(f, "{kind:?} {rd}, {rs1}, {rs2}"),
+            Instruction::Op { kind, rd, rs1, rs2 } => {
+                write!(f, "{} {rd}, {rs1}, {rs2}", kind.mnemonic())
+            }
             Instruction::Amo { kind, rd, rs1, rs2 } => {
-                write!(f, "amo.{kind:?} {rd}, {rs2}, ({rs1})")
+                write!(f, "{} {rd}, ", kind.mnemonic())?;
+                // `lr.w` has no `rs2` operand
+                if kind != AmoKind::LrW {
+                    write!(f, "{rs2}, ")?;
+                }
+                write!(f, "({rs1})")
             }
             Instruction::Fence => write!(f, "fence"),
             Instruction::Ecall => write!(f, "ecall"),

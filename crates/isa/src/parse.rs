@@ -1,9 +1,15 @@
 //! Textual assembly parser.
 //!
-//! Parses a human-readable assembly dialect — the same one
-//! [`crate::inst::Instruction`]'s `Display` emits for the CMem extension,
-//! plus conventional RISC-V mnemonics — into an [`Assembler`] program.
-//! Labels end with `:`; comments start with `#` or `;`.
+//! Parses a human-readable assembly dialect — the one
+//! [`crate::inst::Instruction`]'s `Display` emits, plus the pseudo
+//! instructions `nop`, `li`, `mv` and `j` — into an [`Assembler`] program.
+//! Labels end with `:`; comments start with `#` or `;`. A branch or jump
+//! target is a label or, as `Display` prints it, a byte offset.
+//!
+//! Every instruction a line builds must decode back from its encoding,
+//! so an operand that does not fit its field is an error, not a
+//! truncated word; so are a displacement on a `(reg)` operand and a label
+//! defined twice.
 //!
 //! ```text
 //!     li    a0, 10
@@ -17,11 +23,14 @@
 //! ```
 
 use crate::asm::Assembler;
+use crate::decode::decode;
+use crate::encode::encode;
 use crate::inst::{
-    AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, StoreKind, VecWidth,
+    AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, OpTable, StoreKind, VecWidth,
 };
 use crate::reg::Reg;
 use crate::IsaError;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A parse failure with its line number.
@@ -71,13 +80,21 @@ fn parse_imm(tok: &str, line: usize) -> Result<i32, ParseError> {
         None => (false, tok),
     };
     let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16)
+        u64::from_str_radix(hex, 16)
     } else {
-        body.parse::<i64>()
+        body.parse::<u64>()
     }
     .map_err(|_| err(line, format!("bad immediate `{tok}`")))?;
-    let v = if neg { -v } else { v };
+    let v = if neg { -i128::from(v) } else { i128::from(v) };
     i32::try_from(v).map_err(|_| err(line, format!("immediate `{tok}` out of 32-bit range")))
+}
+
+/// Parses an upper immediate (`lui`, `auipc`): the 20-bit field's value.
+fn parse_upper(tok: &str, line: usize) -> Result<i32, ParseError> {
+    match parse_imm(tok, line)? {
+        v @ 0..=0xF_FFFF => Ok(v << 12),
+        _ => Err(err(line, format!("upper immediate `{tok}` out of range 0..=0xfffff"))),
+    }
 }
 
 /// Parses `imm(reg)` address syntax.
@@ -96,6 +113,14 @@ fn parse_mem_operand(tok: &str, line: usize) -> Result<(Reg, i32), ParseError> {
     };
     let reg = parse_reg(&tok[open + 1..tok.len() - 1], line)?;
     Ok((reg, imm))
+}
+
+/// Parses a `(reg)` address, which has no displacement field.
+fn parse_base(tok: &str, line: usize) -> Result<Reg, ParseError> {
+    match parse_mem_operand(tok, line)? {
+        (reg, 0) => Ok(reg),
+        _ => Err(err(line, format!("`{}` takes no offset: expected `(reg)`", tok.trim()))),
+    }
 }
 
 /// Parses `s3[12]` slice-row syntax.
@@ -131,6 +156,16 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
     }
 }
 
+/// Appends `inst`, refusing an instruction whose word does not decode
+/// back to it: an operand that does not fit its field.
+fn emit(asm: &mut Assembler, line: usize, inst: Instruction) -> Result<(), ParseError> {
+    if decode(encode(&inst)) != Ok(inst) {
+        return Err(err(line, format!("an operand of `{inst}` does not fit its field")));
+    }
+    asm.inst(inst);
+    Ok(())
+}
+
 /// Parses a whole program into an [`Assembler`] (labels unresolved until
 /// [`Assembler::assemble`]).
 ///
@@ -139,6 +174,7 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
 /// Returns the first [`ParseError`] encountered.
 pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
     let mut asm = Assembler::new();
+    let mut labels = HashMap::new();
     for (i, raw) in src.lines().enumerate() {
         let line = i + 1;
         let text = raw.split(['#', ';']).next().unwrap_or("").trim();
@@ -149,6 +185,16 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
             let label = label.trim();
             if label.is_empty() || label.contains(char::is_whitespace) {
                 return Err(err(line, format!("bad label `{text}`")));
+            }
+            // `Assembler::assemble` reads such a target as a byte offset
+            if label.parse::<i64>().is_ok() {
+                return Err(err(line, format!("label `{label}` reads as a number")));
+            }
+            if let Some(first) = labels.insert(label, line) {
+                return Err(err(
+                    line,
+                    format!("label `{label}` already defined on line {first}"),
+                ));
             }
             asm.label(label);
             continue;
@@ -172,193 +218,113 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                 ))
             }
         };
-        match mnemonic.to_ascii_lowercase().as_str() {
+        let lower = mnemonic.to_ascii_lowercase();
+        let reg = |k: usize| parse_reg(ops[k], line);
+        if let Some(kind) = BranchKind::from_mnemonic(&lower) {
+            need(3)?;
+            asm.branch(kind, reg(0)?, reg(1)?, ops[2]);
+            continue;
+        }
+        if let Some(kind) = LoadKind::from_mnemonic(&lower) {
+            need(2)?;
+            let (rs1, offset) = parse_mem_operand(ops[1], line)?;
+            let rd = reg(0)?;
+            emit(&mut asm, line, Instruction::Load { kind, rd, rs1, offset })?;
+            continue;
+        }
+        if let Some(kind) = StoreKind::from_mnemonic(&lower) {
+            need(2)?;
+            let (rs1, offset) = parse_mem_operand(ops[1], line)?;
+            let rs2 = reg(0)?;
+            emit(&mut asm, line, Instruction::Store { kind, rs1, rs2, offset })?;
+            continue;
+        }
+        if let Some(kind) = OpImmKind::from_mnemonic(&lower) {
+            need(3)?;
+            let (rd, rs1, imm) = (reg(0)?, reg(1)?, parse_imm(ops[2], line)?);
+            emit(&mut asm, line, Instruction::OpImm { kind, rd, rs1, imm })?;
+            continue;
+        }
+        if let Some(kind) = OpKind::from_mnemonic(&lower) {
+            need(3)?;
+            let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+            emit(&mut asm, line, Instruction::Op { kind, rd, rs1, rs2 })?;
+            continue;
+        }
+        if let Some(kind) = AmoKind::from_mnemonic(&lower) {
+            // `lr.w rd, (rs1)` has no `rs2` operand
+            let rs2 = if kind == AmoKind::LrW {
+                need(2)?;
+                Reg::Zero
+            } else {
+                need(3)?;
+                reg(1)?
+            };
+            let (rd, rs1) = (reg(0)?, parse_base(ops[ops.len() - 1], line)?);
+            emit(&mut asm, line, Instruction::Amo { kind, rd, rs1, rs2 })?;
+            continue;
+        }
+        let inst = match lower.as_str() {
             "nop" => {
                 need(0)?;
-                asm.inst(Instruction::nop());
+                Instruction::nop()
             }
             "ebreak" => {
                 need(0)?;
-                asm.inst(Instruction::Ebreak);
+                Instruction::Ebreak
             }
             "ecall" => {
                 need(0)?;
-                asm.inst(Instruction::Ecall);
+                Instruction::Ecall
             }
             "fence" => {
                 need(0)?;
-                asm.inst(Instruction::Fence);
+                Instruction::Fence
             }
             "li" => {
                 need(2)?;
                 asm.li32(parse_reg(ops[0], line)?, parse_imm(ops[1], line)?);
+                continue;
             }
             "mv" => {
                 need(2)?;
-                asm.inst(Instruction::addi(
+                Instruction::addi(
                     parse_reg(ops[0], line)?,
                     parse_reg(ops[1], line)?,
                     0,
-                ));
+                )
             }
             "lui" => {
                 need(2)?;
-                asm.inst(Instruction::Lui {
+                Instruction::Lui {
                     rd: parse_reg(ops[0], line)?,
-                    imm: parse_imm(ops[1], line)?.wrapping_shl(12),
-                });
+                    imm: parse_upper(ops[1], line)?,
+                }
+            }
+            "auipc" => {
+                need(2)?;
+                Instruction::Auipc {
+                    rd: parse_reg(ops[0], line)?,
+                    imm: parse_upper(ops[1], line)?,
+                }
             }
             "j" => {
                 need(1)?;
                 asm.jump(ops[0]);
+                continue;
             }
             "jal" => {
                 need(2)?;
                 asm.jal(parse_reg(ops[0], line)?, ops[1]);
+                continue;
             }
             "jalr" => {
                 need(2)?;
                 let (rs1, offset) = parse_mem_operand(ops[1], line)?;
-                asm.inst(Instruction::Jalr {
+                Instruction::Jalr {
                     rd: parse_reg(ops[0], line)?,
                     rs1,
                     offset,
-                });
-            }
-            b @ ("beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu") => {
-                need(3)?;
-                let kind = match b {
-                    "beq" => BranchKind::Beq,
-                    "bne" => BranchKind::Bne,
-                    "blt" => BranchKind::Blt,
-                    "bge" => BranchKind::Bge,
-                    "bltu" => BranchKind::Bltu,
-                    _ => BranchKind::Bgeu,
-                };
-                asm.branch(
-                    kind,
-                    parse_reg(ops[0], line)?,
-                    parse_reg(ops[1], line)?,
-                    ops[2],
-                );
-            }
-            l @ ("lb" | "lh" | "lw" | "lbu" | "lhu") => {
-                need(2)?;
-                let kind = match l {
-                    "lb" => LoadKind::Lb,
-                    "lh" => LoadKind::Lh,
-                    "lw" => LoadKind::Lw,
-                    "lbu" => LoadKind::Lbu,
-                    _ => LoadKind::Lhu,
-                };
-                let (rs1, offset) = parse_mem_operand(ops[1], line)?;
-                asm.inst(Instruction::Load {
-                    kind,
-                    rd: parse_reg(ops[0], line)?,
-                    rs1,
-                    offset,
-                });
-            }
-            st @ ("sb" | "sh" | "sw") => {
-                need(2)?;
-                let kind = match st {
-                    "sb" => StoreKind::Sb,
-                    "sh" => StoreKind::Sh,
-                    _ => StoreKind::Sw,
-                };
-                let (rs1, offset) = parse_mem_operand(ops[1], line)?;
-                asm.inst(Instruction::Store {
-                    kind,
-                    rs1,
-                    rs2: parse_reg(ops[0], line)?,
-                    offset,
-                });
-            }
-            oi @ ("addi" | "slti" | "sltiu" | "xori" | "ori" | "andi" | "slli" | "srli"
-            | "srai") => {
-                need(3)?;
-                let kind = match oi {
-                    "addi" => OpImmKind::Addi,
-                    "slti" => OpImmKind::Slti,
-                    "sltiu" => OpImmKind::Sltiu,
-                    "xori" => OpImmKind::Xori,
-                    "ori" => OpImmKind::Ori,
-                    "andi" => OpImmKind::Andi,
-                    "slli" => OpImmKind::Slli,
-                    "srli" => OpImmKind::Srli,
-                    _ => OpImmKind::Srai,
-                };
-                asm.inst(Instruction::OpImm {
-                    kind,
-                    rd: parse_reg(ops[0], line)?,
-                    rs1: parse_reg(ops[1], line)?,
-                    imm: parse_imm(ops[2], line)?,
-                });
-            }
-            op @ ("add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or"
-            | "and" | "mul" | "mulh" | "mulhsu" | "mulhu" | "div" | "divu" | "rem"
-            | "remu") => {
-                need(3)?;
-                let kind = match op {
-                    "add" => OpKind::Add,
-                    "sub" => OpKind::Sub,
-                    "sll" => OpKind::Sll,
-                    "slt" => OpKind::Slt,
-                    "sltu" => OpKind::Sltu,
-                    "xor" => OpKind::Xor,
-                    "srl" => OpKind::Srl,
-                    "sra" => OpKind::Sra,
-                    "or" => OpKind::Or,
-                    "and" => OpKind::And,
-                    "mul" => OpKind::Mul,
-                    "mulh" => OpKind::Mulh,
-                    "mulhsu" => OpKind::Mulhsu,
-                    "mulhu" => OpKind::Mulhu,
-                    "div" => OpKind::Div,
-                    "divu" => OpKind::Divu,
-                    "rem" => OpKind::Rem,
-                    _ => OpKind::Remu,
-                };
-                asm.inst(Instruction::Op {
-                    kind,
-                    rd: parse_reg(ops[0], line)?,
-                    rs1: parse_reg(ops[1], line)?,
-                    rs2: parse_reg(ops[2], line)?,
-                });
-            }
-            am @ ("amoswap.w" | "amoadd.w" | "amoxor.w" | "amoand.w" | "amoor.w"
-            | "amomin.w" | "amomax.w" | "amominu.w" | "amomaxu.w" | "lr.w" | "sc.w") => {
-                let kind = match am {
-                    "amoswap.w" => AmoKind::Swap,
-                    "amoadd.w" => AmoKind::Add,
-                    "amoxor.w" => AmoKind::Xor,
-                    "amoand.w" => AmoKind::And,
-                    "amoor.w" => AmoKind::Or,
-                    "amomin.w" => AmoKind::Min,
-                    "amomax.w" => AmoKind::Max,
-                    "amominu.w" => AmoKind::Minu,
-                    "amomaxu.w" => AmoKind::Maxu,
-                    "lr.w" => AmoKind::LrW,
-                    _ => AmoKind::ScW,
-                };
-                if kind == AmoKind::LrW {
-                    need(2)?;
-                    let (rs1, _) = parse_mem_operand(ops[1], line)?;
-                    asm.inst(Instruction::Amo {
-                        kind,
-                        rd: parse_reg(ops[0], line)?,
-                        rs1,
-                        rs2: Reg::Zero,
-                    });
-                } else {
-                    need(3)?;
-                    let (rs1, _) = parse_mem_operand(ops[2], line)?;
-                    asm.inst(Instruction::Amo {
-                        kind,
-                        rd: parse_reg(ops[0], line)?,
-                        rs1,
-                        rs2: parse_reg(ops[1], line)?,
-                    });
                 }
             }
             "mac.c" => {
@@ -369,25 +335,25 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                 if slice != slice_b {
                     return Err(err(line, "mac.c operands must share a slice"));
                 }
-                asm.inst(Instruction::MacC {
+                Instruction::MacC {
                     rd,
                     slice,
                     row_a,
                     row_b,
                     width: parse_width(ops[3], line)?,
-                });
+                }
             }
             "move.c" => {
                 need(3)?;
                 let (dst_slice, dst_row) = parse_slice_row(ops[0], line)?;
                 let (src_slice, src_row) = parse_slice_row(ops[1], line)?;
-                asm.inst(Instruction::MoveC {
+                Instruction::MoveC {
                     src_slice,
                     src_row,
                     dst_slice,
                     dst_row,
                     width: parse_width(ops[2], line)?,
-                });
+                }
             }
             "setrow.c" => {
                 need(2)?;
@@ -397,7 +363,7 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                     "1" => true,
                     other => return Err(err(line, format!("setrow.c value `{other}`"))),
                 };
-                asm.inst(Instruction::SetRowC { slice, row, value });
+                Instruction::SetRowC { slice, row, value }
             }
             "shiftrow.c" => {
                 need(2)?;
@@ -413,24 +379,24 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                 let granules: u8 = g
                     .parse()
                     .map_err(|_| err(line, format!("bad shift `{spec}`")))?;
-                asm.inst(Instruction::ShiftRowC {
+                Instruction::ShiftRowC {
                     slice,
                     row,
                     left,
                     granules,
-                });
+                }
             }
             "loadrow.rc" => {
                 need(2)?;
                 let (slice, row) = parse_slice_row(ops[0], line)?;
-                let (rs1, _) = parse_mem_operand(ops[1], line)?;
-                asm.inst(Instruction::LoadRowRC { rs1, slice, row });
+                let rs1 = parse_base(ops[1], line)?;
+                Instruction::LoadRowRC { rs1, slice, row }
             }
             "storerow.rc" => {
                 need(2)?;
                 let (slice, row) = parse_slice_row(ops[0], line)?;
-                let (rs1, _) = parse_mem_operand(ops[1], line)?;
-                asm.inst(Instruction::StoreRowRC { rs1, slice, row });
+                let rs1 = parse_base(ops[1], line)?;
+                Instruction::StoreRowRC { rs1, slice, row }
             }
             "setmask.c" => {
                 need(2)?;
@@ -439,13 +405,14 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                     .strip_prefix('s')
                     .and_then(|x| x.parse().ok())
                     .ok_or_else(|| err(line, format!("bad slice `{rest}`")))?;
-                asm.inst(Instruction::SetMaskC {
+                Instruction::SetMaskC {
                     rs1: parse_reg(ops[1], line)?,
                     slice,
-                });
+                }
             }
             other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
-        }
+        };
+        emit(&mut asm, line, inst)?;
     }
     Ok(asm)
 }
@@ -464,6 +431,7 @@ pub fn assemble_text(src: &str) -> Result<Vec<Instruction>, ParseError> {
 mod tests {
     use super::*;
     use crate::inst::Instruction as I;
+    use proptest::prelude::*;
 
     #[test]
     fn loop_program_parses_and_runs_shape() {
@@ -654,5 +622,300 @@ mod tests {
             text.iter().map(encode).collect::<Vec<_>>(),
             built.iter().map(encode).collect::<Vec<_>>()
         );
+    }
+
+    fn kinds<K: OpTable>() -> impl Iterator<Item = K> {
+        K::ROWS.iter().map(|row| row.0)
+    }
+
+    /// Every row of every table, and every other instruction shape, at
+    /// edge operand values.
+    fn every_shape() -> Vec<I> {
+        let mut all = Vec::new();
+        for kind in kinds::<BranchKind>() {
+            for offset in [-4096, 4094] {
+                all.push(I::Branch {
+                    kind,
+                    rs1: Reg::T6,
+                    rs2: Reg::Zero,
+                    offset,
+                });
+            }
+        }
+        for offset in [-2048, 2047] {
+            for kind in kinds::<LoadKind>() {
+                let (rd, rs1) = (Reg::A0, Reg::Sp);
+                all.push(I::Load { kind, rd, rs1, offset });
+            }
+            for kind in kinds::<StoreKind>() {
+                let (rs1, rs2) = (Reg::S11, Reg::Zero);
+                all.push(I::Store { kind, rs1, rs2, offset });
+            }
+            all.push(I::Jalr {
+                rd: Reg::Ra,
+                rs1: Reg::T6,
+                offset,
+            });
+        }
+        for kind in kinds::<OpImmKind>() {
+            let imms = if OpImmKind::is_shift(kind.code()) {
+                [0, 31]
+            } else {
+                [-2048, 2047]
+            };
+            for imm in imms {
+                let (rd, rs1) = (Reg::T6, Reg::Zero);
+                all.push(I::OpImm { kind, rd, rs1, imm });
+            }
+        }
+        for kind in kinds::<OpKind>() {
+            let (rd, rs1, rs2) = (Reg::T6, Reg::Zero, Reg::Ra);
+            all.push(I::Op { kind, rd, rs1, rs2 });
+        }
+        for kind in kinds::<AmoKind>() {
+            let rs2 = if kind == AmoKind::LrW { Reg::Zero } else { Reg::T6 };
+            let (rd, rs1) = (Reg::Zero, Reg::S11);
+            all.push(I::Amo { kind, rd, rs1, rs2 });
+        }
+        for imm in [0, 0xFFFF_F000u32 as i32] {
+            all.push(I::Lui { rd: Reg::T6, imm });
+            all.push(I::Auipc { rd: Reg::Zero, imm });
+        }
+        for offset in [-1_048_576, 1_048_574] {
+            all.push(I::Jal { rd: Reg::Ra, offset });
+        }
+        all.extend([I::Fence, I::Ecall, I::Ebreak]);
+        for (width, edge) in [(VecWidth::W2, false), (VecWidth::W16, true)] {
+            let (slice, row) = if edge { (7, 63) } else { (0, 0) };
+            all.extend([
+                I::MacC {
+                    rd: Reg::T6,
+                    slice,
+                    row_a: row,
+                    row_b: 63 - row,
+                    width,
+                },
+                I::MoveC {
+                    src_slice: slice,
+                    src_row: row,
+                    dst_slice: 7 - slice,
+                    dst_row: 63 - row,
+                    width,
+                },
+                I::SetRowC {
+                    slice,
+                    row,
+                    value: edge,
+                },
+                I::ShiftRowC {
+                    slice,
+                    row,
+                    left: edge,
+                    granules: 7 * u8::from(edge),
+                },
+                I::LoadRowRC {
+                    rs1: Reg::T6,
+                    slice,
+                    row,
+                },
+                I::StoreRowRC {
+                    rs1: Reg::Zero,
+                    slice,
+                    row,
+                },
+                I::SetMaskC { rs1: Reg::T6, slice },
+            ]);
+        }
+        all
+    }
+
+    #[test]
+    fn every_operation_prints_as_text_that_reads_back() {
+        let rows = BranchKind::ROWS.len()
+            + LoadKind::ROWS.len()
+            + StoreKind::ROWS.len()
+            + OpImmKind::ROWS.len()
+            + OpKind::ROWS.len()
+            + AmoKind::ROWS.len();
+        assert_eq!(rows, 52);
+        for i in every_shape() {
+            assert_eq!(decode(encode(&i)), Ok(i), "{i}");
+            assert_eq!(assemble_text(&i.to_string()), Ok(vec![i]), "{i}");
+        }
+    }
+
+    #[test]
+    fn amos_print_their_assembler_mnemonics() {
+        let amo = |kind, rs2| I::Amo {
+            kind,
+            rd: Reg::A0,
+            rs1: Reg::A2,
+            rs2,
+        };
+        for (i, text) in [
+            (amo(AmoKind::Add, Reg::A1), "amoadd.w a0, a1, (a2)"),
+            (amo(AmoKind::LrW, Reg::Zero), "lr.w a0, (a2)"),
+            (amo(AmoKind::ScW, Reg::A1), "sc.w a0, a1, (a2)"),
+        ] {
+            assert_eq!(i.to_string(), text);
+            assert_eq!(assemble_text(text), Ok(vec![i]));
+        }
+    }
+
+    #[test]
+    fn rv32_operations_print_in_lower_case() {
+        let srai = I::OpImm {
+            kind: OpImmKind::Srai,
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm: 1,
+        };
+        assert_eq!(srai.to_string(), "srai a0, a0, 1");
+        assert_eq!(I::li(Reg::A7, 1).to_string(), "addi a7, zero, 1");
+    }
+
+    #[test]
+    fn auipc_parses() {
+        let prog = assemble_text("auipc a0, 0x1").unwrap();
+        assert_eq!(
+            prog,
+            vec![I::Auipc {
+                rd: Reg::A0,
+                imm: 0x1000
+            }]
+        );
+    }
+
+    #[test]
+    fn numeric_targets_are_byte_offsets() {
+        let prog = assemble_text("bne a0, zero, -8\njal ra, 16\nj -4").unwrap();
+        assert!(matches!(prog[0], I::Branch { offset: -8, .. }));
+        assert_eq!(
+            prog[1..],
+            [
+                I::Jal {
+                    rd: Reg::Ra,
+                    offset: 16
+                },
+                I::Jal {
+                    rd: Reg::Zero,
+                    offset: -4
+                }
+            ]
+        );
+        // out of range, or odd: the fields hold only even offsets
+        for text in ["beq a0, a1, 4096", "beq a0, a1, -4098", "beq a0, a1, 5", "jal ra, 3"] {
+            let e = assemble_text(text).unwrap_err();
+            assert!(e.message.contains("does not fit"), "{text}: {e}");
+        }
+        assert!(assemble_text("beq a0, a1, 6").is_ok());
+    }
+
+    #[test]
+    fn a_displacement_without_a_field_is_refused() {
+        for text in [
+            "amoadd.w a0, a1, 8(a2)",
+            "lr.w a0, -4(a2)",
+            "loadrow.rc s0[1], 8(a0)",
+            "storerow.rc s0[1], 12(a0)",
+        ] {
+            let e = assemble_text(&format!("nop\n{text}")).unwrap_err();
+            assert_eq!(e.line, 2, "{text}");
+            assert!(e.message.contains("takes no offset"), "{text}: {e}");
+        }
+        assert!(assemble_text("lr.w a0, 0(a2)").is_ok());
+    }
+
+    #[test]
+    fn an_operand_that_does_not_fit_its_field_is_refused() {
+        for text in [
+            "addi a0, zero, 5000",
+            "slli a1, a0, 40",
+            "lui a2, 0x100001",
+            "auipc a2, -1",
+            "sw a0, 2048(sp)",
+            "jalr ra, -2049(a0)",
+            "shiftrow.c s0[0], -8",
+            "setmask.c s8, a0",
+        ] {
+            let e = assemble_text(&format!("nop\nnop\n{text}")).unwrap_err();
+            assert_eq!(e.line, 3, "{text}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_sign_inside_an_immediate_is_refused() {
+        for imm in ["--5", "--9223372036854775808", "0x-5"] {
+            assert!(assemble_text(&format!("addi a0, a0, {imm}")).is_err(), "{imm}");
+        }
+        let prog = assemble_text("addi a0, a0, -0x800").unwrap();
+        assert_eq!(prog, vec![I::addi(Reg::A0, Reg::A0, -2048)]);
+    }
+
+    #[test]
+    fn a_label_defined_twice_is_an_error() {
+        let e = assemble_text("x:\nnop\nx:\nj x").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("line 1"), "{e}");
+    }
+
+    #[test]
+    fn a_label_that_reads_as_a_number_is_refused() {
+        let e = assemble_text("nop\n-8:\nj -8").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("number"), "{e}");
+    }
+
+    /// A source line from known mnemonics, registers, immediates, labels
+    /// and junk tokens.
+    fn arb_line() -> impl Strategy<Value = String> {
+        const MNEMONICS: &[&str] = &[
+            "beq", "bgeu", "lw", "lhu", "sb", "addi", "slli", "srai", "add", "mulhsu",
+            "amoadd.w", "lr.w", "sc.w", "lui", "auipc", "jal", "jalr", "j", "li", "mv", "nop",
+            "fence", "ecall", "ebreak", "mac.c", "move.c", "setrow.c", "shiftrow.c",
+            "loadrow.rc", "storerow.rc", "setmask.c", "bogus", "",
+        ];
+        const TOKENS: &[&str] = &[
+            "a0", "zero", "x0", "x31", "x32", "t6", "s11", "-8", "7", "0x7ff", "-2048", "4096",
+            "0xfffff", "-0x80000000", "4294967296", "--5", "loop", "end", "8", "(a0)",
+            "4(sp)", "-4(a2)", "(", "a0)", "()", "s7[63]", "s0[0]", "s8[0]", "s0[64]", "s7",
+            "s300", "n8", "n3", "-7", "+0", "1", "", ":", "é", "0x", "-",
+        ];
+        (
+            0..MNEMONICS.len(),
+            proptest::collection::vec(0..TOKENS.len(), 0..5),
+            0u8..4,
+        )
+            .prop_map(|(m, ops, shape)| {
+                let ops: Vec<&str> = ops.iter().map(|&k| TOKENS[k]).collect();
+                match shape {
+                    0 => format!("{}:", ops.first().unwrap_or(&"loop")),
+                    1 => ops.join(" "),
+                    _ => format!("{} {}", MNEMONICS[m], ops.join(", ")),
+                }
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_decoded_words_read_back_from_their_text(bits in any::<u32>(), op in 0usize..13) {
+            let opcodes = [
+                0x37, 0x17, 0x6F, 0x67, 0x63, 0x03, 0x23, 0x13, 0x33, 0x2F, 0x0F, 0x73,
+                crate::CUSTOM0,
+            ];
+            let decoded = decode(bits & !0x7F | opcodes[op]);
+            prop_assume!(decoded.is_ok());
+            let inst = decoded.unwrap();
+            prop_assert_eq!(assemble_text(&inst.to_string()), Ok(vec![inst]));
+        }
+
+        #[test]
+        fn prop_text_assembly_never_panics(lines in proptest::collection::vec(arb_line(), 1..12)) {
+            // each line alone too, since a program stops at its first error
+            for line in &lines {
+                let _ = assemble_text(line);
+            }
+            let _ = assemble_text(&lines.join("\n"));
+        }
     }
 }

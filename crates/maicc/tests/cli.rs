@@ -172,6 +172,23 @@ fn a_flag_given_twice_is_refused() {
 }
 
 #[test]
+fn each_listing_assembles_back_to_its_words() {
+    let dir = work_dir("relist");
+    for program in ["prog.s", "every_op.s"] {
+        let (code, listing, stderr) = run(&dir, &format!("asm {program}"));
+        assert_eq!(code, 0, "{program}: {stderr}");
+        // each line is `address:  word  text`
+        let text: String = listing
+            .lines()
+            .map(|l| format!("{}\n", l.splitn(3, "  ").nth(2).expect("a text column")))
+            .collect();
+        std::fs::write(dir.join("relisted.s"), text).unwrap();
+        let (code, relisted, stderr) = run(&dir, "asm relisted.s");
+        assert_eq!((code, relisted), (0, listing), "{program}: {stderr}");
+    }
+}
+
+#[test]
 fn run_takes_its_flag_before_the_program() {
     let dir = work_dir("flag_first");
     let flag_last = run(&dir, "run prog.s --max-steps 50");
