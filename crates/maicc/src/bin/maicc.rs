@@ -354,6 +354,9 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         .value("--pool")?
         .unwrap_or(if overload { 10 } else { 16 });
     let zipf = args.value::<f64>("--zipf")?;
+    if let Some(exponent) = zipf.filter(|e| !e.is_finite()) {
+        return Err(format!("--zipf needs a finite EXP, got `{exponent}`"));
+    }
     let trace_path = args.value::<String>("--trace")?;
     let llc_bytes = if cached {
         args.value("--cache-llc-bytes")?

@@ -82,6 +82,8 @@ const CASES: &[&str] = &[
     "serve --quick --fabrics 2 --fabric-fault melt:0:1",
     "nosuch",
     "asm every_op.s",
+    "serve --quick --zipf nan",
+    "serve --quick --zipf inf",
 ];
 
 /// Runs `maicc` with the space-separated `line` in `dir` and returns its
@@ -169,6 +171,12 @@ fn a_flag_given_twice_is_refused() {
         "serve --quick --json --seed 42 --seed 7",
         "--seed given twice",
     );
+}
+
+#[test]
+fn a_non_finite_zipf_exponent_is_refused() {
+    assert_refused("serve --quick --json --zipf nan", "NaN");
+    assert_refused("serve --quick --json --zipf -inf", "-inf");
 }
 
 #[test]
