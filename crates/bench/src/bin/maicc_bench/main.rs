@@ -26,7 +26,8 @@
 //! ```
 //!
 //! An unknown option, a missing or malformed value, `--iters 0` and a
-//! `--bench` that selects nothing exit 2; an unwritable `--json` exits 1.
+//! `--bench` that selects nothing exit 2; an unwritable `--json` exits 1
+//! before any section runs.
 //!
 //! Sections: `table4`, `table5`, `table6`, `table7` (with §6.3), `fig9`,
 //! `fig10`, `ablation_slices`, `ablation_reduction`,
@@ -110,6 +111,8 @@ use maicc::serve::trace::Trace;
 use maicc::sim::stream::{Engine, RecoveryPolicy, StreamConfig, StreamSim};
 use maicc::sram::fault::FaultPlan;
 use maicc_bench::pre_pr;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -309,7 +312,7 @@ struct ClusterStats {
 }
 
 fn write_json(
-    path: &str,
+    file: &mut File,
     quick: bool,
     iters: usize,
     threads: usize,
@@ -505,7 +508,8 @@ fn write_json(
         soak.map_or(0.0, |s| s.hit_rate)
     ));
     out.push_str("  }\n}\n");
-    std::fs::write(path, out)
+    file.set_len(0)?;
+    file.write_all(out.as_bytes())
 }
 
 /// Exit code for a refused command line or a `--bench` that selects nothing.
@@ -556,6 +560,19 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
+    // open the report before any work, so a bad path fails first; an
+    // existing report keeps its contents until the run completes
+    let mut report = None;
+    if let Some(path) = &out {
+        let opened = OpenOptions::new().write(true).create(true).truncate(false).open(path);
+        match opened {
+            Ok(file) => report = Some((path, file)),
+            Err(e) => {
+                eprintln!("maicc_bench: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     // two per-bench warmup runs: the first pays first-touch allocation
     // (pools, page faults), the second settles branch predictors and
     // caches, so the timed percentiles measure steady state — this is
@@ -949,14 +966,14 @@ fn main() -> ExitCode {
         "modelled cycles diverged across variants: {cycles:?}"
     );
 
-    if let Some(path) = &out {
+    if let Some((path, file)) = &mut report {
         let stats = ScenarioStats {
             overload: overload_stats,
             repeat: repeat_stats,
             cluster: cluster_stats,
             soak: soak_stats,
         };
-        if let Err(e) = write_json(path, quick, iters, threads, &results, &stats) {
+        if let Err(e) = write_json(file, quick, iters, threads, &results, &stats) {
             eprintln!("maicc_bench: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
