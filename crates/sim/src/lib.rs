@@ -15,8 +15,6 @@
 //! * [`multi_dnn`] — multi-DNN parallel inference: several networks mapped
 //!   onto disjoint core regions of one array, the scenario MAICC's MIMD
 //!   control mode exists for (§1, §8);
-//! * [`workload`] — continuous request streams over a deployment:
-//!   utilization and mean response time per model partition;
 //! * [`campaign`] — fault-injection campaigns: sweep CMem/NoC fault rates
 //!   over a ResNet-18 segment, compare each run against the golden model,
 //!   and classify outcomes (masked / SDC / detected / degraded).
@@ -39,7 +37,6 @@
 pub mod campaign;
 pub mod multi_dnn;
 pub mod stream;
-pub mod workload;
 
 mod error;
 
