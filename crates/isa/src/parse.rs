@@ -881,6 +881,7 @@ mod tests {
             "4(sp)", "-4(a2)", "(", "a0)", "()", "s7[63]", "s0[0]", "s8[0]", "s0[64]", "s7",
             "s300", "n8", "n3", "-7", "+0", "1", "", ":", "é", "0x", "-",
         ];
+        const LABELS: &[&str] = &["loop", "end", "8", "-8", "a b", "é", ""];
         (
             0..MNEMONICS.len(),
             proptest::collection::vec(0..TOKENS.len(), 0..5),
@@ -889,8 +890,8 @@ mod tests {
             .prop_map(|(m, ops, shape)| {
                 let ops: Vec<&str> = ops.iter().map(|&k| TOKENS[k]).collect();
                 match shape {
-                    0 => format!("{}:", ops.first().unwrap_or(&"loop")),
-                    1 => ops.join(" "),
+                    0 | 1 => format!("{}:", LABELS[m % LABELS.len()]),
+                    2 => ops.join(" "),
                     _ => format!("{} {}", MNEMONICS[m], ops.join(", ")),
                 }
             })
