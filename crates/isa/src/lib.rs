@@ -16,7 +16,11 @@
 //!   reserves for vendor extensions;
 //! * [`asm`] — a small two-pass assembler with label support, used by the
 //!   kernels, tests and examples;
-//! * [`parse`] — a textual assembly front end over the same builder.
+//! * [`parse`] — a textual assembly front end over the same builder, which
+//!   reads back every instruction's `Display` text.
+//!
+//! One table per RV32IMA operation kind gives each operation's mnemonic
+//! and encoding bits; encoding, decoding, parsing and printing all read it.
 //!
 //! ## Example
 //!
