@@ -129,15 +129,12 @@ impl Assembler {
     /// [`IsaError::OffsetOutOfRange`] for an unreachable or odd displacement.
     pub fn assemble(&self) -> Result<Vec<Instruction>, IsaError> {
         let resolve = |label: &str, from: usize, bits: u32| -> Result<i32, IsaError> {
-            let offset = match label.parse::<i64>() {
-                Ok(offset) => offset,
-                Err(_) => {
-                    let target = self.labels.get(label).ok_or_else(|| {
-                        IsaError::UndefinedLabel {
-                            label: label.to_string(),
-                        }
-                    })?;
-                    (*target as i64 - from as i64) * 4
+            let offset = match (label.parse::<i64>(), self.labels.get(label)) {
+                (Ok(offset), _) => offset,
+                (Err(_), Some(&target)) => (target as i64 - from as i64) * 4,
+                (Err(_), None) => {
+                    let label = label.to_string();
+                    return Err(IsaError::UndefinedLabel { label });
                 }
             };
             let max = (1i64 << (bits - 1)) - 1;
