@@ -564,7 +564,11 @@ fn main() -> ExitCode {
     // existing report keeps its contents until the run completes
     let mut report = None;
     if let Some(path) = &out {
-        let opened = OpenOptions::new().write(true).create(true).truncate(false).open(path);
+        let opened = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path);
         match opened {
             Ok(file) => report = Some((path, file)),
             Err(e) => {

@@ -61,5 +61,8 @@ fn a_run_that_does_not_complete_leaves_the_report_alone() {
     std::fs::write(&path, "{\"kept\": true}\n").unwrap();
     let (code, stderr) = run(&["--quick", "--bench", "nosuch", "--json", &path]);
     assert_eq!(code, 2, "{stderr}");
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"kept\": true}\n");
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        "{\"kept\": true}\n"
+    );
 }

@@ -254,8 +254,10 @@ mod tests {
                 rd,
                 imm: v & 0xFFFF_F000u32 as i32
             }),
-            (arb_reg(), -(1i32 << 19)..1 << 19)
-                .prop_map(|(rd, half)| Instruction::Jal { rd, offset: half * 2 }),
+            (arb_reg(), -(1i32 << 19)..1 << 19).prop_map(|(rd, half)| Instruction::Jal {
+                rd,
+                offset: half * 2
+            }),
             (arb_reg(), arb_reg(), -2048i32..2048)
                 .prop_map(|(rd, rs1, offset)| Instruction::Jalr { rd, rs1, offset }),
             (arb_kind(), arb_reg(), arb_reg(), -2048i32..2048).prop_map(
@@ -287,19 +289,23 @@ mod tests {
                     kind,
                     rd,
                     rs1,
-                    imm: if OpImmKind::is_shift(kind.code()) { imm & 0x1F } else { imm },
+                    imm: if OpImmKind::is_shift(kind.code()) {
+                        imm & 0x1F
+                    } else {
+                        imm
+                    },
                 }
             ),
             (arb_kind(), arb_reg(), arb_reg(), arb_reg())
                 .prop_map(|(kind, rd, rs1, rs2)| Instruction::Op { kind, rd, rs1, rs2 }),
-            (arb_kind(), arb_reg(), arb_reg(), arb_reg()).prop_map(
-                |(kind, rd, rs1, rs2)| Instruction::Amo {
+            (arb_kind(), arb_reg(), arb_reg(), arb_reg()).prop_map(|(kind, rd, rs1, rs2)| {
+                Instruction::Amo {
                     kind,
                     rd,
                     rs1,
                     rs2: if kind == AmoKind::LrW { Reg::Zero } else { rs2 },
                 }
-            ),
+            }),
             Just(Instruction::Fence),
             Just(Instruction::Ecall),
             Just(Instruction::Ebreak),

@@ -32,7 +32,7 @@ impl fmt::Display for IsaError {
             }
             IsaError::UndefinedLabel { label } => write!(f, "undefined label `{label}`"),
             IsaError::OffsetOutOfRange { offset, bits } => {
-                write!(f, "offset {offset} does not fit an even {bits}-bit displacement")
+                write!(f, "offset {offset} does not fit an even {bits}-bit field")
             }
         }
     }

@@ -93,7 +93,10 @@ fn parse_imm(tok: &str, line: usize) -> Result<i32, ParseError> {
 fn parse_upper(tok: &str, line: usize) -> Result<i32, ParseError> {
     match parse_imm(tok, line)? {
         v @ 0..=0xF_FFFF => Ok(v << 12),
-        _ => Err(err(line, format!("upper immediate `{tok}` out of range 0..=0xfffff"))),
+        _ => Err(err(
+            line,
+            format!("upper immediate `{tok}` out of range 0..=0xfffff"),
+        )),
     }
 }
 
@@ -119,7 +122,10 @@ fn parse_mem_operand(tok: &str, line: usize) -> Result<(Reg, i32), ParseError> {
 fn parse_base(tok: &str, line: usize) -> Result<Reg, ParseError> {
     match parse_mem_operand(tok, line)? {
         (reg, 0) => Ok(reg),
-        _ => Err(err(line, format!("`{}` takes no offset: expected `(reg)`", tok.trim()))),
+        _ => Err(err(
+            line,
+            format!("`{}` takes no offset: expected `(reg)`", tok.trim()),
+        )),
     }
 }
 
@@ -160,7 +166,10 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
 /// back to it: an operand that does not fit its field.
 fn emit(asm: &mut Assembler, line: usize, inst: Instruction) -> Result<(), ParseError> {
     if decode(encode(&inst)) != Ok(inst) {
-        return Err(err(line, format!("an operand of `{inst}` does not fit its field")));
+        return Err(err(
+            line,
+            format!("an operand of `{inst}` does not fit its field"),
+        ));
     }
     asm.inst(inst);
     Ok(())
@@ -229,14 +238,32 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
             need(2)?;
             let (rs1, offset) = parse_mem_operand(ops[1], line)?;
             let rd = reg(0)?;
-            emit(&mut asm, line, Instruction::Load { kind, rd, rs1, offset })?;
+            emit(
+                &mut asm,
+                line,
+                Instruction::Load {
+                    kind,
+                    rd,
+                    rs1,
+                    offset,
+                },
+            )?;
             continue;
         }
         if let Some(kind) = StoreKind::from_mnemonic(&lower) {
             need(2)?;
             let (rs1, offset) = parse_mem_operand(ops[1], line)?;
             let rs2 = reg(0)?;
-            emit(&mut asm, line, Instruction::Store { kind, rs1, rs2, offset })?;
+            emit(
+                &mut asm,
+                line,
+                Instruction::Store {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset,
+                },
+            )?;
             continue;
         }
         if let Some(kind) = OpImmKind::from_mnemonic(&lower) {
@@ -288,11 +315,7 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
             }
             "mv" => {
                 need(2)?;
-                Instruction::addi(
-                    parse_reg(ops[0], line)?,
-                    parse_reg(ops[1], line)?,
-                    0,
-                )
+                Instruction::addi(parse_reg(ops[0], line)?, parse_reg(ops[1], line)?, 0)
             }
             "lui" => {
                 need(2)?;
@@ -645,11 +668,21 @@ mod tests {
         for offset in [-2048, 2047] {
             for kind in kinds::<LoadKind>() {
                 let (rd, rs1) = (Reg::A0, Reg::Sp);
-                all.push(I::Load { kind, rd, rs1, offset });
+                all.push(I::Load {
+                    kind,
+                    rd,
+                    rs1,
+                    offset,
+                });
             }
             for kind in kinds::<StoreKind>() {
                 let (rs1, rs2) = (Reg::S11, Reg::Zero);
-                all.push(I::Store { kind, rs1, rs2, offset });
+                all.push(I::Store {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset,
+                });
             }
             all.push(I::Jalr {
                 rd: Reg::Ra,
@@ -673,7 +706,11 @@ mod tests {
             all.push(I::Op { kind, rd, rs1, rs2 });
         }
         for kind in kinds::<AmoKind>() {
-            let rs2 = if kind == AmoKind::LrW { Reg::Zero } else { Reg::T6 };
+            let rs2 = if kind == AmoKind::LrW {
+                Reg::Zero
+            } else {
+                Reg::T6
+            };
             let (rd, rs1) = (Reg::Zero, Reg::S11);
             all.push(I::Amo { kind, rd, rs1, rs2 });
         }
@@ -682,7 +719,10 @@ mod tests {
             all.push(I::Auipc { rd: Reg::Zero, imm });
         }
         for offset in [-1_048_576, 1_048_574] {
-            all.push(I::Jal { rd: Reg::Ra, offset });
+            all.push(I::Jal {
+                rd: Reg::Ra,
+                offset,
+            });
         }
         all.extend([I::Fence, I::Ecall, I::Ebreak]);
         for (width, edge) in [(VecWidth::W2, false), (VecWidth::W16, true)] {
@@ -723,7 +763,10 @@ mod tests {
                     slice,
                     row,
                 },
-                I::SetMaskC { rs1: Reg::T6, slice },
+                I::SetMaskC {
+                    rs1: Reg::T6,
+                    slice,
+                },
             ]);
         }
         all
@@ -804,7 +847,12 @@ mod tests {
             ]
         );
         // out of range, or odd: the fields hold only even offsets
-        for text in ["beq a0, a1, 4096", "beq a0, a1, -4098", "beq a0, a1, 5", "jal ra, 3"] {
+        for text in [
+            "beq a0, a1, 4096",
+            "beq a0, a1, -4098",
+            "beq a0, a1, 5",
+            "jal ra, 3",
+        ] {
             let e = assemble_text(text).unwrap_err();
             assert!(e.message.contains("does not fit"), "{text}: {e}");
         }
@@ -846,7 +894,10 @@ mod tests {
     #[test]
     fn a_sign_inside_an_immediate_is_refused() {
         for imm in ["--5", "--9223372036854775808", "0x-5"] {
-            assert!(assemble_text(&format!("addi a0, a0, {imm}")).is_err(), "{imm}");
+            assert!(
+                assemble_text(&format!("addi a0, a0, {imm}")).is_err(),
+                "{imm}"
+            );
         }
         let prog = assemble_text("addi a0, a0, -0x800").unwrap();
         assert_eq!(prog, vec![I::addi(Reg::A0, Reg::A0, -2048)]);
@@ -870,16 +921,82 @@ mod tests {
     /// and junk tokens.
     fn arb_line() -> impl Strategy<Value = String> {
         const MNEMONICS: &[&str] = &[
-            "beq", "bgeu", "lw", "lhu", "sb", "addi", "slli", "srai", "add", "mulhsu",
-            "amoadd.w", "lr.w", "sc.w", "lui", "auipc", "jal", "jalr", "j", "li", "mv", "nop",
-            "fence", "ecall", "ebreak", "mac.c", "move.c", "setrow.c", "shiftrow.c",
-            "loadrow.rc", "storerow.rc", "setmask.c", "bogus", "",
+            "beq",
+            "bgeu",
+            "lw",
+            "lhu",
+            "sb",
+            "addi",
+            "slli",
+            "srai",
+            "add",
+            "mulhsu",
+            "amoadd.w",
+            "lr.w",
+            "sc.w",
+            "lui",
+            "auipc",
+            "jal",
+            "jalr",
+            "j",
+            "li",
+            "mv",
+            "nop",
+            "fence",
+            "ecall",
+            "ebreak",
+            "mac.c",
+            "move.c",
+            "setrow.c",
+            "shiftrow.c",
+            "loadrow.rc",
+            "storerow.rc",
+            "setmask.c",
+            "bogus",
+            "",
         ];
         const TOKENS: &[&str] = &[
-            "a0", "zero", "x0", "x31", "x32", "t6", "s11", "-8", "7", "0x7ff", "-2048", "4096",
-            "0xfffff", "-0x80000000", "4294967296", "--5", "loop", "end", "8", "(a0)",
-            "4(sp)", "-4(a2)", "(", "a0)", "()", "s7[63]", "s0[0]", "s8[0]", "s0[64]", "s7",
-            "s300", "n8", "n3", "-7", "+0", "1", "", ":", "é", "0x", "-",
+            "a0",
+            "zero",
+            "x0",
+            "x31",
+            "x32",
+            "t6",
+            "s11",
+            "-8",
+            "7",
+            "0x7ff",
+            "-2048",
+            "4096",
+            "0xfffff",
+            "-0x80000000",
+            "4294967296",
+            "--5",
+            "loop",
+            "end",
+            "8",
+            "(a0)",
+            "4(sp)",
+            "-4(a2)",
+            "(",
+            "a0)",
+            "()",
+            "s7[63]",
+            "s0[0]",
+            "s8[0]",
+            "s0[64]",
+            "s7",
+            "s300",
+            "n8",
+            "n3",
+            "-7",
+            "+0",
+            "1",
+            "",
+            ":",
+            "é",
+            "0x",
+            "-",
         ];
         const LABELS: &[&str] = &["loop", "end", "8", "-8", "a b", "é", ""];
         (
