@@ -228,69 +228,6 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
             }
         };
         let lower = mnemonic.to_ascii_lowercase();
-        let reg = |k: usize| parse_reg(ops[k], line);
-        if let Some(kind) = BranchKind::from_mnemonic(&lower) {
-            need(3)?;
-            asm.branch(kind, reg(0)?, reg(1)?, ops[2]);
-            continue;
-        }
-        if let Some(kind) = LoadKind::from_mnemonic(&lower) {
-            need(2)?;
-            let (rs1, offset) = parse_mem_operand(ops[1], line)?;
-            let rd = reg(0)?;
-            emit(
-                &mut asm,
-                line,
-                Instruction::Load {
-                    kind,
-                    rd,
-                    rs1,
-                    offset,
-                },
-            )?;
-            continue;
-        }
-        if let Some(kind) = StoreKind::from_mnemonic(&lower) {
-            need(2)?;
-            let (rs1, offset) = parse_mem_operand(ops[1], line)?;
-            let rs2 = reg(0)?;
-            emit(
-                &mut asm,
-                line,
-                Instruction::Store {
-                    kind,
-                    rs1,
-                    rs2,
-                    offset,
-                },
-            )?;
-            continue;
-        }
-        if let Some(kind) = OpImmKind::from_mnemonic(&lower) {
-            need(3)?;
-            let (rd, rs1, imm) = (reg(0)?, reg(1)?, parse_imm(ops[2], line)?);
-            emit(&mut asm, line, Instruction::OpImm { kind, rd, rs1, imm })?;
-            continue;
-        }
-        if let Some(kind) = OpKind::from_mnemonic(&lower) {
-            need(3)?;
-            let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
-            emit(&mut asm, line, Instruction::Op { kind, rd, rs1, rs2 })?;
-            continue;
-        }
-        if let Some(kind) = AmoKind::from_mnemonic(&lower) {
-            // `lr.w rd, (rs1)` has no `rs2` operand
-            let rs2 = if kind == AmoKind::LrW {
-                need(2)?;
-                Reg::Zero
-            } else {
-                need(3)?;
-                reg(1)?
-            };
-            let (rd, rs1) = (reg(0)?, parse_base(ops[ops.len() - 1], line)?);
-            emit(&mut asm, line, Instruction::Amo { kind, rd, rs1, rs2 })?;
-            continue;
-        }
         let inst = match lower.as_str() {
             "nop" => {
                 need(0)?;
@@ -433,7 +370,54 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                     slice,
                 }
             }
-            other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
+            // every other mnemonic names a table row
+            other => {
+                let reg = |k: usize| parse_reg(ops[k], line);
+                if let Some(kind) = BranchKind::from_mnemonic(other) {
+                    need(3)?;
+                    asm.branch(kind, reg(0)?, reg(1)?, ops[2]);
+                    continue;
+                } else if let Some(kind) = LoadKind::from_mnemonic(other) {
+                    need(2)?;
+                    let (rs1, offset) = parse_mem_operand(ops[1], line)?;
+                    Instruction::Load {
+                        kind,
+                        rd: reg(0)?,
+                        rs1,
+                        offset,
+                    }
+                } else if let Some(kind) = StoreKind::from_mnemonic(other) {
+                    need(2)?;
+                    let (rs1, offset) = parse_mem_operand(ops[1], line)?;
+                    Instruction::Store {
+                        kind,
+                        rs1,
+                        rs2: reg(0)?,
+                        offset,
+                    }
+                } else if let Some(kind) = OpImmKind::from_mnemonic(other) {
+                    need(3)?;
+                    let (rd, rs1, imm) = (reg(0)?, reg(1)?, parse_imm(ops[2], line)?);
+                    Instruction::OpImm { kind, rd, rs1, imm }
+                } else if let Some(kind) = OpKind::from_mnemonic(other) {
+                    need(3)?;
+                    let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+                    Instruction::Op { kind, rd, rs1, rs2 }
+                } else if let Some(kind) = AmoKind::from_mnemonic(other) {
+                    // `lr.w rd, (rs1)` has no `rs2` operand
+                    let rs2 = if kind == AmoKind::LrW {
+                        need(2)?;
+                        Reg::Zero
+                    } else {
+                        need(3)?;
+                        reg(1)?
+                    };
+                    let (rd, rs1) = (reg(0)?, parse_base(ops[ops.len() - 1], line)?);
+                    Instruction::Amo { kind, rd, rs1, rs2 }
+                } else {
+                    return Err(err(line, format!("unknown mnemonic `{other}`")));
+                }
+            }
         };
         emit(&mut asm, line, inst)?;
     }
