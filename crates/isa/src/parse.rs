@@ -162,19 +162,6 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
     }
 }
 
-/// Appends `inst`, refusing an instruction whose word does not decode
-/// back to it: an operand that does not fit its field.
-fn emit(asm: &mut Assembler, line: usize, inst: Instruction) -> Result<(), ParseError> {
-    if decode(encode(&inst)) != Ok(inst) {
-        return Err(err(
-            line,
-            format!("an operand of `{inst}` does not fit its field"),
-        ));
-    }
-    asm.inst(inst);
-    Ok(())
-}
-
 /// Parses a whole program into an [`Assembler`] (labels unresolved until
 /// [`Assembler::assemble`]).
 ///
@@ -419,7 +406,14 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
                 }
             }
         };
-        emit(&mut asm, line, inst)?;
+        // an operand that does not fit its field does not decode back
+        if decode(encode(&inst)) != Ok(inst) {
+            return Err(err(
+                line,
+                format!("an operand of `{inst}` does not fit its field"),
+            ));
+        }
+        asm.inst(inst);
     }
     Ok(asm)
 }
