@@ -121,6 +121,12 @@ impl Assembler {
         self
     }
 
+    /// The number of items appended so far; item `k` becomes instruction
+    /// `k` of the assembled program.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
     /// Resolves labels and returns the instruction sequence.
     ///
     /// # Errors
@@ -128,19 +134,24 @@ impl Assembler {
     /// Returns [`IsaError::UndefinedLabel`] for a dangling reference or
     /// [`IsaError::OffsetOutOfRange`] for an unreachable or odd displacement.
     pub fn assemble(&self) -> Result<Vec<Instruction>, IsaError> {
-        let resolve = |label: &str, from: usize, bits: u32| -> Result<i32, IsaError> {
+        self.resolve().map_err(|(_, e)| e)
+    }
+
+    /// [`Self::assemble`], with the index of the item a failure names.
+    pub(crate) fn resolve(&self) -> Result<Vec<Instruction>, (usize, IsaError)> {
+        let resolve = |label: &str, from: usize, bits: u32| -> Result<i32, (usize, IsaError)> {
             let offset = match (label.parse::<i64>(), self.labels.get(label)) {
                 (Ok(offset), _) => offset,
                 (Err(_), Some(&target)) => (target as i64 - from as i64) * 4,
                 (Err(_), None) => {
                     let label = label.to_string();
-                    return Err(IsaError::UndefinedLabel { label });
+                    return Err((from, IsaError::UndefinedLabel { label }));
                 }
             };
             let max = (1i64 << (bits - 1)) - 1;
             let min = -(1i64 << (bits - 1));
             if offset < min || offset > max || offset % 2 != 0 {
-                return Err(IsaError::OffsetOutOfRange { offset, bits });
+                return Err((from, IsaError::OffsetOutOfRange { offset, bits }));
             }
             Ok(offset as i32)
         };

@@ -29,7 +29,6 @@ use crate::inst::{
     AmoKind, BranchKind, Instruction, LoadKind, OpImmKind, OpKind, OpTable, StoreKind, VecWidth,
 };
 use crate::reg::Reg;
-use crate::IsaError;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -168,10 +167,15 @@ fn parse_width(tok: &str, line: usize) -> Result<VecWidth, ParseError> {
 /// # Errors
 ///
 /// Returns the first [`ParseError`] encountered.
-pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
+pub(crate) fn parse_program(src: &str) -> Result<(Assembler, Vec<usize>), ParseError> {
     let mut asm = Assembler::new();
     let mut labels = HashMap::new();
+    // the source line of each item, so a target that does not resolve
+    // is reported on the line that names it
+    let mut lines = Vec::new();
     for (i, raw) in src.lines().enumerate() {
+        // stamp what the previous line emitted (`li` may emit two items)
+        lines.resize(asm.len(), i);
         let line = i + 1;
         let text = raw.split(['#', ';']).next().unwrap_or("").trim();
         if text.is_empty() {
@@ -415,17 +419,21 @@ pub(crate) fn parse_program(src: &str) -> Result<Assembler, ParseError> {
         }
         asm.inst(inst);
     }
-    Ok(asm)
+    lines.resize(asm.len(), src.lines().count());
+    Ok((asm, lines))
 }
 
 /// Convenience: parse, resolve labels, return instructions.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] for syntax errors; label-resolution failures are
-/// wrapped with line 0.
+/// Returns [`ParseError`] for syntax errors, and for a branch or jump
+/// target that is undefined or does not fit its field, on the line that
+/// names it.
 pub fn assemble_text(src: &str) -> Result<Vec<Instruction>, ParseError> {
-    parse_program(src)?.assemble().map_err(|e: IsaError| err(0, e.to_string()))
+    let (asm, lines) = parse_program(src)?;
+    asm.resolve()
+        .map_err(|(item, e)| err(lines[item], e.to_string()))
 }
 
 #[cfg(test)]
@@ -586,6 +594,21 @@ mod tests {
     fn undefined_label_reported() {
         let e = assemble_text("j nowhere").unwrap_err();
         assert!(e.message.contains("nowhere"));
+    }
+
+    #[test]
+    fn an_undefined_label_names_the_line_that_uses_it() {
+        let e =
+            assemble_text("li a0, 0x12345678\nloop:\nbeq a0, zero, nowhere\nj loop").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert_eq!(e.message, "undefined label `nowhere`");
+    }
+
+    #[test]
+    fn an_offset_that_does_not_fit_names_the_line_that_uses_it() {
+        let e = assemble_text("li a0, 0x12345678\n\nbne a0, zero, 5\nnop").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert_eq!(e.message, "offset 5 does not fit an even 13-bit field");
     }
 
     #[test]
