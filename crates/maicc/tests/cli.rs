@@ -50,6 +50,11 @@ fn work_dir(test: &str) -> PathBuf {
 "#,
     )
     .unwrap();
+    std::fs::write(
+        dir.join("late.json"),
+        r#"{"requests": [{"tenant": "vision", "model": "small", "arrival": 18446744073709551000}]}"#,
+    )
+    .unwrap();
     dir
 }
 
@@ -84,6 +89,9 @@ const CASES: &[&str] = &[
     "asm every_op.s",
     "serve --quick --zipf nan",
     "serve --quick --zipf inf",
+    "serve --quick --json --trace late.json",
+    "serve --quick --json --fabrics 2 \
+     --fabric-fault brownout:0:100:18446744073709551615:18446744073709551615",
 ];
 
 /// Runs `maicc` with the space-separated `line` in `dir` and returns its

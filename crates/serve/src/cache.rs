@@ -680,7 +680,7 @@ impl WeightCache {
                 self.prefetch = Some(PrefetchState {
                     model: entry.name.clone(),
                     tiles,
-                    done_at: now + load.cycles,
+                    done_at: now.saturating_add(load.cycles),
                     reload_cycles: reload,
                 });
                 return;
