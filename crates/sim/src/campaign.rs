@@ -72,12 +72,8 @@ pub struct RecoveryConfig {
     pub ecc: EccMode,
     /// Mesh-level retransmission policy, if any.
     pub noc_retry: Option<RetryPolicy>,
-    /// Replay attempts before a run is declared unrecoverable.
-    pub max_replays: u32,
-    /// Whether a hard fault may retire its tile and re-place the workload.
-    pub remap: bool,
-    /// Checkpoint cadence in sink values.
-    pub checkpoint_values: usize,
+    /// Checkpoint/replay policy of the streaming simulator.
+    pub policy: RecoveryPolicy,
 }
 
 impl Default for RecoveryConfig {
@@ -85,9 +81,7 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             ecc: EccMode::Correct,
             noc_retry: Some(RetryPolicy::default()),
-            max_replays: 16,
-            remap: true,
-            checkpoint_values: 16,
+            policy: RecoveryPolicy::default(),
         }
     }
 }
@@ -417,11 +411,7 @@ impl FaultCampaign {
         if let Some(rc) = &self.recovery {
             sim.set_ecc_mode(rc.ecc);
             sim.set_noc_retry_policy(rc.noc_retry);
-            sim.set_recovery_policy(Some(RecoveryPolicy {
-                max_replays: rc.max_replays,
-                remap: rc.remap,
-                checkpoint_values: rc.checkpoint_values,
-            }));
+            sim.set_recovery_policy(Some(rc.policy));
         }
         let res = sim.run(self.budget);
         let rec = sim.recovery_stats();
