@@ -370,7 +370,7 @@ impl ServeReport {
         policy: &str,
         pool_tiles: usize,
         degraded_tiles: usize,
-        busy_tile_cycles: u64,
+        busy_tile_cycles: u128,
         mut outcomes: Vec<RequestOutcome>,
     ) -> Self {
         outcomes.sort_by_key(|o| o.id);
@@ -378,7 +378,7 @@ impl ServeReport {
         let fleet = aggregate(&all);
         let makespan = outcomes.iter().map(|o| o.finished).max().unwrap_or(0);
         #[allow(clippy::cast_precision_loss)]
-        let capacity = (pool_tiles as u64 * makespan) as f64;
+        let capacity = pool_tiles as f64 * makespan as f64;
         #[allow(clippy::cast_precision_loss)]
         let utilization = if capacity > 0.0 {
             busy_tile_cycles as f64 / capacity
