@@ -1,5 +1,8 @@
 //! Pinned mesh tick: a seeded table of traffic scenarios, each run on the
-//! full-scan `Mesh::tick` and the tracked `Mesh::tick_partitioned`. Every
+//! full-scan `Mesh::tick` and the tracked `Mesh::tick_partitioned`. The
+//! train scenarios at the end send most of their packets in one burst at
+//! cycle 0 between a few fixed endpoint pairs, the steady wormhole trains
+//! that a data-collection core streams to its computing cores. Every
 //! cycle's observables — deliveries (order, payload, `sent_at`,
 //! `arrived_at`, `corrupted`), `stats()`, `fault_stats()`,
 //! `take_errors()`, `wedge_report()` and `link_loads()` — are hashed into
@@ -25,7 +28,15 @@ enum Pattern {
     Uniform,
     /// Every packet targets one tile.
     Hotspot(Coord),
+    /// Each packet takes one of these (source, destination) pairs. Seven
+    /// of every eight packets are sent at cycle 0, so each pair carries a
+    /// train of back-to-back packets; the eighth is sent at a cycle drawn
+    /// from `0..stagger`.
+    Trains(&'static [Pair]),
 }
+
+/// A train's endpoints, `((sx, sy), (dx, dy))`.
+type Pair = ((u8, u8), (u8, u8));
 
 /// One pinned run.
 struct Scenario {
@@ -37,7 +48,8 @@ struct Scenario {
     seed: u64,
     packets: usize,
     pattern: Pattern,
-    /// Flits per packet, drawn from `1..=max_flits`.
+    /// Flits per packet, drawn from `min_flits..=max_flits`.
+    min_flits: usize,
     max_flits: usize,
     /// Injection cycles are drawn from `0..stagger`.
     stagger: u64,
@@ -66,6 +78,7 @@ fn scenarios() -> Vec<Scenario> {
         seed,
         packets: 60,
         pattern: Pattern::Uniform,
+        min_flits: 1,
         max_flits: 3,
         stagger: 40,
         plan: None,
@@ -212,6 +225,45 @@ fn scenarios() -> Vec<Scenario> {
             plan: Some(NocFaultPlan::with_seed(22)),
             ..base("quiet_plan_6x6_cap1", 6, 6, 1, 18)
         },
+        Scenario {
+            // one-hop rows along a zig-zag chain, data-collection core to
+            // first computing core and on to the next
+            pattern: Pattern::Trains(&[
+                ((1, 0), (2, 0)),
+                ((2, 0), (3, 0)),
+                ((9, 4), (9, 5)),
+                ((12, 7), (11, 7)),
+            ]),
+            min_flits: 9,
+            max_flits: 9,
+            stagger: 400,
+            ..base("trains_one_hop_16x16_cap4", 16, 16, 4, 19)
+        },
+        Scenario {
+            pattern: Pattern::Trains(&[((0, 0), (15, 12)), ((15, 1), (2, 14)), ((3, 15), (12, 0))]),
+            max_flits: 9,
+            stagger: 300,
+            ..base("trains_long_xy_16x16_cap2", 16, 16, 2, 20)
+        },
+        Scenario {
+            // both trains want router (4, 1)'s South output
+            pattern: Pattern::Trains(&[((0, 1), (4, 3)), ((4, 0), (4, 3))]),
+            max_flits: 9,
+            stagger: 200,
+            ..base("trains_merge_6x6_cap1", 6, 6, 1, 21)
+        },
+        Scenario {
+            pattern: Pattern::Trains(&[
+                ((0, 0), (4, 4)),
+                ((5, 0), (4, 4)),
+                ((0, 5), (4, 4)),
+                ((2, 4), (4, 4)),
+            ]),
+            min_flits: 5,
+            max_flits: 9,
+            stagger: 300,
+            ..base("trains_hotspot_6x6_cap3", 6, 6, 3, 22)
+        },
     ]
 }
 
@@ -244,13 +296,20 @@ fn traffic(s: &Scenario) -> Vec<(u64, Packet<u64>)> {
     };
     let mut out: Vec<(u64, Packet<u64>)> = (0..s.packets as u64)
         .map(|k| {
-            let src = tile(&mut rng);
-            let dst = match s.pattern {
-                Pattern::Uniform => tile(&mut rng),
-                Pattern::Hotspot(at) => at,
+            let (src, dst) = match s.pattern {
+                Pattern::Uniform => (tile(&mut rng), tile(&mut rng)),
+                Pattern::Hotspot(at) => (tile(&mut rng), at),
+                Pattern::Trains(pairs) => {
+                    let ((sx, sy), (dx, dy)) = pairs[rng.below(pairs.len() as u64) as usize];
+                    (c(sx, sy), c(dx, dy))
+                }
             };
-            let flits = 1 + rng.below(s.max_flits as u64) as usize;
-            let at = rng.below(s.stagger);
+            let spread = (s.max_flits - s.min_flits + 1) as u64;
+            let flits = s.min_flits + rng.below(spread) as usize;
+            let mut at = rng.below(s.stagger);
+            if matches!(s.pattern, Pattern::Trains(_)) && k % 8 != 7 {
+                at = 0;
+            }
             (at, Packet::new(src, dst, flits, k))
         })
         .collect();
