@@ -7,9 +7,14 @@
 //! had space at the start of the tick. No other move can claim that
 //! space in the same tick: every non-local input port has exactly one
 //! upstream link, and every output moves at most one flit per tick.
+//!
+//! Wormhole trains repeat themselves: while one streams at a flit per link
+//! per cycle, each tick drains and moves exactly what the last one did.
+//! The tracked tick detects such a tick and replays its plan on the next
+//! one instead of arbitrating again (see [`Mesh::tick_partitioned`]).
 
 use crate::fault::{DropRng, NocError, NocFaultPlan, NocFaultState, NocFaultStats, RetryPolicy};
-use crate::router::{Coord, Direction, Flit, Router};
+use crate::router::{route, Coord, Direction, Flit, Router};
 use crate::stats::NocStats;
 use crate::DEFAULT_BUFFER;
 use std::collections::{HashMap, VecDeque};
@@ -20,6 +25,12 @@ use std::hash::BuildHasherDefault;
 const STALL_SLOTS: usize = 6;
 /// Stall-trace slot of the injection queue.
 const INJECT_SLOT: usize = 5;
+/// Port index of the local input and output.
+const LOCAL: usize = 4;
+
+/// A move planned in phase 2: (router, input port, output port, downstream
+/// router). The downstream router of a local move is the router itself.
+type Move = (usize, usize, usize, usize);
 
 /// A message travelling through the mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,16 +143,19 @@ struct TickScratch {
     moved: Vec<u8>,
     /// Membership bitmap for `active`.
     is_active: Vec<bool>,
-    /// (router, input port, output port, downstream router) moves planned
-    /// this tick; the downstream router of a local move is the router
-    /// itself.
-    moves: Vec<(usize, usize, usize, usize)>,
+    /// Per router, the input ports a move or an injection drain fed this
+    /// tick (bit `port`), recorded only while the tick may still be
+    /// replayed; the stall pass reads and zeroes it.
+    fed: Vec<u8>,
+    /// The moves planned this tick.
+    moves: Vec<Move>,
 }
 
 impl TickScratch {
     fn begin(&mut self, n: usize) {
         if self.is_active.len() != n {
             self.is_active = vec![false; n];
+            self.fed = vec![0; n];
         }
     }
 
@@ -154,6 +168,28 @@ impl TickScratch {
         self.moved.clear();
         self.moves.clear();
     }
+}
+
+/// The last tracked tick's plan, kept while the next tick provably plans
+/// the same (the rule is on [`Mesh::tick_partitioned`]). The buffers keep
+/// their capacity across ticks.
+#[derive(Default)]
+struct Replay {
+    /// The next tracked tick replays this plan instead of planning.
+    armed: bool,
+    /// Routers whose injection queue drains one flit into the local port
+    /// (the tick that recorded them may have drained more: see rule 2).
+    drains: Vec<usize>,
+    /// Outputs a moving tail released, with the one input whose head
+    /// requests each next: (router, output port, input port, packet).
+    rearm: Vec<(usize, usize, usize, u64)>,
+    /// The moves, in plan order.
+    moves: Vec<Move>,
+    /// Stall slots (`router * STALL_SLOTS + slot`) whose head waits.
+    stuck: Vec<usize>,
+    /// Replayed ticks, outputs re-armed and re-arms refused by rule 3.
+    #[cfg(test)]
+    counts: [u64; 3],
 }
 
 /// The mesh network.
@@ -198,13 +234,19 @@ pub struct Mesh<T> {
     /// flits, so the superset holds. `None` (the default, and what the
     /// sequential reference loop uses) keeps the full-scan [`Mesh::tick`].
     tracked: Option<Vec<usize>>,
+    /// The last tracked tick's plan, for [`Mesh::tick_partitioned`] to
+    /// replay. Every call that could change what the next tick plans
+    /// disarms it: a send, attaching a fault plan, arming or disarming the
+    /// tracking, and a full-scan tick.
+    replay: Replay,
 }
 
 impl<T: Clone> Clone for Mesh<T> {
     /// Deep-copies the architectural state (routers, queues, flights,
     /// stats, fault RNG position). The per-tick scratch buffers are empty
     /// between ticks, so the clone starts with fresh ones — checkpointing
-    /// a mesh mid-simulation and resuming from the copy is exact.
+    /// a mesh mid-simulation and resuming from the copy is exact. The clone
+    /// plans its first tick afresh.
     fn clone(&self) -> Self {
         Mesh {
             width: self.width,
@@ -224,6 +266,7 @@ impl<T: Clone> Clone for Mesh<T> {
             occ: self.occ.clone(),
             scratch: TickScratch::default(),
             tracked: self.tracked.clone(),
+            replay: Replay::default(),
         }
     }
 }
@@ -284,6 +327,7 @@ impl<T> Mesh<T> {
             occ: vec![0; n],
             scratch: TickScratch::default(),
             tracked: None,
+            replay: Replay::default(),
         }
     }
 
@@ -292,6 +336,7 @@ impl<T> Mesh<T> {
     /// Attaching [`NocFaultPlan::none`] is equivalent to no plan at all.
     pub fn attach_fault_plan(&mut self, plan: NocFaultPlan) {
         self.fault = Some(NocFaultState::new(plan));
+        self.replay.armed = false;
     }
 
     /// Fault events observed so far (zero when no plan is attached).
@@ -395,6 +440,7 @@ impl<T> Mesh<T> {
         if let Some(cand) = self.tracked.as_mut() {
             cand.push(src);
         }
+        self.replay.armed = false;
         self.stats.packets_sent += 1;
     }
 
@@ -407,12 +453,14 @@ impl<T> Mesh<T> {
             .filter(|&i| self.occ[i] > 0 || !self.inject[i].is_empty())
             .collect();
         self.tracked = Some(cand);
+        self.replay.armed = false;
     }
 
     /// Disarms active-router tracking (the full-scan [`Mesh::tick`]
     /// neither needs nor maintains it).
     pub fn disable_partitioned_stepping(&mut self) {
         self.tracked = None;
+        self.replay.armed = false;
     }
 
     /// Drains per-shard packet queues into the mesh in ascending shard
@@ -490,6 +538,9 @@ impl<T> Mesh<T> {
     }
 
     /// Advances one cycle; returns packets fully delivered this cycle.
+    ///
+    /// This full-scan tick plans every cycle afresh and never replays: it
+    /// is the oracle the tracked tick is tested against.
     pub fn tick(&mut self) -> Vec<Delivered<T>> {
         let mut delivered = Vec::new();
         self.tick_core(false, &mut delivered);
@@ -507,6 +558,30 @@ impl<T> Mesh<T> {
     /// removes flits (zeroing the stall slots of the queues it empties,
     /// as the full scan would).
     ///
+    /// Without a fault plan, a tick that proves the next one plans the
+    /// same is replayed instead of planned: the next tick applies the same
+    /// injection drains, then the same moves in plan order, and ages the
+    /// same stall slots. A tick proves it when
+    ///
+    /// 1. every router whose injection queue drained still has a flit
+    ///    queued there;
+    /// 2. the input queues that a move or drain fed are exactly those a
+    ///    move drained. Each non-local input has one upstream link and one
+    ///    head, so equal sets mean a one-to-one match and its length did
+    ///    not change. A local input that its injection queue fed filled up
+    ///    (rule 1 left a flit queued) and then lost one flit to a move, so
+    ///    the next tick drains exactly one flit into it; and
+    /// 3. every output a moving tail released is requested next by exactly
+    ///    one head: the one now at the front of the tail's input, heading
+    ///    a packet routed to that output. An empty local input's next head
+    ///    is its injection queue's front, which phase 0 drains first.
+    ///
+    /// The replay re-arms each such output as phase 1 would (owner that
+    /// packet, round-robin pointer past its input) and then checks rules
+    /// 1 and 3 again for the tick after. A send, attaching a fault plan,
+    /// re-arming or disarming the tracking and a full-scan tick drop the
+    /// plan, and a clone plans its first tick afresh.
+    ///
     /// # Panics
     ///
     /// Panics if [`Mesh::enable_partitioned_stepping`] was not called.
@@ -515,7 +590,11 @@ impl<T> Mesh<T> {
             self.tracked.is_some(),
             "partitioned stepping is not armed (call enable_partitioned_stepping)"
         );
-        self.tick_core(true, out);
+        if self.replay.armed {
+            self.replay_tick(out);
+        } else {
+            self.tick_core(true, out);
+        }
     }
 
     #[allow(clippy::too_many_lines)]
@@ -536,6 +615,8 @@ impl<T> Mesh<T> {
             };
             if drained {
                 debug_assert!(self.occ.iter().all(|&o| o == 0));
+                // a tick that arms a replay leaves flits queued
+                debug_assert!(!self.replay.armed);
                 return;
             }
         }
@@ -574,6 +655,13 @@ impl<T> Mesh<T> {
 
         let mut s = std::mem::take(&mut self.scratch);
         s.begin(n);
+        // The plan is recorded for a replay while rules 1 and 2 hold; only
+        // the tracked tick without a fault plan replays.
+        let mut plan = std::mem::take(&mut self.replay);
+        plan.drains.clear();
+        plan.rearm.clear();
+        plan.stuck.clear();
+        let mut steady = sparse && self.fault.is_none();
         // Routers that can possibly act this cycle: those holding buffered
         // flits or pending injections, in ascending index order — moves,
         // deliveries and fault-RNG draws are applied in that order.
@@ -611,7 +699,7 @@ impl<T> Mesh<T> {
             let dead = fault.is_some_and(|f| f.router_failed(here));
             let mut moved = 0u8;
             // phase 0: drain the injection queue into the local input port
-            let local = &mut self.routers[i].inputs[Direction::Local.index()];
+            let local = &mut self.routers[i].inputs[LOCAL];
             while !dead && local.len() < self.buffer_cap {
                 let Some(f) = self.inject[i].pop_front() else {
                     break;
@@ -622,6 +710,12 @@ impl<T> Mesh<T> {
                 moved |= 1 << INJECT_SLOT;
                 self.occ[i] += 1;
                 local.push_back(f);
+            }
+            if steady && moved != 0 {
+                // rule 1
+                steady = !self.inject[i].is_empty();
+                s.fed[i] |= 1 << LOCAL;
+                plan.drains.push(i);
             }
             // a router without buffered flits has no input heads
             if self.occ[i] > 0 {
@@ -666,13 +760,7 @@ impl<T> Mesh<T> {
                         continue;
                     };
                     let out = Direction::ALL[o];
-                    let nbi = match out {
-                        Direction::North => i - width,
-                        Direction::South => i + width,
-                        Direction::East => i + 1,
-                        Direction::West => i - 1,
-                        Direction::Local => i,
-                    };
+                    let nbi = neighbour(i, width, out);
                     if out != Direction::Local {
                         debug_assert_eq!(
                             here.hops_to(self.routers[nbi].coord),
@@ -701,97 +789,22 @@ impl<T> Mesh<T> {
 
         // phase 3: apply moves simultaneously
         for mi in 0..s.moves.len() {
-            let (i, ii, o, nbi) = s.moves[mi];
-            let f = self.routers[i].inputs[ii]
-                .pop_front()
-                .expect("planned move has a flit");
-            self.occ[i] -= 1;
-            if f.is_tail {
-                self.routers[i].outputs[o].owner = None;
-            }
-            if o == Direction::Local.index() {
-                if self.fault.is_some() {
-                    s.progressed.push(f.packet);
+            let mv @ (i, ii, o, nbi) = s.moves[mi];
+            let lands = self.fault.is_none() || self.fault_move(mv, &mut s.progressed);
+            if lands && o != LOCAL {
+                if !s.is_active[nbi] {
+                    s.is_active[nbi] = true;
+                    s.active.push(nbi);
+                    s.moved.push(0);
                 }
-                let fl = self
-                    .flights
-                    .get_mut(&f.packet)
-                    .expect("flit belongs to a live packet");
-                fl.delivered_flits += 1;
-                if f.is_tail {
-                    // packet CRC check at the receiver: a corrupted
-                    // wormhole is NACKed back for retransmission when a
-                    // policy is attached, delivered flagged when not
-                    if fl.crc_damaged {
-                        if let Some(policy) = self.retry_policy {
-                            if fl.retries < policy.max_retries {
-                                fl.retries += 1;
-                                fl.crc_damaged = false;
-                                fl.damaged = false;
-                                fl.delivered_flits = 0;
-                                fl.yx = !fl.yx;
-                                fl.last_progress = self.cycle;
-                                fl.release_at = Some(self.cycle + policy.backoff(fl.retries - 1));
-                                if let Some(fs) = self.fault.as_mut() {
-                                    fs.stats.crc_rejects += 1;
-                                }
-                            } else {
-                                let fl = self.flights.remove(&f.packet).expect("present");
-                                if let Some(fs) = self.fault.as_mut() {
-                                    fs.stats.packets_lost += 1;
-                                }
-                                self.errors.push(NocError::PacketLost {
-                                    packet: f.packet,
-                                    src: fl.packet.src,
-                                    dst: fl.packet.dst,
-                                    retries: fl.retries,
-                                });
-                            }
-                            continue;
-                        }
-                    }
-                    let fl = self.flights.remove(&f.packet).expect("present");
-                    debug_assert_eq!(fl.delivered_flits, fl.packet.flits);
-                    self.stats.packets_delivered += 1;
-                    self.stats.total_latency += self.cycle - fl.sent_at;
-                    delivered.push(Delivered {
-                        packet: fl.packet,
-                        sent_at: fl.sent_at,
-                        arrived_at: self.cycle,
-                        corrupted: fl.crc_damaged,
-                    });
+                if steady {
+                    s.fed[nbi] |= 1 << (o ^ 1);
                 }
-                continue;
             }
-            if let Some(fs) = self.fault.as_mut() {
-                // transient link fault: the flit vanishes in transit and
-                // the wormhole is recalled at maintenance time
-                if fs.rng.chance(fs.plan.drop_rate) {
-                    fs.stats.flits_dropped += 1;
-                    if let Some(fl) = self.flights.get_mut(&f.packet) {
-                        fl.damaged = true;
-                    }
-                    continue;
-                }
-                // a corrupted flit keeps moving; the destination's packet
-                // CRC rejects the wormhole on arrival
-                if fs.rng.chance(fs.plan.corrupt_rate) {
-                    fs.stats.flits_corrupted += 1;
-                    if let Some(fl) = self.flights.get_mut(&f.packet) {
-                        fl.crc_damaged = true;
-                    }
-                }
-                s.progressed.push(f.packet);
+            // a tail releases its output; `arm` finds who requests it next
+            if self.move_flit(mv, lands, delivered).is_tail && steady {
+                plan.rearm.push((i, o, ii, 0));
             }
-            if !s.is_active[nbi] {
-                s.is_active[nbi] = true;
-                s.active.push(nbi);
-                s.moved.push(0);
-            }
-            self.routers[nbi].inputs[o ^ 1].push_back(f);
-            self.occ[nbi] += 1;
-            self.stats.flit_hops += 1;
-            self.link_load[i * 5 + o] += 1;
         }
 
         // One pass ages the credit-stall trace and refreshes the candidate
@@ -806,6 +819,10 @@ impl<T> Mesh<T> {
             cand.clear();
         }
         for (&i, &moved) in s.active.iter().zip(&s.moved) {
+            // rule 2: the inputs fed are the inputs drained by a move (a
+            // router a move first reached was fed but drained nothing)
+            steady &= s.fed[i] == moved & !(1 << INJECT_SLOT);
+            s.fed[i] = 0;
             for p in 0..STALL_SLOTS {
                 let empty = if p == INJECT_SLOT {
                     self.inject[i].is_empty()
@@ -815,6 +832,9 @@ impl<T> Mesh<T> {
                 let stuck = !empty && moved & 1 << p == 0;
                 let age = &mut self.stall[i * STALL_SLOTS + p];
                 *age = if stuck { *age + 1 } else { 0 };
+                if stuck && steady {
+                    plan.stuck.push(i * STALL_SLOTS + p);
+                }
             }
             if let Some(cand) = self.tracked.as_mut() {
                 if self.occ[i] > 0 || !self.inject[i].is_empty() {
@@ -822,6 +842,11 @@ impl<T> Mesh<T> {
                 }
             }
         }
+        if steady {
+            std::mem::swap(&mut plan.moves, &mut s.moves);
+        }
+        self.arm(&mut plan, steady);
+        self.replay = plan;
 
         // phase 4 (fault mode only): recall packets that lost a flit or
         // made no progress for the plan's retry horizon
@@ -835,6 +860,190 @@ impl<T> Mesh<T> {
         if self.fault.is_some() {
             self.retry_maintenance();
         }
+    }
+
+    /// Replays the plan the last tracked tick armed: its drains, the
+    /// outputs its tails released, its moves in plan order and its stuck
+    /// stall slots. The candidate set stays as it is, a superset: the
+    /// same routers hold work.
+    fn replay_tick(&mut self, delivered: &mut Vec<Delivered<T>>) {
+        self.cycle += 1;
+        self.stats.cycles = self.cycle;
+        let mut plan = std::mem::take(&mut self.replay);
+        for &i in &plan.drains {
+            let f = self.inject[i]
+                .pop_front()
+                .expect("rule 1 left a flit queued");
+            self.routers[i].inputs[LOCAL].push_back(f);
+            self.occ[i] += 1;
+        }
+        for &(i, o, ii, packet) in &plan.rearm {
+            let out = &mut self.routers[i].outputs[o];
+            out.owner = Some(packet);
+            out.rr = (ii + 1) % 5;
+        }
+        #[cfg(test)]
+        {
+            plan.counts[0] += 1;
+            plan.counts[1] += plan.rearm.len() as u64;
+        }
+        plan.rearm.clear();
+        for &mv @ (i, ii, o, _) in &plan.moves {
+            if self.move_flit(mv, true, delivered).is_tail {
+                plan.rearm.push((i, o, ii, 0));
+            }
+        }
+        for &k in &plan.stuck {
+            self.stall[k] += 1;
+        }
+        // rule 2 holds again: the same moves and drains fed and drained
+        // the same queues
+        let steady = plan.drains.iter().all(|&i| !self.inject[i].is_empty());
+        self.arm(&mut plan, steady);
+        self.replay = plan;
+    }
+
+    /// Arms `plan` for the next tick if rules 1 and 2 held (`steady`) and
+    /// rule 3 holds: each output in `plan.rearm` is requested next by
+    /// exactly one head, at the front of the released tail's input. Fills
+    /// in the packet each output goes to.
+    fn arm(&self, plan: &mut Replay, steady: bool) {
+        plan.armed = steady
+            && plan.rearm.iter_mut().all(|(i, o, ii, packet)| {
+                let r = &self.routers[*i];
+                let mut heads = (0..5).filter_map(|p| {
+                    // phase 0 refills an empty local input first
+                    let f = r.inputs[p]
+                        .front()
+                        .or_else(|| self.inject[*i].front().filter(|_| p == LOCAL))?;
+                    (f.is_head && f.route_from(r.coord).index() == *o).then_some((p, f.packet))
+                });
+                match (heads.next(), heads.next()) {
+                    (Some((p, id)), None) if p == *ii => {
+                        *packet = id;
+                        true
+                    }
+                    _ => false,
+                }
+            });
+        #[cfg(test)]
+        if steady && !plan.armed {
+            plan.counts[2] += 1;
+        }
+    }
+
+    /// Phase 3's move of one planned flit, shared by the planned and the
+    /// replayed tick: pops the flit, releasing the output on a tail; then,
+    /// if it `lands`, delivers it at a local output or hops it into the
+    /// downstream input. A flit a fault dropped or a CRC check rejected
+    /// lands nowhere.
+    fn move_flit(
+        &mut self,
+        (i, ii, o, nbi): Move,
+        lands: bool,
+        delivered: &mut Vec<Delivered<T>>,
+    ) -> Flit {
+        let f = self.routers[i].inputs[ii]
+            .pop_front()
+            .expect("planned move has a flit");
+        self.occ[i] -= 1;
+        if f.is_tail {
+            self.routers[i].outputs[o].owner = None;
+        }
+        if !lands {
+            return f;
+        }
+        if o == LOCAL {
+            let fl = self
+                .flights
+                .get_mut(&f.packet)
+                .expect("flit belongs to a live packet");
+            fl.delivered_flits += 1;
+            if f.is_tail {
+                let fl = self.flights.remove(&f.packet).expect("present");
+                debug_assert_eq!(fl.delivered_flits, fl.packet.flits);
+                self.stats.packets_delivered += 1;
+                self.stats.total_latency += self.cycle - fl.sent_at;
+                delivered.push(Delivered {
+                    packet: fl.packet,
+                    sent_at: fl.sent_at,
+                    arrived_at: self.cycle,
+                    corrupted: fl.crc_damaged,
+                });
+            }
+        } else {
+            self.routers[nbi].inputs[o ^ 1].push_back(f);
+            self.occ[nbi] += 1;
+            self.stats.flit_hops += 1;
+            self.link_load[i * 5 + o] += 1;
+        }
+        f
+    }
+
+    /// Phase 3's fault handling for one planned move, in plan order and
+    /// before the flit leaves its queue: progress tracking, the
+    /// destination's CRC check on a tail, and a hop's drop and corruption
+    /// draws. Returns whether the flit lands.
+    fn fault_move(&mut self, (i, ii, o, _): Move, progressed: &mut Vec<u64>) -> bool {
+        let f = *self.routers[i].inputs[ii]
+            .front()
+            .expect("planned move has a flit");
+        let fs = self.fault.as_mut().expect("a fault plan is attached");
+        if o == LOCAL {
+            progressed.push(f.packet);
+            // packet CRC check at the receiver: a corrupted wormhole is
+            // NACKed back for retransmission when a policy is attached,
+            // delivered flagged when not
+            let Some(policy) = self.retry_policy.filter(|_| f.is_tail) else {
+                return true;
+            };
+            let fl = self
+                .flights
+                .get_mut(&f.packet)
+                .expect("flit belongs to a live packet");
+            if !fl.crc_damaged {
+                return true;
+            }
+            if fl.retries < policy.max_retries {
+                fl.retries += 1;
+                fl.crc_damaged = false;
+                fl.damaged = false;
+                fl.delivered_flits = 0;
+                fl.yx = !fl.yx;
+                fl.last_progress = self.cycle;
+                fl.release_at = Some(self.cycle + policy.backoff(fl.retries - 1));
+                fs.stats.crc_rejects += 1;
+            } else {
+                let fl = self.flights.remove(&f.packet).expect("present");
+                fs.stats.packets_lost += 1;
+                self.errors.push(NocError::PacketLost {
+                    packet: f.packet,
+                    src: fl.packet.src,
+                    dst: fl.packet.dst,
+                    retries: fl.retries,
+                });
+            }
+            return false;
+        }
+        // transient link fault: the flit vanishes in transit and the
+        // wormhole is recalled at maintenance time
+        if fs.rng.chance(fs.plan.drop_rate) {
+            fs.stats.flits_dropped += 1;
+            if let Some(fl) = self.flights.get_mut(&f.packet) {
+                fl.damaged = true;
+            }
+            return false;
+        }
+        // a corrupted flit keeps moving; the destination's packet CRC
+        // rejects the wormhole on arrival
+        if fs.rng.chance(fs.plan.corrupt_rate) {
+            fs.stats.flits_corrupted += 1;
+            if let Some(fl) = self.flights.get_mut(&f.packet) {
+                fl.crc_damaged = true;
+            }
+        }
+        progressed.push(f.packet);
+        true
     }
 
     /// Recalls stalled/damaged packets: purge, then retry on the alternate
@@ -919,9 +1128,19 @@ impl<T> Mesh<T> {
     }
 
     /// Removes every buffered flit of packet `id` and releases its
-    /// wormhole ownerships.
+    /// wormhole ownerships. They lie only on the route of the packet's
+    /// current attempt, source and destination included, and in its
+    /// source's injection queue: a recall purges before it flips the
+    /// dimension order, and a CRC NACK comes only once every flit was
+    /// delivered. Routers off the route keep their queues, and their empty
+    /// queues already hold zeroed stall slots.
     fn purge_packet(&mut self, id: u64) {
-        for (i, r) in self.routers.iter_mut().enumerate() {
+        let fl = &self.flights[&id];
+        let (src, dst, yx) = (fl.packet.src, fl.packet.dst, fl.yx);
+        let width = self.width as usize;
+        let mut i = self.idx(src);
+        loop {
+            let r = &mut self.routers[i];
             let mut occ = 0;
             for (p, q) in r.inputs.iter_mut().enumerate() {
                 q.retain(|f| f.packet != id);
@@ -938,12 +1157,16 @@ impl<T> Mesh<T> {
                     o.owner = None;
                 }
             }
-        }
-        for (i, q) in self.inject.iter_mut().enumerate() {
-            q.retain(|f| f.packet != id);
-            if q.is_empty() {
-                self.stall[i * STALL_SLOTS + INJECT_SLOT] = 0;
+            let out = route(r.coord, dst, yx);
+            if out == Direction::Local {
+                break;
             }
+            i = neighbour(i, width, out);
+        }
+        let i = self.idx(src);
+        self.inject[i].retain(|f| f.packet != id);
+        if self.inject[i].is_empty() {
+            self.stall[i * STALL_SLOTS + INJECT_SLOT] = 0;
         }
     }
 
@@ -1087,6 +1310,18 @@ impl<T> Mesh<T> {
     #[must_use]
     pub fn zero_load_latency(src: Coord, dst: Coord, flits: usize) -> u64 {
         u64::from(src.hops_to(dst)) + 1 + (flits as u64 - 1)
+    }
+}
+
+/// The router one hop from router `i` through output `out` on a mesh
+/// `width` routers wide; `i` itself for `Local`.
+fn neighbour(i: usize, width: usize, out: Direction) -> usize {
+    match out {
+        Direction::North => i - width,
+        Direction::South => i + width,
+        Direction::East => i + 1,
+        Direction::West => i - 1,
+        Direction::Local => i,
     }
 }
 
@@ -1331,6 +1566,209 @@ mod tests {
         ]
     }
 
+    /// Arms tracking on `part`, sends each packet of `queue` to both
+    /// meshes at its cycle, ticks `full` with the full scan and `part` with
+    /// the tracked tick, and compares every observable on every cycle
+    /// until the traffic drains. The stall trace is compared too: it
+    /// reaches users through the wedge report.
+    fn lockstep(
+        full: &mut Mesh<usize>,
+        part: &mut Mesh<usize>,
+        mut queue: Vec<(u64, Packet<usize>)>,
+    ) -> Result<(), TestCaseError> {
+        part.enable_partitioned_stepping();
+        queue.sort_by_key(|&(at, _)| at);
+        let mut out = Vec::new();
+        for cycle in 0..50_000u64 {
+            while queue.first().is_some_and(|&(at, _)| at <= cycle) {
+                let (_, p) = queue.remove(0);
+                full.send(p.clone());
+                part.send(p);
+            }
+            let df = full.tick();
+            out.clear();
+            part.tick_partitioned(&mut out);
+            prop_assert_eq!(&df, &out, "delivery divergence at cycle {}", cycle);
+            prop_assert_eq!(full.stats(), part.stats());
+            prop_assert_eq!(full.fault_stats(), part.fault_stats());
+            prop_assert_eq!(full.take_errors(), part.take_errors());
+            prop_assert_eq!(full.wedge_report(), part.wedge_report());
+            prop_assert_eq!(full.link_loads(), part.link_loads());
+            prop_assert_eq!(full.is_idle(), part.is_idle());
+            if queue.is_empty() && full.is_idle() {
+                break;
+            }
+        }
+        prop_assert!(full.is_idle() && queue.is_empty(), "traffic must drain");
+        Ok(())
+    }
+
+    /// A train's endpoints, `((sx, sy), (dx, dy))`.
+    type Pair = ((u8, u8), (u8, u8));
+
+    /// Endpoint pairs of wormhole trains on a 6×6 mesh: one-hop streams
+    /// like a data-collection core's rows to its first computing core,
+    /// long X-Y routes, two trains merging onto router (3, 1)'s South
+    /// output, and four trains into a hotspot.
+    const TRAINS: [&[Pair]; 4] = [
+        &[((0, 0), (1, 0)), ((1, 0), (2, 0)), ((4, 3), (4, 4))],
+        &[((0, 0), (5, 5)), ((5, 0), (0, 5)), ((2, 5), (4, 0))],
+        &[((0, 1), (3, 3)), ((3, 0), (3, 3))],
+        &[
+            ((0, 0), (4, 4)),
+            ((5, 1), (4, 4)),
+            ((1, 5), (4, 4)),
+            ((4, 0), (4, 4)),
+        ],
+    ];
+
+    /// One train case: a shape from [`TRAINS`], bursts of back-to-back
+    /// packets of 1–9 flits on its pairs (burst `b` is sent at cycle
+    /// `60 b`), a few uniform sends mid-run, and a buffer depth of 1–4.
+    fn train_traffic(rng: &mut TestRng) -> (Vec<(u64, Packet<usize>)>, usize) {
+        let (shape, bursts, late, cap) = (
+            0usize..TRAINS.len(),
+            proptest::collection::vec((0usize..4, 1usize..10, 0u64..3), 4..40),
+            proptest::collection::vec(
+                (0u8..6, 0u8..6, 0u8..6, 0u8..6, 1usize..10, 1u64..200),
+                0..4,
+            ),
+            1usize..=4,
+        )
+            .generate(rng);
+        let pairs = TRAINS[shape];
+        let mut queue: Vec<_> = bursts
+            .iter()
+            .enumerate()
+            .map(|(k, &(pair, flits, burst))| {
+                let ((sx, sy), (dx, dy)) = pairs[pair % pairs.len()];
+                let p = Packet::new(Coord::new(sx, sy), Coord::new(dx, dy), flits, k);
+                (60 * burst, p)
+            })
+            .collect();
+        queue.extend(
+            late.iter()
+                .enumerate()
+                .map(|(k, &(sx, sy, dx, dy, flits, at))| {
+                    let p = Packet::new(
+                        Coord::new(sx, sy),
+                        Coord::new(dx, dy),
+                        flits,
+                        bursts.len() + k,
+                    );
+                    (at, p)
+                }),
+        );
+        (queue, cap)
+    }
+
+    /// Wormhole trains are what the tracked tick replays, so this compares
+    /// it with the full scan on train traffic, and checks that the cases
+    /// replayed ticks, re-armed outputs and refused re-arms.
+    #[test]
+    fn trains_replay_matches_full_scan() {
+        let mut rng = TestRng::from_name("mesh::tests::trains_replay_matches_full_scan");
+        let mut counts = [0u64; 3];
+        for case in 0..32 {
+            let (queue, cap) = train_traffic(&mut rng);
+            let mut full: Mesh<usize> = Mesh::with_buffer(6, 6, cap);
+            let mut part: Mesh<usize> = Mesh::with_buffer(6, 6, cap);
+            if let Err(e) = lockstep(&mut full, &mut part, queue) {
+                panic!("case {case}: {e:?}");
+            }
+            for (total, n) in counts.iter_mut().zip(part.replay.counts) {
+                *total += n;
+            }
+        }
+        let [replayed, rearmed, refused] = counts;
+        assert!(replayed > 0 && rearmed > 0 && refused > 0, "{counts:?}");
+    }
+
+    /// A clone taken while the tracked tick replays, as a checkpoint
+    /// would, plans its first tick afresh and then ticks in step with the
+    /// original.
+    #[test]
+    fn clone_during_replay_ticks_in_step() {
+        let mut mesh: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        mesh.enable_partitioned_stepping();
+        for k in 0..12 {
+            mesh.send(Packet::new(Coord::new(0, 1), Coord::new(7, 6), 9, k));
+            mesh.send(Packet::new(
+                Coord::new(2, 0),
+                Coord::new(2, 5),
+                1 + k % 9,
+                100 + k,
+            ));
+        }
+        let mut out = Vec::new();
+        while !mesh.replay.armed {
+            mesh.tick_partitioned(&mut out);
+        }
+        mesh.tick_partitioned(&mut out);
+        assert!(mesh.replay.armed, "the trains replay");
+        let mut copy = mesh.clone();
+        assert!(!copy.replay.armed);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        while !mesh.is_idle() {
+            a.clear();
+            b.clear();
+            mesh.tick_partitioned(&mut a);
+            copy.tick_partitioned(&mut b);
+            assert_eq!(a, b, "cycle {}", mesh.cycle());
+            assert_eq!(mesh.stats(), copy.stats());
+            assert_eq!(mesh.wedge_report(), copy.wedge_report());
+            assert_eq!(mesh.link_loads(), copy.link_loads());
+        }
+        assert!(copy.is_idle());
+        assert_eq!(mesh.stats().packets_delivered, 24);
+        assert!(copy.replay.counts[0] > 0, "the clone replays too");
+    }
+
+    /// A full-scan tick and a fault plan attached mid-replay each drop the
+    /// plan, so the tracked mesh keeps matching one ticked by full scan:
+    /// a stale plan would move flits twice, and a replay under the plan
+    /// would skip its drop draws.
+    #[test]
+    fn full_scan_tick_and_fault_plan_drop_the_replay() {
+        let mut full: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        let mut part: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        part.enable_partitioned_stepping();
+        for mesh in [&mut full, &mut part] {
+            for k in 0..12 {
+                mesh.send(Packet::new(Coord::new(0, 1), Coord::new(7, 6), 9, k));
+            }
+        }
+        let step = |full: &mut Mesh<usize>, part: &mut Mesh<usize>, scan: bool| {
+            let a = full.tick();
+            let mut b = Vec::new();
+            if scan {
+                b = part.tick();
+            } else {
+                part.tick_partitioned(&mut b);
+            }
+            assert_eq!(a, b, "cycle {}", full.cycle());
+            assert_eq!(full.stats(), part.stats());
+            assert_eq!(full.fault_stats(), part.fault_stats());
+            assert_eq!(full.wedge_report(), part.wedge_report());
+        };
+        while !part.replay.armed {
+            step(&mut full, &mut part, false);
+        }
+        step(&mut full, &mut part, true);
+        assert!(!part.replay.armed);
+        while !part.replay.armed {
+            step(&mut full, &mut part, false);
+        }
+        let plan = NocFaultPlan::with_seed(5).drop_rate(0.2).retry_after(16);
+        full.attach_fault_plan(plan.clone());
+        part.attach_fault_plan(plan);
+        while !full.is_idle() {
+            step(&mut full, &mut part, false);
+        }
+        assert!(part.is_idle());
+        assert!(full.fault_stats().flits_dropped > 0);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1388,33 +1826,10 @@ mod tests {
                 }
                 mesh.set_retry_policy(retry);
             }
-            part.enable_partitioned_stepping();
-            let mut queue: Vec<_> = seeds.iter().enumerate().map(|(i, &(sx, sy, dx, dy, flits, at))| {
+            let queue = seeds.iter().enumerate().map(|(i, &(sx, sy, dx, dy, flits, at))| {
                 (at, Packet::new(Coord::new(sx, sy), Coord::new(dx, dy), flits, i))
             }).collect();
-            queue.sort_by_key(|&(at, _)| at);
-            let mut out = Vec::new();
-            for cycle in 0..50_000u64 {
-                while queue.first().is_some_and(|&(at, _)| at <= cycle) {
-                    let (_, p) = queue.remove(0);
-                    full.send(p.clone());
-                    part.send(p);
-                }
-                let df = full.tick();
-                out.clear();
-                part.tick_partitioned(&mut out);
-                prop_assert_eq!(&df, &out, "delivery divergence at cycle {}", cycle);
-                prop_assert_eq!(full.stats(), part.stats());
-                prop_assert_eq!(full.fault_stats(), part.fault_stats());
-                prop_assert_eq!(full.take_errors(), part.take_errors());
-                prop_assert_eq!(full.wedge_report(), part.wedge_report());
-                prop_assert_eq!(full.link_loads(), part.link_loads());
-                prop_assert_eq!(full.is_idle(), part.is_idle());
-                if queue.is_empty() && full.is_idle() {
-                    break;
-                }
-            }
-            prop_assert!(full.is_idle() && queue.is_empty(), "traffic must drain");
+            lockstep(&mut full, &mut part, queue)?;
             let delivered = full.stats().packets_delivered;
             if plan.is_none() {
                 prop_assert_eq!(delivered, seeds.len() as u64);

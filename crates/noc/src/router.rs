@@ -122,16 +122,23 @@ pub(crate) struct Flit {
     pub yx: bool,
 }
 
+/// The output port at `here` that leads to `dst`, Y first when `yx` is
+/// set and X first otherwise.
+#[must_use]
+pub(crate) fn route(here: Coord, dst: Coord, yx: bool) -> Direction {
+    if yx {
+        yx_route(here, dst)
+    } else {
+        xy_route(here, dst)
+    }
+}
+
 impl Flit {
     /// The output port this flit wants at `here`, honouring its dimension
     /// order.
     #[must_use]
     pub(crate) fn route_from(&self, here: Coord) -> Direction {
-        if self.yx {
-            yx_route(here, self.dst)
-        } else {
-            xy_route(here, self.dst)
-        }
+        route(here, self.dst, self.yx)
     }
 }
 
