@@ -383,31 +383,52 @@ struct StepReply {
 
 /// A persistent worker pool for the sharded node step.
 ///
-/// Spawned once per [`StreamSim::run`] and held across the whole loop
-/// (the workers block on their task channels between stepping cycles), it
+/// Made once per [`StreamSim::run`] and held across the whole loop (the
+/// workers block on their task channels between stepping cycles), it
 /// replaces the previous per-cycle `thread::scope`, whose spawn/join cost
-/// every single cycle outweighed the sharded stepping it bought.
-struct StepPool {
-    /// Task/reply channel pair per worker, in shard order.
+/// every single cycle outweighed the sharded stepping it bought. The
+/// workers start on the first dispatch, so a run that never has two
+/// shards with work spawns no thread.
+struct StepPool<'scope, 'env> {
+    /// The run's scope, which the workers are spawned onto.
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    threads: usize,
+    dims: &'scope [LayerDims],
+    cfg: &'scope StreamConfig,
+    /// Task/reply channel pair per worker, in shard order; empty until
+    /// the first dispatch.
     workers: Vec<(Sender<StepTask>, Receiver<StepReply>)>,
     /// Per-worker packet buffers, reused across stepping cycles.
     scratch: Vec<Vec<Packet<Msg>>>,
 }
 
-impl StepPool {
-    /// Spawns `threads` workers onto `scope`; they exit when the pool is
-    /// dropped (their task senders hang up).
-    fn start<'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
+impl<'scope, 'env> StepPool<'scope, 'env> {
+    /// A pool of `threads` workers on `scope`, none spawned yet.
+    fn new(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
         threads: usize,
         dims: &'scope [LayerDims],
         cfg: &'scope StreamConfig,
     ) -> Self {
-        let workers = (0..threads)
+        StepPool {
+            scope,
+            threads,
+            dims,
+            cfg,
+            workers: Vec::new(),
+            scratch: vec![Vec::new(); threads],
+        }
+    }
+
+    /// Spawns the workers; they exit when the pool is dropped (their task
+    /// senders hang up).
+    fn start(&mut self) {
+        let (dims, cfg) = (self.dims, self.cfg);
+        self.workers = (0..self.threads)
             .map(|_| {
                 let (task_tx, task_rx) = channel::<StepTask>();
                 let (reply_tx, reply_rx) = channel::<StepReply>();
-                scope.spawn(move || {
+                self.scope.spawn(move || {
                     while let Ok(mut t) = task_rx.recv() {
                         // SAFETY: the shard is disjoint and exclusively
                         // this worker's until the reply below is sent.
@@ -434,10 +455,6 @@ impl StepPool {
                 (task_tx, reply_rx)
             })
             .collect();
-        StepPool {
-            workers,
-            scratch: vec![Vec::new(); threads],
-        }
     }
 
     /// The compute half of the two-phase schedule: every worker steps the
@@ -446,12 +463,16 @@ impl StepPool {
     /// packets into its own queue. On return `self.scratch` holds the
     /// per-shard output queues in shard order — which equals node-index
     /// order — ready for [`Mesh::send_from_shards`], the exchange half.
+    /// The first call starts the workers.
     fn step_shards(
         &mut self,
         nodes: &mut [SimNode],
         chunk: usize,
         now: u64,
     ) -> Result<(), (Coord, SimError)> {
+        if self.workers.is_empty() {
+            self.start();
+        }
         let mut dispatched = 0;
         for (w, shard) in nodes.chunks_mut(chunk).enumerate() {
             let out = std::mem::take(&mut self.scratch[w]);
@@ -588,7 +609,8 @@ pub struct StreamSim {
     cfg: StreamConfig,
     mesh: Mesh<Msg>,
     nodes: Vec<SimNode>,
-    tile_of: HashMap<(u8, u8), usize>,
+    /// The node on each mesh tile, at [`tile_slot`].
+    tile_of: Vec<Option<usize>>,
     /// Fault injection: flip one bit of (layer, pixel)'s first row in
     /// flight.
     fault: Option<(usize, usize)>,
@@ -628,6 +650,14 @@ impl std::fmt::Debug for StreamSim {
 
 fn to_coord(t: Tile) -> Coord {
     Coord::new(t.x, t.y)
+}
+
+/// Tiles per side of the simulated mesh.
+const MESH_SIDE: u8 = 16;
+
+/// A tile's index in row-major order over the mesh.
+fn tile_slot(c: Coord) -> usize {
+    usize::from(c.y) * usize::from(MESH_SIDE) + usize::from(c.x)
 }
 
 impl StreamSim {
@@ -700,7 +730,7 @@ impl StreamSim {
         let placed = place_groups_avoiding(&sizes_with_sink, failed)?;
 
         let mut nodes = Vec::new();
-        let mut tile_of = HashMap::new();
+        let mut tile_of = vec![None; usize::from(MESH_SIDE) * usize::from(MESH_SIDE)];
         let sink_coord = to_coord(placed.last().expect("sink placed").dc);
 
         for (li, l) in cfg.layers.iter().enumerate() {
@@ -735,7 +765,7 @@ impl StreamSim {
                     first_cc,
                 },
             });
-            tile_of.insert((dc_coord.x, dc_coord.y), nodes.len() - 1);
+            tile_of[tile_slot(dc_coord)] = Some(nodes.len() - 1);
 
             // the CCs
             let next_dc = if li + 1 < cfg.layers.len() {
@@ -794,7 +824,7 @@ impl StreamSim {
                         dc: dc_coord,
                     },
                 });
-                tile_of.insert((coord.x, coord.y), nodes.len() - 1);
+                tile_of[tile_slot(coord)] = Some(nodes.len() - 1);
             }
         }
 
@@ -809,14 +839,14 @@ impl StreamSim {
                 expected: last_out.0 * last_out.1 * last_out.2,
             },
         });
-        tile_of.insert((sink_coord.x, sink_coord.y), nodes.len() - 1);
+        tile_of[tile_slot(sink_coord)] = Some(nodes.len() - 1);
         if warm.is_some_and(|mut w| w.next().is_some()) {
             return Err(warm_mismatch());
         }
 
         Ok(StreamSim {
             cfg: cfg.clone(),
-            mesh: Mesh::new(16, 16),
+            mesh: Mesh::new(MESH_SIDE, MESH_SIDE),
             nodes,
             tile_of,
             fault: None,
@@ -1131,7 +1161,7 @@ impl StreamSim {
                 let dims_ref: &[LayerDims] = &dims;
                 let cfg_ref: &StreamConfig = &cfg;
                 std::thread::scope(|scope| {
-                    let mut pool = StepPool::start(scope, shards, dims_ref, cfg_ref);
+                    let mut pool = StepPool::new(scope, shards, dims_ref, cfg_ref);
                     self.run_loop_partitioned(budget, dims_ref, cfg_ref, chunk, Some(&mut pool))
                 })
             } else {
@@ -1289,7 +1319,7 @@ impl StreamSim {
             }
             // the defect stays with its tile: re-pin the plan to whatever
             // computing core occupies it after the remap, if any
-            if let Some(&idx) = self.tile_of.get(&(coord.x, coord.y)) {
+            if let Some(idx) = self.tile_of[tile_slot(coord)] {
                 if let Role::Cc { cmem, .. } = &mut self.nodes[idx].role {
                     let mut p = plan.clone();
                     p.seed = plan
@@ -1366,8 +1396,8 @@ impl StreamSim {
                 }),
             });
         }
-        let key = (d.packet.dst.x, d.packet.dst.y);
-        let idx = *self.tile_of.get(&key).ok_or_else(|| SimError::Protocol {
+        // the mesh refuses endpoints outside it, so the slot is in range
+        let idx = self.tile_of[tile_slot(d.packet.dst)].ok_or_else(|| SimError::Protocol {
             reason: format!("delivery to unknown tile {}", d.packet.dst),
         })?;
         let mut payload = d.packet.payload;
@@ -1524,7 +1554,7 @@ impl StreamSim {
         dims: &[LayerDims],
         cfg: &StreamConfig,
         chunk: usize,
-        mut pool: Option<&mut StepPool>,
+        mut pool: Option<&mut StepPool<'_, '_>>,
     ) -> Result<(), SimError> {
         // (re)build the tracked active-router set — exact after a
         // rollback restored an older mesh or a remap rebuilt a fresh one
@@ -2368,7 +2398,7 @@ mod tests {
         let mut sim = StreamSim::new_avoiding(&cfg, &failed).unwrap();
         for t in &failed {
             assert!(
-                !sim.tile_of.contains_key(&(t.x, t.y)),
+                sim.tile_of[tile_slot(Coord::new(t.x, t.y))].is_none(),
                 "dead tile ({}, {}) still hosts a node",
                 t.x,
                 t.y
@@ -2473,7 +2503,7 @@ mod tests {
         assert!(rec.replayed_cycles > 0, "{rec:?}");
         // the retired tile hosts no node on the rebuilt placement
         let dead = *sim.avoid.last().unwrap();
-        assert!(!sim.tile_of.contains_key(&(dead.x, dead.y)));
+        assert!(sim.tile_of[tile_slot(Coord::new(dead.x, dead.y))].is_none());
         // and without remap permission the hard fault propagates
         let mut stuck = StreamSim::new(&cfg).unwrap();
         stuck.attach_cmem_fault_plan_to(0, &FaultPlan::none().dead_slice(2));
