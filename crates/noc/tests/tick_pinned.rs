@@ -264,6 +264,60 @@ fn scenarios() -> Vec<Scenario> {
             stagger: 300,
             ..base("trains_hotspot_6x6_cap3", 6, 6, 3, 22)
         },
+        Scenario {
+            // CRC corruption NACKed under the default policy, the shape of
+            // a serving run's NoC fault config
+            pattern: Pattern::Trains(&[((0, 0), (15, 12)), ((15, 1), (2, 14)), ((3, 15), (12, 0))]),
+            min_flits: 9,
+            max_flits: 9,
+            stagger: 300,
+            plan: Some(NocFaultPlan::with_seed(23).corrupt_rate(0.003)),
+            retry: Some(RetryPolicy::default()),
+            ..base("trains_corrupt_retry_16x16_cap2", 16, 16, 2, 23)
+        },
+        Scenario {
+            // dropped flits recalled onto the Y-X route, no policy
+            pattern: Pattern::Trains(&[((0, 0), (15, 12)), ((15, 1), (2, 14)), ((3, 15), (12, 0))]),
+            min_flits: 9,
+            max_flits: 9,
+            stagger: 300,
+            plan: Some(
+                NocFaultPlan::with_seed(24)
+                    .drop_rate(0.003)
+                    .retry_after(200)
+                    .max_retries(3),
+            ),
+            ..base("trains_drop_recall_16x16_cap2", 16, 16, 2, 24)
+        },
+        Scenario {
+            // the first train's X-Y route crosses the cut link (2, 0) East;
+            // its recall takes the Y-X route round it
+            pattern: Pattern::Trains(&[((0, 0), (4, 3)), ((1, 1), (5, 1)), ((5, 5), (1, 5))]),
+            max_flits: 9,
+            stagger: 200,
+            plan: Some(
+                NocFaultPlan::with_seed(25)
+                    .fail_link(c(2, 0), Direction::East)
+                    .retry_after(120)
+                    .max_retries(2),
+            ),
+            ..base("trains_cut_link_6x6_cap2", 6, 6, 2, 25)
+        },
+        Scenario {
+            // the merge of `trains_merge_6x6_cap1` beside the dead router
+            // (5, 1): the third train's X-Y route runs through the merge
+            // router into it and blocks the merge until its recall
+            pattern: Pattern::Trains(&[((0, 1), (4, 3)), ((4, 0), (4, 3)), ((2, 1), (5, 2))]),
+            max_flits: 9,
+            stagger: 200,
+            plan: Some(
+                NocFaultPlan::with_seed(26)
+                    .fail_router(c(5, 1))
+                    .retry_after(120)
+                    .max_retries(2),
+            ),
+            ..base("trains_dead_router_merge_6x6_cap1", 6, 6, 1, 26)
+        },
     ]
 }
 
