@@ -2169,18 +2169,23 @@ mod tests {
     fn parallel_matches_sequential_matrix() {
         // the partitioned-engine matrix: `run()` at threads {1, 2, 4, 8}
         // × both engines × {clean, CMem transient plan + replay, NoC drop
-        // plan + replay, dead tile + remap} against `run_reference`, the
-        // sequential loop. One thread is a production configuration (the
-        // partitioned loop stepped inline), so it is compared too. The
-        // partitioned engine must reproduce the reference byte-for-byte:
-        // StreamResult, recovery stats, fault and ECC observations, and
-        // the retired-tile set.
+        // plan + replay, dead tile + remap, the serving fault config}
+        // against `run_reference`, the sequential loop. One thread is a
+        // production configuration (the partitioned loop stepped inline),
+        // so it is compared too. The partitioned engine must reproduce the
+        // reference byte-for-byte: StreamResult, recovery stats, fault and
+        // ECC observations, and the retired-tile set.
         #[derive(Clone, Copy, Debug)]
         enum Scenario {
             Clean,
             CmemPlan,
             NocPlan,
             Retire,
+            /// The shape of a serving run under perfbench's
+            /// `overload_faults`: NoC corruption NACKed and retransmitted
+            /// under the default policy, CMem transients that ECC
+            /// corrects, and remap recovery.
+            Serving,
         }
         let build = |sc: Scenario, engine: Engine, threads: usize| {
             let cfg = match sc {
@@ -2218,6 +2223,17 @@ mod tests {
                     sim.attach_cmem_fault_plan_to(0, &FaultPlan::none().dead_slice(2));
                     sim.set_recovery_policy(Some(RecoveryPolicy::default()));
                 }
+                Scenario::Serving => {
+                    sim.attach_noc_fault_plan(NocFaultPlan::with_seed(9).corrupt_rate(0.01));
+                    sim.set_noc_retry_policy(Some(RetryPolicy::default()));
+                    sim.attach_cmem_fault_plan(&FaultPlan::with_seed(10).transient(1e-3));
+                    sim.set_ecc_mode(EccMode::Correct);
+                    sim.set_recovery_policy(Some(RecoveryPolicy {
+                        max_replays: 8,
+                        remap: true,
+                        checkpoint_values: 8,
+                    }));
+                }
             }
             (cfg, sim)
         };
@@ -2226,11 +2242,17 @@ mod tests {
             Scenario::CmemPlan,
             Scenario::NocPlan,
             Scenario::Retire,
+            Scenario::Serving,
         ] {
             for engine in [Engine::EventDriven, Engine::CycleAccurate] {
                 let (cfg, mut base) = build(sc, engine, 1);
                 let seq = base.run_reference(20_000_000).unwrap();
                 assert_eq!(seq.ofmap, cfg.golden(), "{sc:?} baseline converges");
+                if let Scenario::Serving = sc {
+                    // the NACK, backoff and release path runs
+                    assert!(base.noc_fault_stats().crc_rejects > 0, "{sc:?}");
+                    assert!(base.ecc_stats().corrected > 0, "{sc:?}");
+                }
                 for threads in [1, 2, 4, 8] {
                     let (_, mut sim) = build(sc, engine, threads);
                     let par = sim.run(20_000_000).unwrap();
