@@ -129,41 +129,49 @@ pub fn conv2d_i8(input: &Tensor<i8>, layer: &ConvLayer) -> Result<Tensor<i32>, N
     }
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (oh, ow) = s.output_hw(h, w);
-    let mut out = Tensor::<i32>::zeros(&[s.out_channels, oh, ow]);
+    let (kh, kw, stride, pad) = (s.kernel_h, s.kernel_w, s.stride, s.padding);
     let in_data = input.data();
     let w_data = layer.weights.data();
-    let pad = s.padding as isize;
-    for m in 0..s.out_channels {
-        let bias = layer.bias[m];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = bias;
-                let iy0 = (oy * s.stride) as isize - pad;
-                let ix0 = (ox * s.stride) as isize - pad;
-                for ch in 0..c {
-                    let in_base = ch * h * w;
-                    let w_base = (m * c + ch) * s.kernel_h * s.kernel_w;
-                    for ky in 0..s.kernel_h {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
+    // Each weight is broadcast over its filter's output plane: per channel
+    // and tap, one pass adds weight × input along every output row, so the
+    // inner loop walks contiguous rows. The order of the sum differs from a
+    // per-output loop, but i8 × i8 products summed in i32 are exact.
+    let mut out = Vec::with_capacity(s.out_channels * oh * ow);
+    for (m, &bias) in layer.bias.iter().enumerate() {
+        let start = out.len();
+        out.resize(start + oh * ow, bias);
+        let plane = &mut out[start..];
+        for ch in 0..c {
+            let channel = &in_data[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let wv = i32::from(w_data[((m * c + ch) * kh + ky) * kw + kx]);
+                    // the output columns whose tap lands inside the row:
+                    // 0 <= ox * stride + kx - pad < w
+                    let ox_lo = pad.saturating_sub(kx).div_ceil(stride);
+                    let ox_hi = (w + pad).saturating_sub(kx).div_ceil(stride).min(ow);
+                    if ox_lo >= ox_hi {
+                        continue;
+                    }
+                    let ix_lo = ox_lo * stride + kx - pad;
+                    for (oy, out_row) in plane.chunks_exact_mut(ow).enumerate() {
+                        let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&y| y < h)
+                        else {
                             continue;
-                        }
-                        for kx in 0..s.kernel_w {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let iv = in_data[in_base + iy as usize * w + ix as usize] as i32;
-                            let wv = w_data[w_base + ky * s.kernel_w + kx] as i32;
-                            acc += iv * wv;
+                        };
+                        let row = &channel[iy * w + ix_lo..(iy + 1) * w];
+                        for (acc, &x) in out_row[ox_lo..ox_hi]
+                            .iter_mut()
+                            .zip(row.iter().step_by(stride))
+                        {
+                            *acc += wv * i32::from(x);
                         }
                     }
                 }
-                out.set(&[m, oy, ox], acc);
             }
         }
     }
-    Ok(out)
+    Tensor::from_vec(&[s.out_channels, oh, ow], out)
 }
 
 /// Raw fully-connected layer: `i8 × i8 → i32`.
