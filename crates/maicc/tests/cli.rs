@@ -70,6 +70,8 @@ const CASES: &[&str] = &[
     "run prog.s --max-steps 1000",
     "stream",
     "campaign --workload small --seed 7 --ecc off --retry off --json",
+    "campaign --workload small --seed 42 --ecc correct --retry on --json",
+    "campaign --workload small --seed 42 --ecc detect --retry on --json",
     "campaign --assert-no-unrecoverable",
     "serve --quick",
     "serve --overload --quick",
