@@ -315,6 +315,55 @@ impl<T: Clone> Clone for Mesh<T> {
             bounds: self.bounds,
         }
     }
+
+    /// Overwrites `self` with what [`Clone::clone`] of `source` would
+    /// give, keeping `self`'s buffers: the input and injection queues,
+    /// the flight table and the per-router tables. A checkpoint taken
+    /// over an earlier one allocates nothing for them. `source` is
+    /// destructured in full, so a field added to `Mesh` must be handled
+    /// here too.
+    fn clone_from(&mut self, source: &Self) {
+        let Mesh {
+            width,
+            height,
+            buffer_cap,
+            routers,
+            inject,
+            flights,
+            next_id,
+            cycle,
+            stats,
+            link_load,
+            fault,
+            retry_policy,
+            stall,
+            errors,
+            occ,
+            scratch: _,
+            tracked,
+            replay: _,
+            bounds,
+        } = source;
+        self.width = *width;
+        self.height = *height;
+        self.buffer_cap = *buffer_cap;
+        self.routers.clone_from(routers);
+        self.inject.clone_from(inject);
+        self.flights.clone_from(flights);
+        self.next_id = *next_id;
+        self.cycle = *cycle;
+        self.stats = *stats;
+        self.link_load.clone_from(link_load);
+        self.fault.clone_from(fault);
+        self.retry_policy = *retry_policy;
+        self.stall.clone_from(stall);
+        self.errors.clone_from(errors);
+        self.occ.clone_from(occ);
+        self.scratch = TickScratch::default();
+        self.tracked.clone_from(tracked);
+        self.replay = Replay::default();
+        self.bounds = *bounds;
+    }
 }
 
 impl<T> std::fmt::Debug for Mesh<T> {
@@ -1929,6 +1978,85 @@ mod tests {
         assert!(copy.is_idle());
         assert_eq!(mesh.stats().packets_delivered, 24);
         assert!(copy.replay.counts[0] > 0, "the clone replays too");
+    }
+
+    /// `clone_from` over a mesh that has diverged from the source (other
+    /// traffic, size, fault plan and tracking, or mid-replay) gives the
+    /// mesh a fresh `clone` gives: the two tick to idle in lockstep.
+    #[test]
+    fn clone_from_over_a_diverged_mesh_ticks_like_a_clone() {
+        let trains = |mesh: &mut Mesh<usize>, from: Coord, to: Coord, n: usize| {
+            for k in 0..n {
+                mesh.send(Packet::new(from, to, 9, k));
+                mesh.send(Packet::new(to, from, 1 + k % 9, 100 + k));
+            }
+        };
+        // the source: tracked, under drops and corruption with a retry
+        // policy, caught in the middle of a replay
+        let mut src: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        src.attach_fault_plan(
+            NocFaultPlan::with_seed(11)
+                .drop_rate(0.002)
+                .corrupt_rate(0.004)
+                .retry_after(48)
+                .max_retries(6),
+        );
+        src.set_retry_policy(Some(RetryPolicy::default()));
+        src.enable_partitioned_stepping();
+        trains(&mut src, Coord::new(0, 1), Coord::new(7, 6), 12);
+        trains(&mut src, Coord::new(2, 0), Coord::new(2, 7), 6);
+        let mut out = Vec::new();
+        while !src.replay.armed {
+            src.tick_partitioned(&mut out);
+        }
+        // the diverged targets: untracked with other traffic; smaller,
+        // deeper, with another plan and a dead router; mid-replay; larger
+        // and idle
+        let mut untracked: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        trains(&mut untracked, Coord::new(5, 5), Coord::new(0, 0), 5);
+        for _ in 0..40 {
+            untracked.tick();
+        }
+        let mut small: Mesh<usize> = Mesh::with_buffer(6, 6, 3);
+        small.attach_fault_plan(
+            NocFaultPlan::with_seed(3)
+                .drop_rate(0.05)
+                .fail_router(Coord::new(3, 3)),
+        );
+        small.enable_partitioned_stepping();
+        trains(&mut small, Coord::new(0, 0), Coord::new(5, 5), 4);
+        for _ in 0..30 {
+            small.tick_partitioned(&mut out);
+        }
+        let mut replaying: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
+        replaying.enable_partitioned_stepping();
+        trains(&mut replaying, Coord::new(0, 1), Coord::new(7, 6), 12);
+        while !replaying.replay.armed {
+            replaying.tick_partitioned(&mut out);
+        }
+        let large: Mesh<usize> = Mesh::new(16, 16);
+        for mut target in [untracked, small, replaying, large] {
+            target.clone_from(&src);
+            let mut fresh = src.clone();
+            assert!(!target.replay.armed);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            while !fresh.is_idle() {
+                a.clear();
+                b.clear();
+                target.tick_partitioned(&mut a);
+                fresh.tick_partitioned(&mut b);
+                assert_eq!(a, b, "cycle {}", fresh.cycle());
+                assert_eq!(target.stats(), fresh.stats());
+                assert_eq!(target.fault_stats(), fresh.fault_stats());
+                assert_eq!(target.take_errors(), fresh.take_errors());
+                assert_eq!(target.wedge_report(), fresh.wedge_report());
+                assert_eq!(target.link_loads(), fresh.link_loads());
+            }
+            assert!(target.is_idle());
+            assert_eq!(target.replay.counts, fresh.replay.counts);
+            assert!(fresh.replay.counts[0] > 0, "the copies replay");
+            assert!(fresh.fault_stats().crc_rejects > 0, "the plan fires");
+        }
     }
 
     /// A full-scan tick and a fault plan attached mid-replay each drop the

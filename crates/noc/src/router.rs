@@ -153,7 +153,7 @@ pub(crate) struct OutputState {
 
 /// One five-port router: an input buffer per port plus output allocation
 /// state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Router {
     /// This router's coordinate.
     pub coord: Coord,
@@ -161,6 +161,31 @@ pub(crate) struct Router {
     pub inputs: [VecDeque<Flit>; 5],
     /// Wormhole/arbitration state per output port.
     pub outputs: [OutputState; 5],
+}
+
+impl Clone for Router {
+    fn clone(&self) -> Self {
+        Router {
+            coord: self.coord,
+            inputs: self.inputs.clone(),
+            outputs: self.outputs,
+        }
+    }
+
+    /// Overwrites `self` with a copy of `source`, keeping the buffers of
+    /// `self`'s input FIFOs.
+    fn clone_from(&mut self, source: &Self) {
+        let Router {
+            coord,
+            inputs,
+            outputs,
+        } = source;
+        self.coord = *coord;
+        for (mine, theirs) in self.inputs.iter_mut().zip(inputs) {
+            mine.clone_from(theirs);
+        }
+        self.outputs = *outputs;
+    }
 }
 
 impl Router {

@@ -34,7 +34,7 @@ use maicc_noc::{
     Coord, Delivered, Mesh, NocError, NocFaultPlan, NocFaultStats, NocStats, Packet, RetryPolicy,
     ROW_PACKET_FLITS, WORD_PACKET_FLITS,
 };
-use maicc_sram::cmem::Cmem;
+use maicc_sram::cmem::{Cmem, MacPath};
 use maicc_sram::ecc::{EccMode, EccStats};
 use maicc_sram::fault::{FaultPlan, FaultStats};
 use maicc_sram::{timing, transpose, Row, SramError};
@@ -552,11 +552,14 @@ enum Role {
         /// Byte-form shadow of each resident filter vector (same index as
         /// `residents`, truncated to the group's live channel span). The
         /// partitioned engine uses these to compute the dot product
-        /// host-side whenever [`Cmem::mac_shortcut_ok`] certifies the
-        /// bit-plane MAC is a pure function of the operands; the CMem
-        /// arrays stay the architectural source of truth and every other
-        /// operation (ingest, broadcast, energy) still runs on them.
+        /// host-side whenever [`Cmem::mac_path`] certifies the byte
+        /// product equals the bit-plane MAC's; the CMem arrays stay the
+        /// architectural source of truth and every other operation
+        /// (ingest, broadcast, energy) still runs on them.
         shadow_w: Vec<Vec<i8>>,
+        /// MACs this core ran through [`Cmem::mac_with_product`].
+        #[cfg(test)]
+        checked_macs: u64,
         /// The slices `residents` occupy, ascending and deduplicated: the
         /// broadcast stops at the first failed move, so its order is
         /// observable (energy accounting, abort point).
@@ -813,6 +816,8 @@ impl StreamSim {
                         cmem,
                         residents,
                         shadow_w,
+                        #[cfg(test)]
+                        checked_macs: 0,
                         used,
                         group_order,
                         completes,
@@ -1074,6 +1079,18 @@ impl StreamSim {
         &self.avoid
     }
 
+    /// MACs the computing cores ran through [`Cmem::mac_with_product`].
+    #[cfg(test)]
+    pub(crate) fn checked_macs(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| match &n.role {
+                Role::Cc { checked_macs, .. } => *checked_macs,
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// Merged CMem fault statistics across all computing cores.
     #[must_use]
     pub(crate) fn cmem_fault_stats(&self) -> FaultStats {
@@ -1228,17 +1245,36 @@ impl StreamSim {
     }
 
     /// Snapshots the full architectural state (nodes, mesh, pending
-    /// one-shot fault) for a later rollback.
+    /// one-shot fault) for a later rollback. A later snapshot overwrites
+    /// the previous one in place, reusing its buffers.
     fn take_checkpoint(&mut self) {
         self.recovery_stats.checkpoints += 1;
         self.ckpt_log.push(self.mesh.cycle());
-        self.checkpoint = Some(Box::new(Checkpoint {
-            nodes: self.nodes.clone(),
-            mesh: self.mesh.clone(),
-            fault: self.fault,
-            mark: self.checkpoint_mark,
-            lost: self.mesh.fault_stats().packets_lost,
-        }));
+        let lost = self.mesh.fault_stats().packets_lost;
+        match self.checkpoint.as_deref_mut() {
+            Some(Checkpoint {
+                nodes,
+                mesh,
+                fault,
+                mark,
+                lost: ck_lost,
+            }) => {
+                nodes.clone_from(&self.nodes);
+                mesh.clone_from(&self.mesh);
+                *fault = self.fault;
+                *mark = self.checkpoint_mark;
+                *ck_lost = lost;
+            }
+            None => {
+                self.checkpoint = Some(Box::new(Checkpoint {
+                    nodes: self.nodes.clone(),
+                    mesh: self.mesh.clone(),
+                    fault: self.fault,
+                    mark: self.checkpoint_mark,
+                    lost,
+                }));
+            }
+        }
     }
 
     /// Dispatches a detected fault to the matching recovery action.
@@ -1730,13 +1766,16 @@ impl StreamSim {
 /// Steps one node at cycle `now`, appending emitted packets to `out`.
 ///
 /// `fast` selects the partitioned engine's host-side MAC shortcut: when
-/// [`Cmem::mac_shortcut_ok`] certifies every slice a pixel's MACs touch
-/// (no fault plan, no ECC, mask fully open), the dot products are
-/// computed from the byte-form shadows instead of the bit-plane arrays —
-/// the identical value by the signed bit-plane MAC theorem
-/// (`prop_mac_signed_matches_reference` in `maicc-sram`), with identical
-/// energy accounting via [`Cmem::charge_macs`]. The sequential reference
-/// loop passes `false` and always runs the arrays.
+/// [`Cmem::mac_path`] allows it on every slice a pixel's MACs touch, the
+/// dot products are computed from the byte-form shadows instead of the
+/// bit-plane arrays — the identical value by the signed bit-plane MAC
+/// theorem (`prop_mac_signed_matches_reference` in `maicc-sram`). With no
+/// fault plan and no ECC ([`MacPath::Pure`]) the pixel's MACs are
+/// charged at once via [`Cmem::charge_macs`]; under ECC whose records
+/// cover every fault-changed cell ([`MacPath::Checked`]) each product
+/// goes through [`Cmem::mac_with_product`], which runs the checks, fault
+/// draw and counts of the array MAC. The sequential reference loop
+/// passes `false` and always runs the arrays.
 #[allow(clippy::too_many_lines)]
 fn step_node(
     node: &mut SimNode,
@@ -1824,6 +1863,8 @@ fn step_node(
             cmem,
             residents,
             shadow_w,
+            #[cfg(test)]
+            checked_macs,
             used,
             group_order,
             completes,
@@ -1867,11 +1908,18 @@ fn step_node(
             // partial sums accumulating across groups in data memory
             let stride = l.shape.stride;
             let mut macs = 0u64;
-            // Host-side MAC shortcut (partitioned engine only): legal
-            // when every touched slice's MAC is a pure function of its
-            // operands. The ingest and broadcast below still run on the
-            // real arrays either way.
-            let shadow = fast && used.iter().all(|&s| cmem.mac_shortcut_ok(s));
+            // Host-side MAC shortcut (partitioned engine only): the path
+            // every touched slice allows. The ingest and broadcast below
+            // still run on the real arrays either way.
+            let path = if fast {
+                used.iter()
+                    .map(|&s| cmem.mac_path(s))
+                    .min()
+                    .unwrap_or(MacPath::Array)
+            } else {
+                MacPath::Array
+            };
+            let shadow = path != MacPath::Array;
             // the arriving pixel, untransposed back to bytes per group
             // (only the live channel span — the rest is zero in both
             // operands and contributes nothing to the dot)
@@ -1910,14 +1958,24 @@ fn step_node(
                         .zip(&shadow_w[ri])
                         .map(|(&a, &w)| i64::from(a) * i64::from(w))
                         .sum();
-                    debug_assert_eq!(
-                        full,
-                        cmem.slice(r.slice)
-                            .and_then(|s| s.mac_fast(0, r.row, 8, true))
-                            .expect("shortcut-certified MAC"),
-                        "shadow dot diverged from the bit-plane MAC"
-                    );
-                    full as i32
+                    if path == MacPath::Checked {
+                        // the call cross-checks `full` in debug builds
+                        let dot = cmem.mac_with_product(r.slice, 0, r.row, 8, true, full)?;
+                        #[cfg(test)]
+                        {
+                            *checked_macs += 1;
+                        }
+                        dot as i32
+                    } else {
+                        debug_assert_eq!(
+                            full,
+                            cmem.slice(r.slice)
+                                .and_then(|s| s.mac_fast(0, r.row, 8, true))
+                                .expect("shortcut-certified MAC"),
+                            "shadow dot diverged from the bit-plane MAC"
+                        );
+                        full as i32
+                    }
                 } else {
                     cmem.mac_i8(r.slice, 0, r.row)? as i32
                 };
@@ -1935,10 +1993,11 @@ fn step_node(
                     }
                 }
             }
-            if shadow {
+            if path == MacPath::Pure {
                 // identical energy accounting to `macs` array MAC.C ops
                 cmem.charge_macs(macs);
             }
+
             // windows whose bottom-right corner this pixel was are done
             let mut values = 0u64;
             if y + 1 >= l.shape.kernel_h
@@ -2165,16 +2224,23 @@ mod tests {
         assert_eq!(r.ofmap, cfg.golden());
     }
 
+    /// The plan seed of the matrix's stuck-cell scenarios: under Correct
+    /// its runs roll back twice, to the fifth and the sixteenth checkpoint.
+    const STUCK_SEED: u64 = 22;
+
     #[test]
     fn parallel_matches_sequential_matrix() {
         // the partitioned-engine matrix: `run()` at threads {1, 2, 4, 8}
         // × both engines × {clean, CMem transient plan + replay, NoC drop
-        // plan + replay, dead tile + remap, the serving fault config}
-        // against `run_reference`, the sequential loop. One thread is a
-        // production configuration (the partitioned loop stepped inline),
-        // so it is compared too. The partitioned engine must reproduce the
-        // reference byte-for-byte: StreamResult, recovery stats, fault and
-        // ECC observations, and the retired-tile set.
+        // plan + replay, dead tile + remap, the serving fault config,
+        // stuck cells + transients under each ECC mode} against
+        // `run_reference`, the sequential loop, whose MACs all run on the
+        // arrays. One thread is a production configuration (the
+        // partitioned loop stepped inline), so it is compared too. The
+        // partitioned engine must reproduce the reference byte-for-byte:
+        // the result or error, recovery stats, fault and ECC
+        // observations, and the retired-tile set. Under ECC its MACs take
+        // the checked byte-shadow path; without ECC none does.
         #[derive(Clone, Copy, Debug)]
         enum Scenario {
             Clean,
@@ -2186,6 +2252,15 @@ mod tests {
             /// under the default policy, CMem transients that ECC
             /// corrects, and remap recovery.
             Serving,
+            /// Stuck cells, some in weight rows, and transients under
+            /// Correct with rollback recovery: ECC records in weight rows,
+            /// rollbacks to a checkpoint overwritten in place.
+            StuckCorrect,
+            /// The same plan under DetectOnly: a stuck cell recorded in an
+            /// operand row fails the first pixel's MAC before its product
+            /// on every replay, so the run ends in the same error on both
+            /// loops.
+            StuckDetect,
         }
         let build = |sc: Scenario, engine: Engine, threads: usize| {
             let cfg = match sc {
@@ -2234,6 +2309,23 @@ mod tests {
                         checkpoint_values: 8,
                     }));
                 }
+                Scenario::StuckCorrect | Scenario::StuckDetect => {
+                    sim.attach_cmem_fault_plan(
+                        &FaultPlan::with_seed(STUCK_SEED)
+                            .scatter_stuck(24)
+                            .transient(0.1),
+                    );
+                    sim.set_ecc_mode(if let Scenario::StuckCorrect = sc {
+                        EccMode::Correct
+                    } else {
+                        EccMode::DetectOnly
+                    });
+                    sim.set_recovery_policy(Some(RecoveryPolicy {
+                        max_replays: 8,
+                        remap: false,
+                        checkpoint_values: 4,
+                    }));
+                }
             }
             (cfg, sim)
         };
@@ -2243,21 +2335,60 @@ mod tests {
             Scenario::NocPlan,
             Scenario::Retire,
             Scenario::Serving,
+            Scenario::StuckCorrect,
+            Scenario::StuckDetect,
         ] {
+            let ecc = matches!(
+                sc,
+                Scenario::CmemPlan
+                    | Scenario::Serving
+                    | Scenario::StuckCorrect
+                    | Scenario::StuckDetect
+            );
             for engine in [Engine::EventDriven, Engine::CycleAccurate] {
                 let (cfg, mut base) = build(sc, engine, 1);
-                let seq = base.run_reference(20_000_000).unwrap();
-                assert_eq!(seq.ofmap, cfg.golden(), "{sc:?} baseline converges");
-                if let Scenario::Serving = sc {
-                    // the NACK, backoff and release path runs
-                    assert!(base.noc_fault_stats().crc_rejects > 0, "{sc:?}");
-                    assert!(base.ecc_stats().corrected > 0, "{sc:?}");
+                let seq = base.run_reference(20_000_000);
+                assert_eq!(
+                    base.checked_macs(),
+                    0,
+                    "{sc:?}: the reference ran a shortcut"
+                );
+                match sc {
+                    Scenario::StuckDetect => {
+                        assert!(seq.is_err(), "{sc:?} baseline fails");
+                        assert_eq!(base.recovery_stats().replays, 8, "{sc:?}");
+                    }
+                    _ => assert_eq!(
+                        seq.as_ref().map(|r| &r.ofmap),
+                        Ok(&cfg.golden()),
+                        "{sc:?} baseline converges"
+                    ),
+                }
+                match sc {
+                    Scenario::Serving => {
+                        // the NACK, backoff and release path runs
+                        assert!(base.noc_fault_stats().crc_rejects > 0, "{sc:?}");
+                        assert!(base.ecc_stats().corrected > 0, "{sc:?}");
+                    }
+                    Scenario::StuckCorrect => {
+                        // stuck cells corrected, and a rollback replayed
+                        assert!(base.ecc_stats().corrected > 0, "{sc:?}");
+                        assert!(base.recovery_stats().replays > 0, "{sc:?}");
+                        assert!(base.recovery_stats().checkpoints > 2, "{sc:?}");
+                    }
+                    _ => {}
                 }
                 for threads in [1, 2, 4, 8] {
                     let (_, mut sim) = build(sc, engine, threads);
-                    let par = sim.run(20_000_000).unwrap();
+                    let par = sim.run(20_000_000);
                     let tag = format!("{sc:?}/{engine:?}/{threads} threads");
                     assert_eq!(par, seq, "StreamResult diverged: {tag}");
+                    assert_eq!(
+                        sim.checked_macs() > 0,
+                        ecc,
+                        "checked MACs {} under ECC {ecc}: {tag}",
+                        sim.checked_macs()
+                    );
                     assert_eq!(
                         sim.recovery_stats(),
                         base.recovery_stats(),

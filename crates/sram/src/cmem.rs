@@ -24,6 +24,22 @@ use std::ops::Range;
 /// Bytes addressable in slice 0 (2 KB).
 pub const SLICE0_BYTES: usize = SLICE_ROWS * BITLINES / 8;
 
+/// How a `MAC.C` may be computed by a caller that holds its operands in
+/// byte form ([`Cmem::mac_path`]). The variants are ordered from the most
+/// to the least restrictive, so the minimum over several slices is the
+/// path all of them allow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum MacPath {
+    /// Only [`Cmem::mac`] is exact.
+    Array,
+    /// The byte product is exact, but each MAC's checks, fault draw and
+    /// counts still run: pass it to [`Cmem::mac_with_product`].
+    Checked,
+    /// The MAC is a pure function of the operands: compute it host-side
+    /// and charge it with [`Cmem::charge_macs`].
+    Pure,
+}
+
 /// The computing memory of one MAICC node: eight 2 KB slices.
 ///
 /// # Example
@@ -55,6 +71,9 @@ pub struct Cmem {
     /// SECDED-style row protection; `None` ([`EccMode::Off`], the default)
     /// is the zero-overhead path: no bookkeeping, no surcharge.
     ecc: Option<Box<EccState>>,
+    /// Cells a fault has changed in the array so far, in any ECC mode:
+    /// stuck cells forced after a write and flips latched by a move.
+    fault_changes: u64,
 }
 
 impl Default for Cmem {
@@ -72,6 +91,7 @@ impl Cmem {
             meter: EnergyMeter::new(),
             fault: None,
             ecc: None,
+            fault_changes: 0,
         }
     }
 
@@ -115,10 +135,17 @@ impl Cmem {
     }
 
     /// Sets the ECC protection level. [`EccMode::Off`] drops all ECC
-    /// state and surcharge. Enable *before* writing data or attaching a
-    /// fault plan — parity starts clean at the moment of the call.
+    /// state and surcharge. Parity starts clean at the moment of the call:
+    /// a cell a fault changed before it goes unrecorded. So the MAC
+    /// shortcut of [`MacPath::Checked`] needs the call to come before the
+    /// first such change, which is before the first write once a plan
+    /// with stuck cells is attached; attaching the plan itself changes no
+    /// cell.
     pub fn set_ecc_mode(&mut self, mode: EccMode) {
-        self.ecc = mode.is_on().then(|| Box::new(EccState::new(mode)));
+        let complete = self.fault_changes == 0;
+        self.ecc = mode
+            .is_on()
+            .then(|| Box::new(EccState::new(mode, complete)));
     }
 
     /// The active ECC protection level.
@@ -144,7 +171,7 @@ impl Cmem {
         e.stats.encodes += 1;
         e.stats.cycle_surcharge += timing::ecc_encode_cycles();
         self.meter.count_ecc_encode(1);
-        for row in rows.start..rows.end.min(SLICE_ROWS) {
+        for row in e.recorded_rows(slice, rows) {
             e.clear_row(slice, row, col);
         }
     }
@@ -170,7 +197,7 @@ impl Cmem {
         e.stats.cycle_surcharge += timing::ecc_check_cycles();
         self.meter.count_ecc_check(1);
         let mut repairs = Vec::new();
-        for row in rows.start..rows.end.min(SLICE_ROWS) {
+        for row in e.recorded_rows(slice, rows) {
             let Some(entries) = e.mismatches.get(&(slice, row)) else {
                 continue;
             };
@@ -300,6 +327,7 @@ impl Cmem {
             }
         }
         f.stats.stuck_bits_forced += forced;
+        self.fault_changes += forced;
         self.meter.count_fault(forced);
         self.fault = Some(f);
         if let Some(e) = self.ecc.as_deref_mut() {
@@ -467,6 +495,7 @@ impl Cmem {
             let col = pos as usize % BITLINES;
             if let Ok(cur) = self.slices[dst_slice].array().read_bit(row, col) {
                 let _ = self.slices[dst_slice].array_mut().write_bit(row, col, !cur);
+                self.fault_changes += 1;
                 if let Some(e) = self.ecc.as_deref_mut() {
                     e.note_mismatch(dst_slice, row, col, cur);
                 }
@@ -505,6 +534,66 @@ impl Cmem {
         bits: usize,
         signed: bool,
     ) -> Result<i64, SramError> {
+        let repairs = self.mac_checks(slice, base_a, base_b, bits)?;
+        let restore = self.ecc_apply_repairs(slice, &repairs);
+        let result = self.slices[slice].mac_fast(base_a, base_b, bits, signed);
+        self.ecc_restore(slice, &restore, None);
+        self.mac_result(result?, slice, base_a, bits)
+    }
+
+    /// `MAC.C` when the caller already holds `product`, the dot product
+    /// of both operands as last written ([`MacPath::Checked`]). Runs what
+    /// [`Cmem::mac`] runs, in its order: the slice and liveness checks,
+    /// the ECC checks of both operand ranges, the operand range and
+    /// overlap checks, the transient flip draw and the MAC count. It skips
+    /// only the ECC repairs around the array product and the product
+    /// itself. So the result, the error, every counter, the energy meter
+    /// and the fault RNG position equal those of `mac`. Debug builds also
+    /// compute the product on the repaired array and assert it equals
+    /// `product`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Cmem::mac`].
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `product` is not the array's product.
+    pub fn mac_with_product(
+        &mut self,
+        slice: usize,
+        base_a: usize,
+        base_b: usize,
+        bits: usize,
+        signed: bool,
+        product: i64,
+    ) -> Result<i64, SramError> {
+        let repairs = self.mac_checks(slice, base_a, base_b, bits)?;
+        self.slices[slice].check_mac_operands(base_a, base_b, bits)?;
+        if cfg!(debug_assertions) {
+            let restore = self.ecc_apply_repairs(slice, &repairs);
+            let array = self.slices[slice].mac_fast(base_a, base_b, bits, signed);
+            self.ecc_restore(slice, &restore, None);
+            assert_eq!(
+                array.ok(),
+                Some(product),
+                "the caller's product differs from the MAC on the repaired array"
+            );
+        }
+        self.mac_result(product, slice, base_a, bits)
+    }
+
+    /// The checks a `MAC.C` makes before its product: the slice exists
+    /// and is alive, and the ECC checks of both operand row ranges pass.
+    /// Returns the repairs under which the array shows the rows as last
+    /// written.
+    fn mac_checks(
+        &mut self,
+        slice: usize,
+        base_a: usize,
+        base_b: usize,
+        bits: usize,
+    ) -> Result<Vec<(usize, usize, bool)>, SramError> {
         self.check_slice(slice)?;
         self.check_alive(slice)?;
         // Correct-on-read over both operand row ranges: the activations
@@ -512,10 +601,18 @@ impl Cmem {
         let span = bits.min(SLICE_ROWS);
         let mut repairs = self.ecc_check(slice, base_a..base_a + span)?;
         repairs.extend(self.ecc_check(slice, base_b..base_b + span)?);
-        let restore = self.ecc_apply_repairs(slice, &repairs);
-        let result = self.slices[slice].mac_fast(base_a, base_b, bits, signed);
-        self.ecc_restore(slice, &restore, None);
-        let mut r = result?;
+        Ok(repairs)
+    }
+
+    /// What a `MAC.C` does after its product `r`: the transient upset
+    /// draw on the accumulator, then the MAC count.
+    fn mac_result(
+        &mut self,
+        mut r: i64,
+        slice: usize,
+        base_a: usize,
+        bits: usize,
+    ) -> Result<i64, SramError> {
         // Accumulator width: 2·bits product + 8 bits of 256-lane
         // accumulation + sign. An upset flips one bit of that register.
         if let Some(bit) = self.draw_flip_checked((2 * bits + 9) as u64, slice, base_a)? {
@@ -668,28 +765,38 @@ impl Cmem {
         self.mac(slice, base_a, base_b, 8, true)
     }
 
-    /// Whether a `MAC.C` on `slice` is a *pure* function of the logical
-    /// operand values: no fault plan (no RNG draws, no dead slices, no
-    /// latched upsets), no ECC (no check/encode bookkeeping), and the
-    /// slice's mask CSR fully open. Under these conditions the bit-plane
-    /// dot product equals the direct two's-complement dot product of the
-    /// operand vectors, so a caller that shadows the operands in byte
-    /// form may compute the result host-side and charge the meter via
-    /// [`Cmem::charge_macs`] — the same shortcut ladder as
-    /// [`CmemSlice::mac_fast`], one rung further. Callers must fall back
-    /// to [`Cmem::mac`] whenever this returns `false`.
+    /// Which path a `MAC.C` on `slice` may take for a caller that holds
+    /// both operands in byte form, as last written through this `Cmem`.
+    ///
+    /// The byte product equals the array's product whenever the mask CSR
+    /// is fully open and the array, as a MAC observes it, holds the rows
+    /// as last written. Without a fault plan and without ECC nothing else
+    /// changes the array, and the MAC touches nothing but the meter:
+    /// [`MacPath::Pure`]. Under ECC, a MAC observes the stored bits with
+    /// each record's intended value put back (Correct), or fails before
+    /// the product (DetectOnly, or two records in a row). If the ECC
+    /// state was created before any fault changed a cell, every change
+    /// since has a record: a stuck cell forced after a write, a flip
+    /// latched by a move. The repaired view is then the rows as last
+    /// written, and [`MacPath::Checked`] lets the caller pass its product
+    /// to [`Cmem::mac_with_product`]. Any other state takes
+    /// [`MacPath::Array`].
     #[must_use]
-    pub fn mac_shortcut_ok(&self, slice: usize) -> bool {
-        self.fault.is_none()
-            && self.ecc.is_none()
-            && slice < self.slices.len()
-            && self.slices[slice].mask() == 0xFF
+    pub fn mac_path(&self, slice: usize) -> MacPath {
+        if self.slices.get(slice).is_none_or(|s| s.mask() != 0xFF) {
+            return MacPath::Array;
+        }
+        match (&self.fault, self.ecc.as_deref()) {
+            (None, None) => MacPath::Pure,
+            (_, Some(e)) if e.complete => MacPath::Checked,
+            _ => MacPath::Array,
+        }
     }
 
     /// Charges the energy meter for `n` externally computed `MAC.C` ops
-    /// (the [`Cmem::mac_shortcut_ok`] path). Identical accounting to `n`
-    /// calls of [`Cmem::mac`]: one `count_mac` each, nothing else — on
-    /// the pristine path `mac` touches no other meter or state.
+    /// (the [`MacPath::Pure`] path). Identical accounting to `n` calls of
+    /// [`Cmem::mac`]: one `count_mac` each, nothing else — on the pristine
+    /// path `mac` touches no other meter or state.
     pub fn charge_macs(&mut self, n: u64) {
         self.meter.count_mac(n);
     }
@@ -1092,6 +1199,64 @@ mod tests {
         }
 
         #[test]
+        fn mac_path_follows_plan_ecc_and_mask() {
+            let mut c = Cmem::new();
+            assert_eq!(c.mac_path(3), MacPath::Pure);
+            assert_eq!(c.mac_path(NUM_SLICES), MacPath::Array);
+            c.slice_mut(3).unwrap().set_mask(0x7F);
+            assert_eq!(c.mac_path(3), MacPath::Array);
+            assert_eq!(c.mac_path(4), MacPath::Pure);
+            c.set_ecc_mode(EccMode::DetectOnly);
+            assert_eq!(c.mac_path(4), MacPath::Checked);
+            // attaching a plan changes no cell
+            c.attach_fault_plan(FaultPlan::with_seed(1).stuck(4, 8, 0, StuckAt::One));
+            assert_eq!(c.mac_path(4), MacPath::Checked);
+            c.set_ecc_mode(EccMode::Off);
+            assert_eq!(c.mac_path(4), MacPath::Array);
+        }
+
+        #[test]
+        fn checked_path_refuses_ecc_enabled_after_a_forced_stuck_cell() {
+            // Lane 0 of the filter is stuck at 1, so the array's product
+            // is 3 where the written operands give 0.
+            let plan = FaultPlan::none().stuck(2, 8, 0, StuckAt::One);
+            let write = |c: &mut Cmem| {
+                c.write_vector_u8(2, 0, &[3u8; 256]).unwrap();
+                c.write_vector_u8(2, 8, &[0u8; 256]).unwrap();
+            };
+            // forced with ECC off: no record covers the cell
+            let mut late = Cmem::with_fault_plan(plan.clone());
+            write(&mut late);
+            late.set_ecc_mode(EccMode::Correct);
+            assert_eq!(late.mac_path(2), MacPath::Array);
+            assert_eq!(late.mac_u8(2, 0, 8).unwrap(), 3);
+            // ECC before the write records it, and corrects it
+            let mut early = Cmem::with_fault_plan(plan);
+            early.set_ecc_mode(EccMode::Correct);
+            write(&mut early);
+            assert_eq!(early.mac_path(2), MacPath::Checked);
+            let mut array = early.clone();
+            assert_eq!(early.mac_with_product(2, 0, 8, 8, false, 0), Ok(0));
+            assert_eq!(array.mac_u8(2, 0, 8), Ok(0));
+            assert_eq!(early, array);
+        }
+
+        #[test]
+        fn checked_path_refuses_ecc_recreated_after_a_fault() {
+            let mut c = Cmem::with_fault_plan(FaultPlan::none().stuck(2, 8, 0, StuckAt::One));
+            c.set_ecc_mode(EccMode::Correct);
+            c.write_vector_u8(2, 0, &[3u8; 256]).unwrap();
+            c.write_vector_u8(2, 8, &[0u8; 256]).unwrap();
+            assert_eq!(c.mac_path(2), MacPath::Checked);
+            // a new state starts without the stuck cell's record
+            for mode in [EccMode::Correct, EccMode::DetectOnly] {
+                c.set_ecc_mode(mode);
+                assert_eq!(c.mac_path(2), MacPath::Array, "{mode:?}");
+            }
+            assert_eq!(c.mac_u8(2, 0, 8).unwrap(), 3);
+        }
+
+        #[test]
         fn shift_row_scrubs_single_bit_errors() {
             let mut c = Cmem::with_fault_plan(FaultPlan::none().stuck(3, 0, 0, StuckAt::One));
             c.set_ecc_mode(EccMode::Correct);
@@ -1229,6 +1394,87 @@ mod tests {
             if !correct {
                 prop_assert_eq!(c.slice(2).unwrap().mac(0, bits, bits, signed).unwrap(), expect);
             }
+        }
+
+        #[test]
+        fn prop_mac_with_product_matches_mac(
+            seed in any::<u64>(),
+            rate in prop_oneof![Just(0.0), Just(1.0), 0.0f64..0.5],
+            stuck in proptest::collection::vec(
+                (0usize..4, any::<usize>(), 0usize..BITLINES, any::<bool>()), 0..6),
+            dead in 0usize..2 * NUM_SLICES,
+            correct in any::<bool>(),
+            via_move in any::<bool>(),
+            bits in 1usize..=16,
+            signed in any::<bool>(),
+            slice in 1usize..NUM_SLICES,
+            start in any::<usize>(),
+            gap in any::<usize>(),
+            a in proptest::collection::vec(any::<u16>(), BITLINES),
+            b in proptest::collection::vec(any::<u16>(), BITLINES),
+        ) {
+            // ECC is on before any write, so its records cover every cell
+            // the plan changes. `mac_with_product`, handed the product of
+            // the operands as written, must then be indistinguishable from
+            // `mac` on a clone: the same result or error, counters, meter,
+            // array and fault RNG position, and the same next draw.
+            use crate::ecc::EccMode;
+            use crate::fault::{FaultPlan, StuckAt};
+            fn write(c: &mut Cmem, slice: usize, base: usize, words: &[u16], bits: usize) {
+                let planes = crate::transpose::pack_words(words, bits, BITLINES);
+                for (i, plane) in planes.iter().enumerate() {
+                    // a dead slice refuses the write; its MAC then fails
+                    // before the product
+                    let _ = c.write_row_remote(slice, base + i, plane);
+                }
+            }
+            let base_a = start % (SLICE_ROWS - 2 * bits + 1);
+            let base_b = base_a + bits + gap % (SLICE_ROWS - base_a - 2 * bits + 1);
+            let mut plan = FaultPlan::with_seed(seed).transient(rate);
+            for &(at, r, col, one) in &stuck {
+                // stuck cells in the move's source, in each operand, and
+                // anywhere in the slice
+                let (s, row) = match at {
+                    0 => (0, r % bits),
+                    1 => (slice, base_a + r % bits),
+                    2 => (slice, base_b + r % bits),
+                    _ => (slice, r % SLICE_ROWS),
+                };
+                plan = plan.stuck(s, row, col, if one { StuckAt::One } else { StuckAt::Zero });
+            }
+            if dead < NUM_SLICES {
+                plan = plan.dead_slice(dead);
+            }
+            let mut c = Cmem::with_fault_plan(plan);
+            c.set_ecc_mode(if correct { EccMode::Correct } else { EccMode::DetectOnly });
+            prop_assert_eq!(c.mac_path(slice), MacPath::Checked);
+            // operand A arrives by a move (which may latch a flip) or,
+            // when the move fails before writing, by a direct write
+            if via_move {
+                write(&mut c, 0, 0, &a, bits);
+            }
+            if !(via_move && c.move_vector(0, 0, slice, base_a, bits).is_ok()) {
+                write(&mut c, slice, base_a, &a, bits);
+            }
+            write(&mut c, slice, base_b, &b, bits);
+            let width = (1u32 << bits) - 1;
+            let lane = |v: u16| {
+                let v = i64::from(u32::from(v) & width);
+                if signed && v >> (bits - 1) == 1 { v - (1 << bits) } else { v }
+            };
+            let product: i64 = a.iter().zip(&b).map(|(&x, &y)| lane(x) * lane(y)).sum();
+            let mut array = c.clone();
+            let got = c.mac_with_product(slice, base_a, base_b, bits, signed, product);
+            let want = array.mac(slice, base_a, base_b, bits, signed);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(c.ecc_stats(), array.ecc_stats());
+            prop_assert_eq!(c.fault_stats(), array.fault_stats());
+            prop_assert_eq!(c.energy(), array.energy());
+            prop_assert!(c == array, "CMem state diverged");
+            prop_assert_eq!(
+                c.mac(slice, base_a, base_b, bits, signed),
+                array.mac(slice, base_a, base_b, bits, signed)
+            );
         }
 
         #[test]

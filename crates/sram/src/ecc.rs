@@ -33,8 +33,13 @@
 //!
 //! [`SramError::EccUncorrectable`]: crate::SramError::EccUncorrectable
 
+use crate::{NUM_SLICES, SLICE_ROWS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
+
+// `EccState::recorded` keeps one bit per row of a slice in a `u64`.
+const _: () = assert!(SLICE_ROWS <= u64::BITS as usize);
 
 /// ECC protection level of a [`Cmem`](crate::cmem::Cmem).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,21 +103,56 @@ pub(crate) struct EccState {
     /// Per `(slice, row)`: cells whose stored bit disagrees with the
     /// parity computed at the row's last write, as `(col, intended)`.
     pub(crate) mismatches: HashMap<(usize, usize), Vec<(usize, bool)>>,
+    /// Per slice, bit `row` is set while `(slice, row)` has an entry in
+    /// `mismatches`, so a row range without records costs one bit test
+    /// instead of a lookup per row.
+    recorded: [u64; NUM_SLICES],
+    /// No fault had changed the array when this state was created, so
+    /// `mismatches` lists every cell a fault has changed since.
+    pub(crate) complete: bool,
 }
 
 impl EccState {
-    pub(crate) fn new(mode: EccMode) -> Self {
+    /// A state with no records; `complete` says whether the array holds
+    /// no fault-changed cell at this moment.
+    pub(crate) fn new(mode: EccMode, complete: bool) -> Self {
         debug_assert!(mode.is_on());
         EccState {
             mode,
             stats: EccStats::default(),
             mismatches: HashMap::new(),
+            recorded: [0; NUM_SLICES],
+            complete,
         }
+    }
+
+    /// The rows of `rows` (clamped to the slice) in `slice` that have a
+    /// record, ascending.
+    pub(crate) fn recorded_rows(
+        &self,
+        slice: usize,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = usize> {
+        let (lo, hi) = (rows.start.min(SLICE_ROWS), rows.end.min(SLICE_ROWS));
+        let span = if lo < hi {
+            (u64::MAX >> (64 - (hi - lo))) << lo
+        } else {
+            0
+        };
+        let mut bits = self.recorded[slice] & span;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let row = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                row
+            })
+        })
     }
 
     /// Records that `(slice, row, col)` holds a value the row parity does
     /// not cover; keeps the first record if the cell is already listed.
     pub(crate) fn note_mismatch(&mut self, slice: usize, row: usize, col: usize, intended: bool) {
+        self.recorded[slice] |= 1 << row;
         let entry = self.mismatches.entry((slice, row)).or_default();
         if !entry.iter().any(|&(c, _)| c == col) {
             entry.push((col, intended));
@@ -123,18 +163,15 @@ impl EccState {
     /// write covered. `col` restricts the clear to one bit-line (vertical
     /// byte stores rewrite a single column of eight rows).
     pub(crate) fn clear_row(&mut self, slice: usize, row: usize, col: Option<usize>) {
-        match col {
-            None => {
-                self.mismatches.remove(&(slice, row));
-            }
-            Some(c) => {
-                if let Some(v) = self.mismatches.get_mut(&(slice, row)) {
-                    v.retain(|&(col0, _)| col0 != c);
-                    if v.is_empty() {
-                        self.mismatches.remove(&(slice, row));
-                    }
-                }
-            }
+        let keep = col.is_some_and(|c| {
+            self.mismatches.get_mut(&(slice, row)).is_some_and(|v| {
+                v.retain(|&(col0, _)| col0 != c);
+                !v.is_empty()
+            })
+        });
+        if !keep {
+            self.mismatches.remove(&(slice, row));
+            self.recorded[slice] &= !(1 << row);
         }
     }
 }
@@ -173,22 +210,55 @@ mod tests {
         assert_eq!(a.cycle_surcharge, 55);
     }
 
+    /// The row bitmask marks exactly the rows that have records.
+    fn assert_mask_agrees(st: &EccState) {
+        for slice in 0..NUM_SLICES {
+            for row in 0..SLICE_ROWS {
+                let marked = (st.recorded[slice] >> row) & 1 == 1;
+                let listed = st.mismatches.contains_key(&(slice, row));
+                assert_eq!(marked, listed, "slice {slice} row {row}");
+            }
+            let rows: Vec<usize> = st.recorded_rows(slice, 0..SLICE_ROWS + 8).collect();
+            let mut listed: Vec<usize> = (0..SLICE_ROWS)
+                .filter(|&row| st.mismatches.contains_key(&(slice, row)))
+                .collect();
+            assert_eq!(rows, listed);
+            listed.retain(|row| (3..9).contains(row));
+            assert_eq!(st.recorded_rows(slice, 3..9).collect::<Vec<_>>(), listed);
+        }
+    }
+
     #[test]
     fn mismatch_bookkeeping_first_record_wins_and_clears() {
-        let mut st = EccState::new(EccMode::Correct);
+        let mut st = EccState::new(EccMode::Correct, true);
         st.note_mismatch(1, 2, 3, true);
         st.note_mismatch(1, 2, 3, false); // duplicate cell: first wins
         assert_eq!(st.mismatches[&(1, 2)], vec![(3, true)]);
         st.note_mismatch(1, 2, 9, false);
         assert_eq!(st.mismatches[&(1, 2)].len(), 2);
+        st.note_mismatch(1, 63, 0, true);
+        st.note_mismatch(7, 8, 4, false);
+        assert_mask_agrees(&st);
         // column-restricted clear removes only the covered cell
         st.clear_row(1, 2, Some(3));
         assert_eq!(st.mismatches[&(1, 2)], vec![(9, false)]);
+        assert_mask_agrees(&st);
+        // removing the row's last record clears its bit
+        st.clear_row(1, 2, Some(9));
+        assert!(!st.mismatches.contains_key(&(1, 2)));
+        assert_mask_agrees(&st);
         // full-row clear forgets the row
+        st.note_mismatch(1, 2, 9, false);
         st.clear_row(1, 2, None);
         assert!(!st.mismatches.contains_key(&(1, 2)));
+        assert_mask_agrees(&st);
         // clearing an unknown row is a no-op
         st.clear_row(5, 5, None);
         st.clear_row(5, 5, Some(1));
+        st.clear_row(7, 8, Some(5));
+        assert_eq!(st.mismatches[&(7, 8)], vec![(4, false)]);
+        assert_mask_agrees(&st);
+        assert_eq!(st.recorded_rows(1, 60..60).count(), 0);
+        assert_eq!(st.recorded_rows(1, 64..72).count(), 0);
     }
 }

@@ -139,6 +139,31 @@ impl CmemSlice {
         Ok(())
     }
 
+    /// The operand checks of [`Self::mac`]: both vectors in range and
+    /// their row ranges disjoint.
+    pub(crate) fn check_mac_operands(
+        &self,
+        base_a: usize,
+        base_b: usize,
+        bits: usize,
+    ) -> Result<(), SramError> {
+        self.check_vector(base_a, bits)?;
+        self.check_vector(base_b, bits)?;
+        let (lo, hi) = if base_a <= base_b {
+            (base_a, base_b)
+        } else {
+            (base_b, base_a)
+        };
+        if lo + bits > hi {
+            return Err(SramError::OperandOverlap {
+                a: base_a,
+                b: base_b,
+                bits,
+            });
+        }
+        Ok(())
+    }
+
     /// Writes a transposed n-bit vector starting at word-line `base`
     /// (bit `i` of element `k` lands at row `base + i`, bit-line `k`).
     ///
@@ -228,20 +253,7 @@ impl CmemSlice {
     /// Returns [`SramError::OperandOverlap`] if the two operand row ranges
     /// intersect, plus the domain errors of [`Self::write_vector`].
     pub fn mac(&self, base_a: usize, base_b: usize, bits: usize, signed: bool) -> Result<i64, SramError> {
-        self.check_vector(base_a, bits)?;
-        self.check_vector(base_b, bits)?;
-        let (lo, hi) = if base_a <= base_b {
-            (base_a, base_b)
-        } else {
-            (base_b, base_a)
-        };
-        if lo + bits > hi {
-            return Err(SramError::OperandOverlap {
-                a: base_a,
-                b: base_b,
-                bits,
-            });
-        }
+        self.check_mac_operands(base_a, base_b, bits)?;
         let mask = self.mask_words();
         let mut readout = BitlineReadout::scratch(self.array.lanes());
         let mut res: i64 = 0;
@@ -292,20 +304,7 @@ impl CmemSlice {
         bits: usize,
         signed: bool,
     ) -> Result<i64, SramError> {
-        self.check_vector(base_a, bits)?;
-        self.check_vector(base_b, bits)?;
-        let (lo, hi) = if base_a <= base_b {
-            (base_a, base_b)
-        } else {
-            (base_b, base_a)
-        };
-        if lo + bits > hi {
-            return Err(SramError::OperandOverlap {
-                a: base_a,
-                b: base_b,
-                bits,
-            });
-        }
+        self.check_mac_operands(base_a, base_b, bits)?;
         let mask = self.mask_words();
         let (ra, rb) = (self.rows(base_a, bits)?, self.rows(base_b, bits)?);
         let mut live_a = [0u64; ROW_WORDS];
