@@ -1992,7 +1992,8 @@ mod tests {
             }
         };
         // the source: tracked, under drops and corruption with a retry
-        // policy, caught in the middle of a replay
+        // policy, caught in the middle of a replay with a retransmission
+        // pending
         let mut src: Mesh<usize> = Mesh::with_buffer(8, 8, 2);
         src.attach_fault_plan(
             NocFaultPlan::with_seed(11)
@@ -2006,7 +2007,8 @@ mod tests {
         trains(&mut src, Coord::new(0, 1), Coord::new(7, 6), 12);
         trains(&mut src, Coord::new(2, 0), Coord::new(2, 7), 6);
         let mut out = Vec::new();
-        while !src.replay.armed {
+        while !(src.replay.armed && src.bounds.release < u64::MAX) {
+            assert!(!src.is_idle(), "the source drained before the clone");
             src.tick_partitioned(&mut out);
         }
         // the diverged targets: untracked with other traffic; smaller,

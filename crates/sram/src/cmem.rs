@@ -135,12 +135,12 @@ impl Cmem {
     }
 
     /// Sets the ECC protection level. [`EccMode::Off`] drops all ECC
-    /// state and surcharge. Parity starts clean at the moment of the call:
-    /// a cell a fault changed before it goes unrecorded. So the MAC
-    /// shortcut of [`MacPath::Checked`] needs the call to come before the
-    /// first such change, which is before the first write once a plan
-    /// with stuck cells is attached; attaching the plan itself changes no
-    /// cell.
+    /// state and surcharge. Parity starts clean at the moment of the call,
+    /// so a cell a fault changed before it has no record.
+    /// [`MacPath::Checked`] needs a record for every changed cell, so it
+    /// needs this call before a fault first changes a cell: with a plan
+    /// attached, before the first write. Attaching a plan changes no
+    /// cell, so the plan may come first.
     pub fn set_ecc_mode(&mut self, mode: EccMode) {
         let complete = self.fault_changes == 0;
         self.ecc = mode
