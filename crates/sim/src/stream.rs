@@ -1997,7 +1997,6 @@ fn step_node(
                 // identical energy accounting to `macs` array MAC.C ops
                 cmem.charge_macs(macs);
             }
-
             // windows whose bottom-right corner this pixel was are done
             let mut values = 0u64;
             if y + 1 >= l.shape.kernel_h
