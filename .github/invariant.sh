@@ -10,11 +10,11 @@
 # variants run even after a mismatch, and the script exits non-zero if
 # any run or comparison failed.
 #
-# Example: the quick serving report, event-driven at one thread and
-# cycle-accurate at four, into serve_event.json and serve_cycle.json:
+# Example: the quick serving report, event-driven and cycle-accurate,
+# into serve_event.json and serve_cycle.json:
 #
 #   bash .github/invariant.sh serve_ .json 'target/release/maicc serve --quick --json' \
-#       event= 'cycle=--engine cycle --threads 4'
+#       event= 'cycle=--engine cycle'
 set -uo pipefail
 
 if [ "$#" -lt 4 ]; then

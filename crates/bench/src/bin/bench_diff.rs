@@ -150,16 +150,18 @@ fn worst_derived_regression(
         .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
-/// Absolute floor for the parallel-speedup derived metric. Unlike the
-/// relative regression gate this does not compare against the baseline:
-/// a collapsed parallel path (mutex contention, accidental
-/// serialization) should fail CI even if the checked-in baseline has
-/// already drifted down. 2.5 leaves headroom below the 3.0 the harness
-/// records at 4 threads so ordinary run-to-run noise doesn't flap.
+/// Absolute floor for `speedup_vs_sequential`, the reference loop's time
+/// over the partitioned loop's (`StreamSim::run_reference` against
+/// `StreamSim::run`, both on one thread). Unlike the relative regression
+/// gate this does not compare against the baseline: a collapsed fast
+/// path (the tracked mesh tick, phase skipping, the byte-shadow MAC)
+/// should fail CI even if the checked-in baseline has already drifted
+/// down. 2.5 leaves headroom below the 3.0 in the committed record so
+/// ordinary run-to-run noise doesn't flap.
 const SPEEDUP_FLOOR: f64 = 2.5;
 
 /// Returns the new report's `speedup_vs_sequential` if it is below the
-/// floor. The harness emits 0.00 when the sequential/parallel bench
+/// floor. The harness emits 0.00 when the sequential/partitioned bench
 /// pair didn't run (filtered `--bench` invocations), so zero means
 /// "not measured", not "collapsed", and passes — as does a report
 /// without the key at all.
@@ -377,7 +379,7 @@ fn main() -> ExitCode {
         if let Some(v) = speedup_floor_breach(&new_derived) {
             eprintln!(
                 "bench_diff: derived `speedup_vs_sequential` = {v:.2} below the \
-                 {SPEEDUP_FLOOR:.1} floor — the parallel path has collapsed"
+                 {SPEEDUP_FLOOR:.1} floor — the partitioned loop has collapsed"
             );
             return ExitCode::FAILURE;
         }

@@ -16,8 +16,6 @@
 //!   --quick             one iteration, no warmup (CI smoke mode)
 //!   --iters N           timed iterations per workload (default 5;
 //!                       normal mode adds two per-bench warmup runs)
-//!   --threads N         worker threads for the parallel row
-//!                       (default: host core count)
 //!   --bench SUBSTRING   only run sections and rows whose name contains
 //!                       SUBSTRING (`--bench table6` prints Table 6 and
 //!                       times `table6_heuristic_mapping`)
@@ -49,15 +47,16 @@
 //!   CMems + flit-level mesh) on the default fault-campaign workload,
 //!   event-driven engine, on the sequential reference loop
 //!   (`StreamSim::run_reference`);
-//! * `resnet18_segment_parallel` — same, through `StreamSim::run` with
-//!   `set_parallelism` at `--threads`;
+//! * `resnet18_segment_parallel` — same, through `StreamSim::run`, the
+//!   partitioned loop, timed interleaved with `resnet18_segment` for the
+//!   `speedup_vs_sequential` ratio;
 //! * `resnet18_segment_cycle_accurate` — same workload on the per-cycle
 //!   oracle engine and the reference loop (the skip-ahead engine's
 //!   speedup baseline);
-//! * `resnet18_segment_slowpath` — `StreamSim::run` at one thread with a
-//!   quiet `FaultPlan` attached: the path every run under a CMem fault
-//!   plan takes, the partitioned loop stepped inline with every MAC on
-//!   the bit-plane arrays (no byte-shadow shortcut, no worker pool);
+//! * `resnet18_segment_slowpath` — `StreamSim::run` with a quiet
+//!   `FaultPlan` attached: the path every run under a CMem fault plan
+//!   without ECC takes, the partitioned loop with every MAC on the
+//!   bit-plane arrays (no byte-shadow shortcut);
 //! * `serve_mix_fcfs` / `serve_mix_sjf` — the online serving layer on a
 //!   bursty three-model trace over a contended 8-tile pool; the check
 //!   value is the fleet p99 latency in fabric cycles, so the two rows
@@ -231,13 +230,12 @@ enum Stepping {
     /// `StreamSim::run_reference`, the sequential loop: the baseline the
     /// speedup ratios divide by.
     Reference,
-    /// `StreamSim::run` at this many node-stepping threads.
-    Partitioned(usize),
+    /// `StreamSim::run`, the partitioned loop.
+    Partitioned,
 }
 
 /// Runs the streaming segment on the chosen loop; `slow_path` attaches a
-/// quiet fault plan, which keeps every MAC on the bit-plane arrays and
-/// the shards off the worker pool.
+/// quiet fault plan, which keeps every MAC on the bit-plane arrays.
 fn stream_segment(
     cfg: &StreamConfig,
     golden: &[i8],
@@ -252,10 +250,7 @@ fn stream_segment(
     }
     let r = match stepping {
         Stepping::Reference => sim.run_reference(STREAM_BUDGET),
-        Stepping::Partitioned(threads) => {
-            sim.set_parallelism(threads);
-            sim.run(STREAM_BUDGET)
-        }
+        Stepping::Partitioned => sim.run(STREAM_BUDGET),
     }
     .expect("drains");
     assert_eq!(r.ofmap, golden, "streaming ofmap mismatch");
@@ -315,7 +310,6 @@ fn write_json(
     file: &mut File,
     quick: bool,
     iters: usize,
-    threads: usize,
     results: &[Summary],
     stats: &ScenarioStats,
 ) -> std::io::Result<()> {
@@ -330,7 +324,6 @@ fn write_json(
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"iterations\": {iters},\n"));
     out.push_str(&format!("  \"engine\": \"{}\",\n", Engine::default().label()));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
         "  \"pre_pr_resnet18_segment_ns\": {},\n",
         pre_pr::RESNET18_SEGMENT_NS
@@ -516,11 +509,10 @@ fn write_json(
 const EXIT_USAGE: u8 = 2;
 
 /// The command line, as the module doc describes it; `iters` is 1 under
-/// `--quick`, and `threads` 0 means the host's core count.
+/// `--quick`.
 struct Options {
     quick: bool,
     iters: usize,
-    threads: usize,
     filter: Option<String>,
     out: Option<String>,
 }
@@ -529,7 +521,6 @@ fn read_args() -> Result<Options, String> {
     let mut args: Args = std::env::args().skip(1).collect();
     let quick = args.switch("--quick")?;
     let iters = args.value("--iters")?.unwrap_or(5);
-    let threads = args.value("--threads")?.unwrap_or(0);
     let filter = args.value("--bench")?;
     let out = args.value("--json")?;
     args.finish()?;
@@ -540,7 +531,6 @@ fn read_args() -> Result<Options, String> {
     Ok(Options {
         quick,
         iters,
-        threads,
         filter,
         out,
     })
@@ -550,7 +540,6 @@ fn main() -> ExitCode {
     let Options {
         quick,
         iters,
-        mut threads,
         filter,
         out,
     } = match read_args() {
@@ -582,14 +571,10 @@ fn main() -> ExitCode {
     // caches, so the timed percentiles measure steady state — this is
     // what kept table5_scheduled_replay's p90 at 2.4x its median
     let warmup = if quick { 0 } else { 2 };
-    if threads == 0 {
-        threads = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-    }
     let want = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
 
     println!(
-        "maicc_bench: {iters} iteration(s), {warmup} warmup, quick={quick}, \
-         engine={}, threads={threads}",
+        "maicc_bench: {iters} iteration(s), {warmup} warmup, quick={quick}, engine={}",
         Engine::default().label()
     );
 
@@ -654,7 +639,7 @@ fn main() -> ExitCode {
     let seg_golden = seg_cfg.golden();
     // the sequential rows time the reference loop, so the speedup ratios
     // keep dividing by the same baseline whatever `run` steps
-    let (reference, partitioned) = (Stepping::Reference, Stepping::Partitioned(threads));
+    let (reference, partitioned) = (Stepping::Reference, Stepping::Partitioned);
     match (want("resnet18_segment"), want("resnet18_segment_parallel")) {
         (true, true) => {
             // interleaved so speedup_vs_sequential is drift-free
@@ -703,7 +688,7 @@ fn main() -> ExitCode {
                 &seg_cfg,
                 &seg_golden,
                 Engine::default(),
-                Stepping::Partitioned(1),
+                partitioned,
                 true,
             )
         }));
@@ -718,7 +703,6 @@ fn main() -> ExitCode {
             let cfg = ServeConfig {
                 policy,
                 pool_tiles: 8,
-                threads,
                 ..ServeConfig::default()
             };
             let report = serve(&serve_registry, &serve_trace, &cfg).expect("mix serves");
@@ -755,7 +739,6 @@ fn main() -> ExitCode {
             let cfg = ServeConfig {
                 policy: Policy::Sjf,
                 pool_tiles: 10,
-                threads,
                 recovery: Some(RecoveryPolicy {
                     max_replays: 8,
                     remap: true,
@@ -815,7 +798,6 @@ fn main() -> ExitCode {
             let cfg = ServeConfig {
                 policy: Policy::Sjf,
                 pool_tiles: 8,
-                threads,
                 weight_cache: Some(WeightCacheConfig {
                     enabled,
                     ..WeightCacheConfig::default()
@@ -876,7 +858,6 @@ fn main() -> ExitCode {
                 base: ServeConfig {
                     policy,
                     pool_tiles: 8,
-                    threads,
                     weight_cache: Some(WeightCacheConfig::default()),
                     ..ServeConfig::default()
                 },
@@ -933,7 +914,6 @@ fn main() -> ExitCode {
                 base: ServeConfig {
                     policy: Policy::Sjf,
                     pool_tiles: 16,
-                    threads,
                     weight_cache: Some(WeightCacheConfig::default()),
                     ..ServeConfig::default()
                 },
@@ -958,8 +938,8 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    // Modelled cycles must agree across fast, parallel, oracle, and
-    // slow-path runs of the streaming segment.
+    // Modelled cycles must agree across the reference, partitioned,
+    // oracle, and slow-path runs of the streaming segment.
     let cycles: Vec<u64> = results
         .iter()
         .filter(|s| s.name.starts_with("resnet18_segment"))
@@ -977,7 +957,7 @@ fn main() -> ExitCode {
             cluster: cluster_stats,
             soak: soak_stats,
         };
-        if let Err(e) = write_json(file, quick, iters, threads, &results, &stats) {
+        if let Err(e) = write_json(file, quick, iters, &results, &stats) {
             eprintln!("maicc_bench: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -1008,12 +988,12 @@ fn main() -> ExitCode {
         }
         if let Some(par) = median("resnet18_segment_parallel") {
             let speedup = seg / par;
-            println!("parallel ({threads} threads): {speedup:.2}x over sequential");
+            println!("partitioned loop: {speedup:.2}x over sequential");
             if speedup < 1.0 {
                 println!(
                     "WARNING: resnet18_segment_parallel is SLOWER than sequential \
                      (speedup_vs_sequential = {speedup:.2} < 1.0) — \
-                     the worker pool is losing to single-threaded stepping"
+                     the partitioned loop is losing to the reference loop"
                 );
             }
         }

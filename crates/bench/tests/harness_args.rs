@@ -29,6 +29,7 @@ fn a_malformed_command_line_exits_2() {
         (&["--iters", "0"], "--iters"),
         (&["--quick", "--bench"], "--bench"),
         (&["--quick", "--qiuck"], "--qiuck"),
+        (&["--quick", "--threads", "4"], "--threads"),
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, 2, "{args:?}: {stderr}");

@@ -8,7 +8,7 @@
 //! `soak` streams the interval telemetry (one JSON line per `--interval`
 //! simulated cycles, the `maicc-obs` schema) to stdout or `--out FILE`;
 //! the human summary goes to stderr, so the stream stays byte-comparable
-//! across engines and thread counts.
+//! across engines.
 
 use maicc::cli::Args;
 use maicc::core::kernels::{CmemConvKernel, ConvWorkload};
@@ -73,11 +73,11 @@ fn print_help() {
          \u{20}            [--weight-cache] [--cold-cache] [--cache-llc-bytes N]\n  \
          \u{20}            [--fabrics N] [--replicas K] [--heartbeat N]\n  \
          \u{20}            [--fabric-fault SPEC]...\n  \
-         \u{20}            [--engine event|cycle] [--threads N] [--quick] [--json]\n  \
+         \u{20}            [--engine event|cycle] [--quick] [--json]\n  \
          maicc soak   [--fabrics N] [--replicas K] [--heartbeat N] [--pool N]\n  \
          \u{20}            [--horizon N] [--interval N] [--seed N] [--no-churn]\n  \
          \u{20}            [--churn-period N] [--out FILE]\n  \
-         \u{20}            [--engine event|cycle] [--threads N] [--quick]\n\n\
+         \u{20}            [--engine event|cycle] [--quick]\n\n\
          models: resnet18 (default), vgg11, tinynet\n\
          strategies: heuristic (default), greedy, single\n\
          serve policies: fcfs (default), sjf, partitioned, time-shared\n\
@@ -93,15 +93,13 @@ fn print_help() {
     );
 }
 
-/// `--engine event|cycle` and `--threads N`, which `serve` and `soak`
-/// share.
-fn engine_flags(args: &mut Args) -> Result<(Engine, usize), String> {
-    let engine = match args.value::<String>("--engine")?.as_deref() {
-        None | Some("event") => Engine::EventDriven,
-        Some("cycle") => Engine::CycleAccurate,
-        Some(other) => return Err(format!("unknown engine `{other}` (event|cycle)")),
-    };
-    Ok((engine, args.value("--threads")?.unwrap_or(1)))
+/// `--engine event|cycle`, which `serve` and `soak` share.
+fn engine_flag(args: &mut Args) -> Result<Engine, String> {
+    match args.value::<String>("--engine")?.as_deref() {
+        None | Some("event") => Ok(Engine::EventDriven),
+        Some("cycle") => Ok(Engine::CycleAccurate),
+        Some(other) => Err(format!("unknown engine `{other}` (event|cycle)")),
+    }
 }
 
 fn cmd_map(mut args: Args) -> Result<(), String> {
@@ -349,7 +347,7 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
     let horizon = args
         .value("--horizon")?
         .unwrap_or(if quick { 300_000 } else { 1_500_000 });
-    let (engine, threads) = engine_flags(&mut args)?;
+    let engine = engine_flag(&mut args)?;
     let pool_tiles = args
         .value("--pool")?
         .unwrap_or(if overload { 10 } else { 16 });
@@ -453,7 +451,6 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
     let cfg = ServeConfig {
         policy,
         engine,
-        threads,
         pool_tiles,
         recovery,
         fault,
@@ -558,7 +555,7 @@ fn cmd_soak(mut args: Args) -> Result<(), String> {
     let pool_tiles = args.value("--pool")?.unwrap_or(16);
     let churn_period = args.value("--churn-period")?.unwrap_or(150_000);
     let out = args.value::<String>("--out")?;
-    let (engine, threads) = engine_flags(&mut args)?;
+    let engine = engine_flag(&mut args)?;
     args.finish()?;
 
     // The repeat-heavy diurnal mix: popularity ranks lightest-first so
@@ -589,7 +586,6 @@ fn cmd_soak(mut args: Args) -> Result<(), String> {
         base: ServeConfig {
             policy: Policy::Sjf,
             engine,
-            threads,
             pool_tiles,
             weight_cache: Some(WeightCacheConfig::default()),
             ..ServeConfig::default()

@@ -167,6 +167,8 @@ fn assert_refused(line: &str, arg: &str) {
 fn a_misspelt_flag_is_refused() {
     assert_refused("serve --quick --json --polcy sjf", "`--polcy`");
     assert_refused("campaign --workload small --jsn", "`--jsn`");
+    assert_refused("serve --quick --json --threads 4", "`--threads`");
+    assert_refused("soak --quick --threads 2", "`--threads`");
 }
 
 #[test]

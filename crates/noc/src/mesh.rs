@@ -560,19 +560,6 @@ impl<T> Mesh<T> {
         self.replay.armed = false;
     }
 
-    /// Drains per-shard packet queues into the mesh in ascending shard
-    /// order. Shard order equals node-index order in the fabric layer, so
-    /// the resulting injection schedule is exactly the sequential one —
-    /// this is the exchange half of the two-phase (compute / exchange)
-    /// partitioned schedule.
-    pub fn send_from_shards(&mut self, queues: &mut [Vec<Packet<T>>]) {
-        for q in queues {
-            for p in q.drain(..) {
-                self.send(p);
-            }
-        }
-    }
-
     /// Whether any flit is buffered or awaiting injection.
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -2210,39 +2197,5 @@ mod tests {
                 prop_assert_eq!(delivered + full.fault_stats().packets_lost, seeds.len() as u64);
             }
         }
-    }
-
-    #[test]
-    fn shard_queue_injection_matches_sequential_sends() {
-        // draining per-shard queues in ascending shard order must produce
-        // the same flights table (and thus the same downstream schedule)
-        // as the equivalent sequence of direct sends
-        let mut seq: Mesh<u32> = Mesh::new(4, 4);
-        let mut sharded: Mesh<u32> = Mesh::new(4, 4);
-        sharded.enable_partitioned_stepping();
-        let mk = |k: u32| {
-            Packet::new(
-                Coord::new((k % 4) as u8, 0),
-                Coord::new(3, 3),
-                1 + (k as usize % 3),
-                k,
-            )
-        };
-        let mut queues = vec![vec![mk(0), mk(1)], vec![], vec![mk(2), mk(3), mk(4)]];
-        for k in 0..5 {
-            seq.send(mk(k));
-        }
-        sharded.send_from_shards(&mut queues);
-        assert!(queues.iter().all(Vec::is_empty));
-        let a = seq.run_until_idle(1_000);
-        let mut b = Vec::new();
-        for _ in 0..1_000 {
-            sharded.tick_partitioned(&mut b);
-            if sharded.is_idle() {
-                break;
-            }
-        }
-        assert_eq!(a, b);
-        assert_eq!(seq.stats(), sharded.stats());
     }
 }

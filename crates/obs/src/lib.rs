@@ -17,11 +17,10 @@
 //! discrete-event loops already process events in that order). Window
 //! boundaries are computed from those stamps — window `k` covers the
 //! half-open range `[k·I, (k+1)·I)` — never from timers. Every value
-//! fed in is itself engine- and thread-invariant (counts, integer
-//! latencies, ECC/NoC counters already proven invariant by the
-//! equivalence matrix), so the emitted stream is byte-identical across
-//! engines × thread counts by construction, exactly like the final
-//! reports.
+//! fed in is itself engine-invariant (counts, integer latencies, ECC/NoC
+//! counters already proven invariant by the equivalence matrix), so the
+//! emitted stream is byte-identical across engines by construction,
+//! exactly like the final reports.
 //!
 //! ## Stream schema
 //!

@@ -34,7 +34,7 @@
 //! Every decision is a pure function of trace-derived state — arrival
 //! times, completion times, byte counts, tile coordinates — compared with
 //! integer cross-multiplication. No wall clock, no floats in ordering, so
-//! serving stays byte-identical across engines and thread counts.
+//! serving stays byte-identical across engines.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -44,8 +44,7 @@
 //!
 //! Determinism carries the same bar as every other subsystem: all
 //! routing and failover decisions key on integer tuples (request id,
-//! fabric index, cycle), so the report is byte-identical across engines
-//! and node-stepping thread counts.
+//! fabric index, cycle), so the report is byte-identical across engines.
 
 use std::collections::BTreeMap;
 
@@ -512,8 +511,8 @@ pub fn serve_cluster(
 /// Runs [`serve_cluster`] with an interval telemetry recorder attached
 /// and returns the report alongside the JSONL stream (one line per
 /// `interval_cycles` of simulated time; see the `maicc-obs` crate for
-/// the schema). The stream is byte-identical across engines and
-/// stepping thread counts, exactly like the report.
+/// the schema). The stream is byte-identical across engines, exactly
+/// like the report.
 ///
 /// # Errors
 ///

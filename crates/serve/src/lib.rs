@@ -30,8 +30,8 @@
 //! [`cache`] and interval telemetry are parts of that step. The loop
 //! jumps between events, so its determinism reduces to [`StreamSim`]'s —
 //! which is proven bit-identical across
-//! [`Engine`](maicc_sim::stream::Engine)s and node-stepping thread
-//! counts. A serving report is therefore byte-identical for a fixed trace
+//! [`Engine`](maicc_sim::stream::Engine)s. A serving report is therefore
+//! byte-identical for a fixed trace
 //! seed no matter how the underlying simulations are driven
 //! (regression- and proptest-enforced in `tests/`).
 //!

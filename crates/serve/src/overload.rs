@@ -43,7 +43,7 @@
 //!
 //! Everything here is deterministic in fabric cycles: the same trace,
 //! registry, and config produce byte-identical SLO JSON regardless of
-//! simulation engine or thread count (proptest-enforced).
+//! simulation engine (proptest-enforced).
 
 /// A tenant's priority tier under overload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]

@@ -118,10 +118,8 @@ pub struct ServeConfig {
     /// Simulation engine driving each admitted request (does not affect
     /// results — engines are bit-identical).
     pub engine: Engine,
-    /// Node-stepping worker threads per admitted request's simulation
-    /// (ownership-partitioned stepping, DESIGN.md §14 — trades
-    /// wall-clock for cores without affecting results: reports stay
-    /// byte-identical at any count).
+    /// Ignored: every admitted request's simulation steps its nodes on
+    /// the serving thread. Kept only for perfbench, which still sets it.
     pub threads: usize,
     /// Schedulable pool size in tiles, carved from the start of the
     /// serpentine order; `0` means the whole healthy array.
@@ -399,7 +397,6 @@ pub(crate) fn run_request(
         reason: format!("placement of `{}` failed: {e}", entry.name),
     })?;
     sim.set_engine(cfg.engine);
-    sim.set_parallelism(cfg.threads);
     if let Some(recovery) = cfg.recovery {
         sim.set_recovery_policy(Some(recovery));
     }

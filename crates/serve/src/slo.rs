@@ -442,7 +442,7 @@ impl ServeReport {
 
     /// Serializes the report as deterministic JSON.
     ///
-    /// Engine and thread count are deliberately absent: for a fixed
+    /// The engine is deliberately absent: for a fixed
     /// trace the bytes must be identical however the simulations were
     /// driven, and including them would make that property untestable.
     #[must_use]

@@ -3,8 +3,8 @@
 //! Four guarantees the cache must not erode:
 //!
 //! 1. **Determinism** — with the cache enabled, a serving report's JSON
-//!    bytes are invariant across simulation engines and node-stepping
-//!    thread counts, exactly like the pre-cache loop.
+//!    bytes are invariant across simulation engines, exactly like the
+//!    pre-cache loop.
 //! 2. **Byte-exact fallback** — `weight_cache: None` reproduces the
 //!    pre-cache serving report bit-for-bit (pinned fixture), so the
 //!    cache is a pure opt-in.
@@ -27,8 +27,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Cache-enabled serving stays a pure function of (trace, config):
-    /// identical JSON bytes under every engine × thread-count pairing,
-    /// on the repeat-heavy Zipf mix the cache is built for.
+    /// identical JSON bytes under both engines, on the repeat-heavy Zipf
+    /// mix the cache is built for.
     #[test]
     fn prop_cached_report_bytes_invariant_across_engines_and_threads(
         seed in 0u64..10_000,
@@ -39,28 +39,24 @@ proptest! {
         let policy = [Policy::Fcfs, Policy::Sjf][policy_idx];
         let mut baseline: Option<String> = None;
         for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ServeConfig {
+            let cfg = ServeConfig {
+                policy,
+                engine,
+                pool_tiles: 8,
+                weight_cache: Some(WeightCacheConfig::default()),
+                ..ServeConfig::default()
+            };
+            let json = serve(&registry, &trace, &cfg).unwrap().to_json();
+            match &baseline {
+                None => baseline = Some(json),
+                Some(b) => prop_assert_eq!(
+                    b,
+                    &json,
+                    "seed {} policy {:?} diverged under {:?}",
+                    seed,
                     policy,
-                    engine,
-                    threads,
-                    pool_tiles: 8,
-                    weight_cache: Some(WeightCacheConfig::default()),
-                    ..ServeConfig::default()
-                };
-                let json = serve(&registry, &trace, &cfg).unwrap().to_json();
-                match &baseline {
-                    None => baseline = Some(json),
-                    Some(b) => prop_assert_eq!(
-                        b,
-                        &json,
-                        "seed {} policy {:?} diverged under {:?} x {} threads",
-                        seed,
-                        policy,
-                        engine,
-                        threads
-                    ),
-                }
+                    engine
+                ),
             }
         }
     }

@@ -98,7 +98,7 @@ fn n1_cluster_report_matches_pinned_fixture() {
 
 // ------------------------------------------------------------- failover
 
-fn failover_cluster(engine: Engine, threads: usize) -> ClusterConfig {
+fn failover_cluster(engine: Engine) -> ClusterConfig {
     ClusterConfig {
         fabrics: 8,
         replicas: 2,
@@ -118,7 +118,6 @@ fn failover_cluster(engine: Engine, threads: usize) -> ClusterConfig {
         faults: kill(0, 120_000),
         base: ServeConfig {
             engine,
-            threads,
             weight_cache: Some(maicc_serve::cache::WeightCacheConfig::default()),
             ..base(Policy::Sjf, 8)
         },
@@ -132,7 +131,7 @@ fn failover_cluster(engine: Engine, threads: usize) -> ClusterConfig {
 fn fabric_kill_fails_over_without_losing_hard_requests() {
     let (registry, loads) = three_model_mix();
     let trace = Trace::bursty(&loads, 400_000, 150_000, 13);
-    let cfg = failover_cluster(Engine::EventDriven, 1);
+    let cfg = failover_cluster(Engine::EventDriven);
     let report = serve_cluster(&registry, &trace, &cfg).unwrap();
     assert_eq!(report.fabrics, 8);
     assert!(report.per_fabric[0].killed);
@@ -158,26 +157,21 @@ fn fabric_kill_fails_over_without_losing_hard_requests() {
 }
 
 /// The full cluster report (routing, failover, shedding, cache merge)
-/// is byte-identical across both engines and node-stepping thread
-/// counts {1, 2, 4, 8} — the same bar every single-fabric report meets.
+/// is byte-identical across both engines — the same bar every
+/// single-fabric report meets.
 #[test]
 fn cluster_failover_report_is_engine_and_thread_invariant() {
     let (registry, loads) = three_model_mix();
     let trace = Trace::bursty(&loads, 300_000, 150_000, 13);
     let mut baseline: Option<String> = None;
     for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = failover_cluster(engine, threads);
-            let json = serve_cluster(&registry, &trace, &cfg)
-                .unwrap()
-                .to_json();
-            match &baseline {
-                None => baseline = Some(json),
-                Some(b) => assert_eq!(
-                    b, &json,
-                    "cluster report diverged under {engine:?} x {threads} threads"
-                ),
-            }
+        let cfg = failover_cluster(engine);
+        let json = serve_cluster(&registry, &trace, &cfg)
+            .unwrap()
+            .to_json();
+        match &baseline {
+            None => baseline = Some(json),
+            Some(b) => assert_eq!(b, &json, "cluster report diverged under {engine:?}"),
         }
     }
 }
@@ -398,27 +392,25 @@ fn a_run_finishing_past_the_clock_range_is_a_typed_error() {
 /// Overload hardening composes with failover: on a 2-fabric cluster
 /// running the overload mix, a permanent kill of one fabric mid-run
 /// drains it onto the survivor, every request still ends with exactly
-/// one outcome, and the report is byte-identical across engines and
-/// node-stepping thread counts.
+/// one outcome, and the report is byte-identical across engines.
 #[test]
 fn overload_cluster_survives_a_fabric_kill() {
     let (registry, loads, overload) = maicc_serve::registry::overload_mix();
     let trace = Trace::bursty(&loads, 300_000, 200_000, 42);
-    let cfg = |engine: Engine, threads: usize| ClusterConfig {
+    let cfg = |engine: Engine| ClusterConfig {
         fabrics: 2,
         replicas: 2,
         heartbeat_interval: 20_000,
         faults: kill(0, 60_000),
         base: ServeConfig {
             engine,
-            threads,
             overload: Some(overload.clone()),
             retry_budget: Some(RetryBudget::default()),
             ..base(Policy::Sjf, 10)
         },
         ..ClusterConfig::default()
     };
-    let report = serve_cluster(&registry, &trace, &cfg(Engine::EventDriven, 1)).unwrap();
+    let report = serve_cluster(&registry, &trace, &cfg(Engine::EventDriven)).unwrap();
     assert!(report.per_fabric[0].killed);
     assert!(report.failovers > 0, "the kill strands or drains work");
     let mut ids: Vec<u64> = report.serve.outcomes.iter().map(|o| o.id).collect();
@@ -428,10 +420,8 @@ fn overload_cluster_survives_a_fabric_kill() {
     assert!(report.serve.outcomes.iter().all(|o| o.tier.is_some()));
     let json = report.to_json();
     for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-        for threads in [1, 4] {
-            let alt = serve_cluster(&registry, &trace, &cfg(engine, threads)).unwrap();
-            assert_eq!(json, alt.to_json(), "{engine:?} x {threads} threads diverged");
-        }
+        let alt = serve_cluster(&registry, &trace, &cfg(engine)).unwrap();
+        assert_eq!(json, alt.to_json(), "{engine:?} diverged");
     }
 }
 

@@ -1,7 +1,6 @@
 //! Property test: a serving run is a pure function of its trace seed and
 //! config — the report's JSON bytes are identical whichever simulation
-//! engine drives the fabric and however many node-stepping threads each
-//! simulation uses.
+//! engine drives the fabric.
 
 use maicc_serve::registry::three_model_mix;
 use maicc_serve::server::{serve, Policy, ServeConfig};
@@ -26,27 +25,23 @@ proptest! {
         let policy = [Policy::Fcfs, Policy::Sjf][policy_idx];
         let mut baseline: Option<String> = None;
         for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ServeConfig {
+            let cfg = ServeConfig {
+                policy,
+                engine,
+                pool_tiles: 16,
+                ..ServeConfig::default()
+            };
+            let json = serve(&registry, &trace, &cfg).unwrap().to_json();
+            match &baseline {
+                None => baseline = Some(json),
+                Some(b) => prop_assert_eq!(
+                    b,
+                    &json,
+                    "seed {} policy {:?} diverged under {:?}",
+                    seed,
                     policy,
-                    engine,
-                    threads,
-                    pool_tiles: 16,
-                    ..ServeConfig::default()
-                };
-                let json = serve(&registry, &trace, &cfg).unwrap().to_json();
-                match &baseline {
-                    None => baseline = Some(json),
-                    Some(b) => prop_assert_eq!(
-                        b,
-                        &json,
-                        "seed {} policy {:?} diverged under {:?} x {} threads",
-                        seed,
-                        policy,
-                        engine,
-                        threads
-                    ),
-                }
+                    engine
+                ),
             }
         }
     }
@@ -77,38 +72,34 @@ proptest! {
         let policy = [Policy::Fcfs, Policy::Sjf][policy_idx];
         let mut baseline: Option<String> = None;
         for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ServeConfig {
+            let cfg = ServeConfig {
+                policy,
+                engine,
+                pool_tiles: 10,
+                recovery: Some(RecoveryPolicy {
+                    max_replays: 8,
+                    remap: true,
+                    checkpoint_values: 8,
+                }),
+                fault: Some(FaultConfig {
+                    fail_at_requests: fail_at.clone(),
+                    ..FaultConfig::default()
+                }),
+                overload: Some(overload.clone()),
+                retry_budget: Some(RetryBudget::default()),
+                ..ServeConfig::default()
+            };
+            let json = serve(&registry, &trace, &cfg).unwrap().to_json();
+            match &baseline {
+                None => baseline = Some(json),
+                Some(b) => prop_assert_eq!(
+                    b,
+                    &json,
+                    "seed {} policy {:?} diverged under {:?}",
+                    seed,
                     policy,
-                    engine,
-                    threads,
-                    pool_tiles: 10,
-                    recovery: Some(RecoveryPolicy {
-                        max_replays: 8,
-                        remap: true,
-                        checkpoint_values: 8,
-                    }),
-                    fault: Some(FaultConfig {
-                        fail_at_requests: fail_at.clone(),
-                        ..FaultConfig::default()
-                    }),
-                    overload: Some(overload.clone()),
-                    retry_budget: Some(RetryBudget::default()),
-                    ..ServeConfig::default()
-                };
-                let json = serve(&registry, &trace, &cfg).unwrap().to_json();
-                match &baseline {
-                    None => baseline = Some(json),
-                    Some(b) => prop_assert_eq!(
-                        b,
-                        &json,
-                        "seed {} policy {:?} diverged under {:?} x {} threads",
-                        seed,
-                        policy,
-                        engine,
-                        threads
-                    ),
-                }
+                    engine
+                ),
             }
         }
     }

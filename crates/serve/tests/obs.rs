@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 /// The `maicc soak --quick` shape: 4 fabrics with 2-way replicas, a
 /// diurnal keyword-headed Zipf day, and seeded fault churn.
-fn soak_cfg(engine: Engine, threads: usize, horizon: u64, seed: u64) -> ClusterConfig {
+fn soak_cfg(engine: Engine, horizon: u64, seed: u64) -> ClusterConfig {
     ClusterConfig {
         fabrics: 4,
         replicas: 2,
@@ -35,7 +35,6 @@ fn soak_cfg(engine: Engine, threads: usize, horizon: u64, seed: u64) -> ClusterC
         base: ServeConfig {
             policy: Policy::Sjf,
             engine,
-            threads,
             pool_tiles: 16,
             weight_cache: Some(WeightCacheConfig::default()),
             ..ServeConfig::default()
@@ -70,8 +69,8 @@ fn sum(jsonl: &str, key: &str) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
     /// The telemetry stream of a churning cluster run is byte-identical
-    /// across both engines and node-stepping thread counts {1, 2, 4, 8}
-    /// — the same bar the reports meet, now holding per-interval.
+    /// across both engines — the same bar the reports meet, now holding
+    /// per-interval.
     #[test]
     fn prop_soak_jsonl_invariant_across_engines_and_threads(
         seed in 0u64..10_000,
@@ -81,18 +80,16 @@ proptest! {
         let trace = soak_trace(horizon, seed);
         let mut baseline: Option<String> = None;
         for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = soak_cfg(engine, threads, horizon, seed);
-                let (_, jsonl) =
-                    serve_cluster_with_obs(&registry, &trace, &cfg, 50_000).unwrap();
-                match &baseline {
-                    None => baseline = Some(jsonl),
-                    Some(b) => prop_assert_eq!(
-                        b, &jsonl,
-                        "soak stream diverged under {:?} x {} threads",
-                        engine, threads
-                    ),
-                }
+            let cfg = soak_cfg(engine, horizon, seed);
+            let (_, jsonl) =
+                serve_cluster_with_obs(&registry, &trace, &cfg, 50_000).unwrap();
+            match &baseline {
+                None => baseline = Some(jsonl),
+                Some(b) => prop_assert_eq!(
+                    b, &jsonl,
+                    "soak stream diverged under {:?}",
+                    engine
+                ),
             }
         }
     }
@@ -108,7 +105,7 @@ fn soak_interval_counters_sum_to_cluster_report_totals() {
     let horizon = 600_000;
     let (registry, _) = three_model_mix();
     let trace = soak_trace(horizon, 42);
-    let cfg = soak_cfg(Engine::EventDriven, 1, horizon, 42);
+    let cfg = soak_cfg(Engine::EventDriven, horizon, 42);
     let (report, jsonl) =
         serve_cluster_with_obs(&registry, &trace, &cfg, 50_000).unwrap();
     assert!(report.failovers > 0, "churn produced no failovers");
@@ -221,7 +218,7 @@ fn quick_soak_stream_matches_pinned_fixture() {
     let horizon = 600_000;
     let (registry, _) = three_model_mix();
     let trace = soak_trace(horizon, 42);
-    let cfg = soak_cfg(Engine::EventDriven, 1, horizon, 42);
+    let cfg = soak_cfg(Engine::EventDriven, horizon, 42);
     let (_, jsonl) = serve_cluster_with_obs(&registry, &trace, &cfg, 50_000).unwrap();
     assert_eq!(jsonl, include_str!("fixtures/soak_clean.jsonl"));
 }

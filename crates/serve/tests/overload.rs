@@ -91,15 +91,14 @@ fn acceptance_two_x_overload_with_fault_churn() {
     }
     assert!(json.contains("\"tier\": \"hard\""), "tier labels in JSON");
 
-    // Byte-identical across the engine × thread matrix (the proptest in
-    // tests/determinism.rs sweeps seeds; this pins the acceptance seed).
+    // Byte-identical across engines (the proptest in tests/determinism.rs
+    // sweeps seeds; this pins the acceptance seed).
     let alt = ServeConfig {
         engine: Engine::CycleAccurate,
-        threads: 4,
         ..config.clone()
     };
     let alt_json = serve(&registry, &trace, &alt).unwrap().to_json();
-    assert_eq!(json, alt_json, "report must not depend on engine/threads");
+    assert_eq!(json, alt_json, "report must not depend on the engine");
 }
 
 /// An unrecoverable run (dead slice, remap disabled) re-enters admission

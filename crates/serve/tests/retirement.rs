@@ -79,17 +79,15 @@ fn retirement_holds_invariants_under_every_policy() {
         let victim = report.outcomes.iter().find(|o| o.id == 0).unwrap();
         assert!(victim.ok, "{policy:?}: faulted run replays to a correct result");
 
-        // Byte-identical across engines and thread counts even with the
-        // retirement mid-run.
+        // Byte-identical across engines even with the retirement mid-run.
         let json = report.to_json();
-        for (engine, threads) in [(Engine::CycleAccurate, 1), (Engine::EventDriven, 4)] {
+        for engine in [Engine::CycleAccurate, Engine::EventDriven] {
             let alt = ServeConfig {
                 engine,
-                threads,
                 ..churn_cfg(policy)
             };
             let alt_json = serve(&registry, &trace, &alt).unwrap().to_json();
-            assert_eq!(json, alt_json, "{policy:?}: {engine:?}×{threads} diverged");
+            assert_eq!(json, alt_json, "{policy:?}: {engine:?} diverged");
         }
     }
 }
@@ -116,11 +114,10 @@ fn retirement_holds_invariants_under_overload_loop() {
         let json = report.to_json();
         let alt = ServeConfig {
             engine: Engine::CycleAccurate,
-            threads: 4,
             overload: Some(OverloadConfig::default()),
             ..churn_cfg(policy)
         };
         let alt_json = serve(&registry, &trace, &alt).unwrap().to_json();
-        assert_eq!(json, alt_json, "{policy:?}: engine/thread divergence");
+        assert_eq!(json, alt_json, "{policy:?}: engine divergence");
     }
 }

@@ -47,20 +47,14 @@ fn report_bytes_identical_across_engines_and_threads() {
     let trace = Trace::poisson(&loads, 250_000, 11);
     let mut baseline: Option<String> = None;
     for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-        for threads in [1, 4] {
-            let config = ServeConfig {
-                engine,
-                threads,
-                ..cfg(Policy::Fcfs, 16)
-            };
-            let json = serve(&registry, &trace, &config).unwrap().to_json();
-            match &baseline {
-                None => baseline = Some(json),
-                Some(b) => assert_eq!(
-                    b, &json,
-                    "report diverged under {engine:?} x {threads} threads"
-                ),
-            }
+        let config = ServeConfig {
+            engine,
+            ..cfg(Policy::Fcfs, 16)
+        };
+        let json = serve(&registry, &trace, &config).unwrap().to_json();
+        match &baseline {
+            None => baseline = Some(json),
+            Some(b) => assert_eq!(b, &json, "report diverged under {engine:?}"),
         }
     }
 }

@@ -39,7 +39,6 @@ use maicc_sram::ecc::{EccMode, EccStats};
 use maicc_sram::fault::{FaultPlan, FaultStats};
 use maicc_sram::{timing, transpose, Row, SramError};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Per-pixel transpose cost at the DC, cycles per byte.
 const TRANSPOSE_PER_BYTE: u64 = 3;
@@ -353,154 +352,6 @@ struct Checkpoint {
     lost: u64,
 }
 
-/// One shard of the per-cycle node step, handed to the pool worker that
-/// owns it.
-///
-/// Carries a raw slice so the borrow can cross an `mpsc` channel. Safety
-/// protocol, upheld by [`StepPool::step_shards`]: shards are disjoint,
-/// the pool owner touches no node while a task is outstanding, and every
-/// dispatched task's reply is collected before `step_shards` returns.
-struct StepTask {
-    nodes: *mut SimNode,
-    len: usize,
-    now: u64,
-    /// Per-shard packet scratch, round-tripped with the reply so neither
-    /// side allocates in steady state.
-    out: Vec<Packet<Msg>>,
-}
-
-// SAFETY: a task grants exclusive access to its disjoint node shard until
-// the matching `StepReply` is sent back (see the protocol on `StepTask`).
-unsafe impl Send for StepTask {}
-
-/// A worker's answer: the shard's emitted packets + its first error,
-/// tagged with the failing node's coordinates so recovery can localize
-/// (and remap around) the faulty tile.
-struct StepReply {
-    out: Vec<Packet<Msg>>,
-    res: Result<(), (Coord, SimError)>,
-}
-
-/// A persistent worker pool for the sharded node step.
-///
-/// Made once per [`StreamSim::run`] and held across the whole loop (the
-/// workers block on their task channels between stepping cycles), it
-/// replaces the previous per-cycle `thread::scope`, whose spawn/join cost
-/// every single cycle outweighed the sharded stepping it bought. The
-/// workers start on the first dispatch, so a run that never has two
-/// shards with work spawns no thread.
-struct StepPool<'scope, 'env> {
-    /// The run's scope, which the workers are spawned onto.
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    threads: usize,
-    dims: &'scope [LayerDims],
-    cfg: &'scope StreamConfig,
-    /// Task/reply channel pair per worker, in shard order; empty until
-    /// the first dispatch.
-    workers: Vec<(Sender<StepTask>, Receiver<StepReply>)>,
-    /// Per-worker packet buffers, reused across stepping cycles.
-    scratch: Vec<Vec<Packet<Msg>>>,
-}
-
-impl<'scope, 'env> StepPool<'scope, 'env> {
-    /// A pool of `threads` workers on `scope`, none spawned yet.
-    fn new(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        threads: usize,
-        dims: &'scope [LayerDims],
-        cfg: &'scope StreamConfig,
-    ) -> Self {
-        StepPool {
-            scope,
-            threads,
-            dims,
-            cfg,
-            workers: Vec::new(),
-            scratch: vec![Vec::new(); threads],
-        }
-    }
-
-    /// Spawns the workers; they exit when the pool is dropped (their task
-    /// senders hang up).
-    fn start(&mut self) {
-        let (dims, cfg) = (self.dims, self.cfg);
-        self.workers = (0..self.threads)
-            .map(|_| {
-                let (task_tx, task_rx) = channel::<StepTask>();
-                let (reply_tx, reply_rx) = channel::<StepReply>();
-                self.scope.spawn(move || {
-                    while let Ok(mut t) = task_rx.recv() {
-                        // SAFETY: the shard is disjoint and exclusively
-                        // this worker's until the reply below is sent.
-                        let shard = unsafe { std::slice::from_raw_parts_mut(t.nodes, t.len) };
-                        let mut res = Ok(());
-                        for node in shard {
-                            // `node_pending` exactly certifies a no-op
-                            // step, so skipping non-pending nodes is
-                            // bit-identical to stepping them
-                            if node.busy_until > t.now || !node_pending(node) {
-                                continue;
-                            }
-                            let coord = node.coord;
-                            if let Err(e) = step_node(node, t.now, dims, cfg, &mut t.out, true) {
-                                res = Err((coord, e));
-                                break;
-                            }
-                        }
-                        if reply_tx.send(StepReply { out: t.out, res }).is_err() {
-                            break;
-                        }
-                    }
-                });
-                (task_tx, reply_rx)
-            })
-            .collect();
-    }
-
-    /// The compute half of the two-phase schedule: every worker steps the
-    /// contiguous shard of nodes it owns (fixed `chunk`-sized index
-    /// ranges, computed once per run), lock-free, buffering its emitted
-    /// packets into its own queue. On return `self.scratch` holds the
-    /// per-shard output queues in shard order — which equals node-index
-    /// order — ready for [`Mesh::send_from_shards`], the exchange half.
-    /// The first call starts the workers.
-    fn step_shards(
-        &mut self,
-        nodes: &mut [SimNode],
-        chunk: usize,
-        now: u64,
-    ) -> Result<(), (Coord, SimError)> {
-        if self.workers.is_empty() {
-            self.start();
-        }
-        let mut dispatched = 0;
-        for (w, shard) in nodes.chunks_mut(chunk).enumerate() {
-            let out = std::mem::take(&mut self.scratch[w]);
-            self.workers[w]
-                .0
-                .send(StepTask {
-                    nodes: shard.as_mut_ptr(),
-                    len: shard.len(),
-                    now,
-                    out,
-                })
-                .expect("step worker alive");
-            dispatched += 1;
-        }
-        // collect every reply (restoring exclusive access to the nodes)
-        // before reporting the first shard's error
-        let mut first_err = Ok(());
-        for w in 0..dispatched {
-            let reply = self.workers[w].1.recv().expect("step worker alive");
-            if first_err.is_ok() {
-                first_err = reply.res;
-            }
-            self.scratch[w] = reply.out;
-        }
-        first_err
-    }
-}
-
 fn node_pending(n: &SimNode) -> bool {
     match &n.role {
         Role::Cc { .. } | Role::Sink { .. } => !n.inbox.is_empty(),
@@ -614,11 +465,12 @@ pub struct StreamSim {
     nodes: Vec<SimNode>,
     /// The node on each mesh tile, at [`tile_slot`].
     tile_of: Vec<Option<usize>>,
+    /// Each layer's `(in, out)` `(channels, height, width)`, derived once
+    /// while [`StreamSim::new`] validates the chain.
+    dims: Vec<LayerDims>,
     /// Fault injection: flip one bit of (layer, pixel)'s first row in
     /// flight.
     fault: Option<(usize, usize)>,
-    /// Node-step shards (1 = one shard, stepped inline).
-    parallelism: usize,
     /// Which simulation core drives `run`.
     engine: Engine,
     /// Checkpoint/replay policy; `None` (default) = detected faults
@@ -854,8 +706,8 @@ impl StreamSim {
             mesh: Mesh::new(MESH_SIDE, MESH_SIDE),
             nodes,
             tile_of,
+            dims,
             fault: None,
-            parallelism: 1,
             engine: Engine::default(),
             recovery: None,
             recovery_stats: RecoveryStats::default(),
@@ -919,27 +771,9 @@ impl StreamSim {
         Self::build(cfg, failed, Some(resident))
     }
 
-    /// Sets the number of node-step shards (clamped to at least 1).
-    ///
-    /// [`StreamSim::run`] always steps the **ownership-partitioned
-    /// engine** (see `run_loop_partitioned`): nodes are split into
-    /// contiguous index-range shards whose CMem/inbox state is owned
-    /// outright by one [`StepPool`] worker each, stepped lock-free within
-    /// a cycle (compute phase), with outgoing packets buffered into
-    /// per-shard queues that a deterministic merge drains in shard order —
-    /// equal to node-index order, i.e. exactly the sequential injection
-    /// schedule — between cycles (exchange phase). Results are therefore
-    /// bit-exact against [`StreamSim::run_reference`] by construction
-    /// (regression- and proptest-enforced by
-    /// `parallel_matches_sequential_matrix` and
-    /// `prop_parallel_matches_sequential`). At 1 shard, on a host without
-    /// spare cores, or when a CMem fault plan makes mid-phase errors
-    /// possible, the coordinator steps the shards itself in the same
-    /// order — the merge schedule, and so the result, is identical either
-    /// way.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
+    /// Ignored: [`StreamSim::run`] steps every node on the calling thread,
+    /// in index order. Kept only for perfbench, which still calls it.
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
     /// Selects the simulation engine (default: [`Engine::EventDriven`]).
     ///
@@ -1060,7 +894,7 @@ impl StreamSim {
     /// Cycles at which the last [`StreamSim::run`] took sink-progress
     /// checkpoints, ascending (empty with no [`RecoveryPolicy`]). The
     /// trigger counts *logical* progress at the sink, so the log is
-    /// bit-identical across [`Engine`]s and thread counts — a serving
+    /// bit-identical across [`Engine`]s and both loops — a serving
     /// layer preempting a run mid-flight uses it to find the latest
     /// architectural state the victim can resume from instead of
     /// restarting.
@@ -1131,12 +965,12 @@ impl StreamSim {
     }
 
     /// Runs to completion on the sequential reference loop: the full-scan
-    /// mesh tick, every free node stepped every cycle, every MAC executed
-    /// on the bit-plane arrays, and no worker pool whatever
-    /// [`StreamSim::set_parallelism`] says. Same result, statistics and
-    /// errors as [`StreamSim::run`]; it has no production caller and is
-    /// kept as the oracle the partitioned engine is tested against and as
-    /// the sequential baseline of the wall-clock harness.
+    /// mesh tick, every free node stepped every cycle, and every MAC
+    /// executed on the bit-plane arrays. Same result, statistics and
+    /// errors as [`StreamSim::run`], since both loops step the nodes in
+    /// index order; it has no production caller and is kept as the oracle
+    /// the partitioned loop is tested against and as the baseline of the
+    /// wall-clock harness.
     ///
     /// # Errors
     ///
@@ -1146,43 +980,15 @@ impl StreamSim {
     }
 
     fn run_with(&mut self, budget: u64, reference: bool) -> Result<StreamResult, SimError> {
-        let dims = self.layer_dims();
         self.ckpt_log.clear();
-        // the pool workers borrow the config for the whole run, so hand
-        // them a run-local copy (one clone per run, microseconds)
-        let cfg = self.cfg.clone();
         if self.recovery.is_some() && self.checkpoint.is_none() {
             self.take_checkpoint();
         }
-        // Shard geometry is fixed for the whole run (the node count is a
-        // function of the layer shapes, so remap rebuilds preserve it):
-        // hoisted here instead of being re-derived every cycle.
-        let shards = self.parallelism.min(self.nodes.len()).max(1);
-        let chunk = self.nodes.len().div_ceil(shards);
-        // Dispatching shards to real threads only pays when the host has
-        // spare cores to run them on; and with a CMem fault plan armed a
-        // shard step can fail mid-phase, where the sequential abort point
-        // (nodes after the failing one do not step that cycle) must be
-        // reproduced exactly — both cases fall back to the coordinator
-        // stepping the shards inline in shard order, which is the same
-        // merge schedule.
-        let use_pool = !reference
-            && shards > 1
-            && self.cmem_plan.is_none()
-            && self.targeted_plans.is_empty()
-            && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
         loop {
             let res = if reference {
-                self.run_loop(budget, &dims, &cfg)
-            } else if use_pool {
-                let dims_ref: &[LayerDims] = &dims;
-                let cfg_ref: &StreamConfig = &cfg;
-                std::thread::scope(|scope| {
-                    let mut pool = StepPool::new(scope, shards, dims_ref, cfg_ref);
-                    self.run_loop_partitioned(budget, dims_ref, cfg_ref, chunk, Some(&mut pool))
-                })
+                self.run_loop(budget)
             } else {
-                self.run_loop_partitioned(budget, &dims, &cfg, chunk, None)
+                self.run_loop_partitioned(budget)
             };
             match res {
                 Ok(()) => break,
@@ -1194,13 +1000,7 @@ impl StreamSim {
             }
         }
         let cycles = self.mesh.cycle() + self.recovery_stats.replayed_cycles;
-        let last = self.cfg.layers.last().expect("non-empty");
-        let out_c = last.shape.out_channels;
-        let (oh, ow) = {
-            let d = self.layer_dims();
-            let (_, o) = d[d.len() - 1];
-            (o.1, o.2)
-        };
+        let (out_c, oh, ow) = self.dims.last().expect("non-empty").1;
         let mut ofmap = vec![0i8; out_c * oh * ow];
         let mut cmem_pj = self.recovery_stats.replayed_pj;
         for n in &self.nodes {
@@ -1457,12 +1257,7 @@ impl StreamSim {
     /// cycle, every MAC executed on the bit-plane arrays. Returns when the
     /// workload has drained (`Ok`) or with the same typed errors as
     /// [`StreamSim::run`].
-    fn run_loop(
-        &mut self,
-        budget: u64,
-        dims: &[LayerDims],
-        cfg: &StreamConfig,
-    ) -> Result<(), SimError> {
+    fn run_loop(&mut self, budget: u64) -> Result<(), SimError> {
         // the full-scan tick neither needs nor maintains the partitioned
         // engine's active-router tracking (a rollback may have restored a
         // mesh that carried it)
@@ -1487,7 +1282,9 @@ impl StreamSim {
                         continue;
                     }
                     let coord = node.coord;
-                    if let Err(e) = step_node(node, now, dims, cfg, &mut outgoing, false) {
+                    if let Err(e) =
+                        step_node(node, now, &self.dims, &self.cfg, &mut outgoing, false)
+                    {
                         first = Some((coord, e));
                         break;
                     }
@@ -1559,10 +1356,11 @@ impl StreamSim {
         }
     }
 
-    /// The ownership-partitioned simulation loop behind every
-    /// [`StreamSim::run`]: the two-phase (compute / exchange) schedule
-    /// over shard-owned node state, bit-identical to
-    /// [`StreamSim::run_loop`] by construction.
+    /// The partitioned simulation loop behind every [`StreamSim::run`],
+    /// bit-identical to [`StreamSim::run_loop`]: both step nodes in index
+    /// order and send the packets they emit in that order. The name is
+    /// kept from the node-shard worker pool the loop once fed (DESIGN.md
+    /// §14); every node now steps on the calling thread.
     ///
     /// Per cycle: the mesh ticks over its tracked active-router set (a
     /// maintained superset of routers with queued work, fault plans
@@ -1570,28 +1368,15 @@ impl StreamSim {
     /// so a superset scan is byte-identical, proptest-enforced in
     /// `maicc-noc`); the node phase runs only when a delivery landed or
     /// the precomputed wake cycle arrived (`next_node_event` certifies
-    /// every skipped step a no-op); shards step lock-free against state
-    /// they own, buffering packets per shard; and the exchange merges the
-    /// shard queues in shard order — equal to node-index order, the
-    /// sequential injection schedule. With `pool` absent (one shard, a
-    /// single-core host, or a CMem fault plan whose mid-phase abort point
-    /// must match the sequential loop) the coordinator steps the shards
-    /// itself in the same order.
+    /// every skipped step a no-op), and in it only free nodes with pending
+    /// work step (`node_pending` certifies the others' steps no-ops).
     ///
     /// Completion, quiescence, checkpoint, and budget checks reuse values
     /// cached at the last node phase: nodes only change state in a phase
     /// (deliveries force one), so the cached `finished`/`wake` are exact
     /// on phase-skipped cycles and every exit fires on the same cycle as
     /// the sequential loop.
-    #[allow(clippy::too_many_lines)]
-    fn run_loop_partitioned(
-        &mut self,
-        budget: u64,
-        dims: &[LayerDims],
-        cfg: &StreamConfig,
-        chunk: usize,
-        mut pool: Option<&mut StepPool<'_, '_>>,
-    ) -> Result<(), SimError> {
+    fn run_loop_partitioned(&mut self, budget: u64) -> Result<(), SimError> {
         // (re)build the tracked active-router set — exact after a
         // rollback restored an older mesh or a remap rebuilt a fresh one
         self.mesh.enable_partitioned_stepping();
@@ -1613,49 +1398,23 @@ impl StreamSim {
                 for d in delivered.drain(..) {
                     self.deliver(d)?;
                 }
-                // compute phase: shards step the nodes they own. Going
-                // wide only pays when at least two shards have work;
-                // otherwise the coordinator walks them inline — the same
-                // schedule, without the dispatch round-trip.
-                let failed: Option<(Coord, SimError)> = match pool.as_deref_mut() {
-                    Some(pool)
-                        if self
-                            .nodes
-                            .chunks(chunk)
-                            .filter(|s| {
-                                s.iter().any(|n| n.busy_until <= now && node_pending(n))
-                            })
-                            .count()
-                            >= 2 =>
+                let mut failed = None;
+                for node in &mut self.nodes {
+                    if node.busy_until > now || !node_pending(node) {
+                        continue;
+                    }
+                    let coord = node.coord;
+                    if let Err(e) =
+                        step_node(node, now, &self.dims, &self.cfg, &mut outgoing, true)
                     {
-                        let res = pool.step_shards(&mut self.nodes, chunk, now);
-                        // exchange phase: merge the per-shard output
-                        // queues in shard order
-                        injected = pool.scratch.iter().any(|q| !q.is_empty());
-                        self.mesh.send_from_shards(&mut pool.scratch);
-                        res.err()
+                        failed = Some((coord, e));
+                        break;
                     }
-                    _ => {
-                        let mut first = None;
-                        for node in &mut self.nodes {
-                            if node.busy_until > now || !node_pending(node) {
-                                continue;
-                            }
-                            let coord = node.coord;
-                            if let Err(e) =
-                                step_node(node, now, dims, cfg, &mut outgoing, true)
-                            {
-                                first = Some((coord, e));
-                                break;
-                            }
-                        }
-                        injected = !outgoing.is_empty();
-                        for p in outgoing.drain(..) {
-                            self.mesh.send(p);
-                        }
-                        first
-                    }
-                };
+                }
+                injected = !outgoing.is_empty();
+                for p in outgoing.drain(..) {
+                    self.mesh.send(p);
+                }
                 if let Some((coord, e)) = failed {
                     self.fault_coord = Some(coord);
                     return Err(e);
@@ -1728,26 +1487,6 @@ impl StreamSim {
             }
         }
         earliest_pending.or(latest_busy)
-    }
-
-    fn layer_dims(&self) -> Vec<LayerDims> {
-        let mut out = Vec::new();
-        let mut cur = (
-            self.cfg.input.shape()[0],
-            self.cfg.input.shape()[1],
-            self.cfg.input.shape()[2],
-        );
-        for l in &self.cfg.layers {
-            let s = &l.shape;
-            let o = (
-                s.out_channels,
-                (cur.1 - s.kernel_h) / s.stride + 1,
-                (cur.2 - s.kernel_w) / s.stride + 1,
-            );
-            out.push((cur, o));
-            cur = o;
-        }
-        out
     }
 
     fn finished(&self) -> bool {
@@ -2229,14 +1968,12 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_matrix() {
-        // the partitioned-engine matrix: `run()` at threads {1, 2, 4, 8}
-        // × both engines × {clean, CMem transient plan + replay, NoC drop
-        // plan + replay, dead tile + remap, the serving fault config,
-        // stuck cells + transients under each ECC mode} against
-        // `run_reference`, the sequential loop, whose MACs all run on the
-        // arrays. One thread is a production configuration (the
-        // partitioned loop stepped inline), so it is compared too. The
-        // partitioned engine must reproduce the reference byte-for-byte:
+        // the partitioned-engine matrix: `run()` on both engines × {clean,
+        // CMem transient plan + replay, NoC drop plan + replay, dead tile +
+        // remap, the serving fault config, stuck cells + transients under
+        // each ECC mode} against `run_reference`, the sequential loop,
+        // whose MACs all run on the arrays. The partitioned engine must
+        // reproduce the reference byte-for-byte:
         // the result or error, recovery stats, fault and ECC
         // observations, and the retired-tile set. Under ECC its MACs take
         // the checked byte-shadow path; without ECC none does.
@@ -2261,14 +1998,13 @@ mod tests {
             /// loops.
             StuckDetect,
         }
-        let build = |sc: Scenario, engine: Engine, threads: usize| {
+        let build = |sc: Scenario, engine: Engine| {
             let cfg = match sc {
                 Scenario::Clean => StreamConfig::two_layer_test(),
                 _ => StreamConfig::small_test(),
             };
             let mut sim = StreamSim::new(&cfg).unwrap();
             sim.set_engine(engine);
-            sim.set_parallelism(threads);
             match sc {
                 Scenario::Clean => {}
                 Scenario::CmemPlan => {
@@ -2345,7 +2081,7 @@ mod tests {
                     | Scenario::StuckDetect
             );
             for engine in [Engine::EventDriven, Engine::CycleAccurate] {
-                let (cfg, mut base) = build(sc, engine, 1);
+                let (cfg, mut base) = build(sc, engine);
                 let seq = base.run_reference(20_000_000);
                 assert_eq!(
                     base.checked_macs(),
@@ -2377,39 +2113,37 @@ mod tests {
                     }
                     _ => {}
                 }
-                for threads in [1, 2, 4, 8] {
-                    let (_, mut sim) = build(sc, engine, threads);
-                    let par = sim.run(20_000_000);
-                    let tag = format!("{sc:?}/{engine:?}/{threads} threads");
-                    assert_eq!(par, seq, "StreamResult diverged: {tag}");
-                    assert_eq!(
-                        sim.checked_macs() > 0,
-                        ecc,
-                        "checked MACs {} under ECC {ecc}: {tag}",
-                        sim.checked_macs()
-                    );
-                    assert_eq!(
-                        sim.recovery_stats(),
-                        base.recovery_stats(),
-                        "recovery stats diverged: {tag}"
-                    );
-                    assert_eq!(
-                        sim.cmem_fault_stats(),
-                        base.cmem_fault_stats(),
-                        "CMem fault stats diverged: {tag}"
-                    );
-                    assert_eq!(
-                        sim.noc_fault_stats(),
-                        base.noc_fault_stats(),
-                        "NoC fault stats diverged: {tag}"
-                    );
-                    assert_eq!(sim.ecc_stats(), base.ecc_stats(), "ECC stats diverged: {tag}");
-                    assert_eq!(
-                        sim.retired_tiles(),
-                        base.retired_tiles(),
-                        "retired tiles diverged: {tag}"
-                    );
-                }
+                let (_, mut sim) = build(sc, engine);
+                let par = sim.run(20_000_000);
+                let tag = format!("{sc:?}/{engine:?}");
+                assert_eq!(par, seq, "StreamResult diverged: {tag}");
+                assert_eq!(
+                    sim.checked_macs() > 0,
+                    ecc,
+                    "checked MACs {} under ECC {ecc}: {tag}",
+                    sim.checked_macs()
+                );
+                assert_eq!(
+                    sim.recovery_stats(),
+                    base.recovery_stats(),
+                    "recovery stats diverged: {tag}"
+                );
+                assert_eq!(
+                    sim.cmem_fault_stats(),
+                    base.cmem_fault_stats(),
+                    "CMem fault stats diverged: {tag}"
+                );
+                assert_eq!(
+                    sim.noc_fault_stats(),
+                    base.noc_fault_stats(),
+                    "NoC fault stats diverged: {tag}"
+                );
+                assert_eq!(sim.ecc_stats(), base.ecc_stats(), "ECC stats diverged: {tag}");
+                assert_eq!(
+                    sim.retired_tiles(),
+                    base.retired_tiles(),
+                    "retired tiles diverged: {tag}"
+                );
             }
         }
     }
@@ -2698,17 +2432,16 @@ mod tests {
     fn crc_failed_packets_are_faults_not_payloads() {
         // without a retry policy the mesh hands over packets whose CRC
         // failed; consuming one would pass suspect data on, so it is a
-        // typed fault, the same on every engine and thread count
+        // typed fault, the same on every engine
         let cfg = StreamConfig::small_test();
-        let run = |engine: Engine, threads: usize, retry: Option<RetryPolicy>| {
+        let run = |engine: Engine, retry: Option<RetryPolicy>| {
             let mut sim = StreamSim::new(&cfg).unwrap();
             sim.set_engine(engine);
-            sim.set_parallelism(threads);
             sim.attach_noc_fault_plan(NocFaultPlan::with_seed(7).corrupt_rate(0.01));
             sim.set_noc_retry_policy(retry);
             (sim.run(5_000_000), sim.noc_fault_stats())
         };
-        let (bare, _) = run(Engine::EventDriven, 1, None);
+        let (bare, _) = run(Engine::EventDriven, None);
         let err = bare.unwrap_err();
         assert!(
             matches!(
@@ -2719,15 +2452,11 @@ mod tests {
             ),
             "{err:?}"
         );
-        for (engine, threads) in [(Engine::EventDriven, 2), (Engine::CycleAccurate, 1)] {
-            assert_eq!(
-                run(engine, threads, None).0,
-                Err(err.clone()),
-                "{engine:?} x {threads}"
-            );
+        for engine in [Engine::EventDriven, Engine::CycleAccurate] {
+            assert_eq!(run(engine, None).0, Err(err.clone()), "{engine:?}");
         }
         // a retry policy NACKs each damaged packet and resends it
-        let (r, stats) = run(Engine::EventDriven, 1, Some(RetryPolicy::default()));
+        let (r, stats) = run(Engine::EventDriven, Some(RetryPolicy::default()));
         assert_eq!(r.unwrap().ofmap, cfg.golden());
         assert!(stats.crc_rejects > 0, "{stats:?}");
     }
@@ -2846,16 +2575,16 @@ mod tests {
             prop_assert_eq!(fecc, oecc, "ECC stats diverged");
         }
 
-        /// Thread-count equivalence on random workloads: `run()` at
-        /// threads {1, 2, 4, 8} reproduces the sequential reference loop
-        /// (`run_reference`) bit-for-bit, on both engines, clean or under
-        /// the fault shape of a fault-injected serving run — a CMem
-        /// transient plan, NoC corruption with CRC retransmission, ECC
-        /// correction, remap recovery and, optionally, a dead slice on the
-        /// first computing core. The partitioned engine's merge order
-        /// makes this hold by construction, and this proptest keeps it
-        /// honest: results or typed errors, and every fault, ECC and
-        /// recovery statistic, must match.
+        /// Loop equivalence on random workloads: `run()` reproduces the
+        /// sequential reference loop (`run_reference`) bit-for-bit, on
+        /// both engines, clean or under the fault shape of a
+        /// fault-injected serving run — a CMem transient plan, NoC
+        /// corruption with CRC retransmission, ECC correction, remap
+        /// recovery and, optionally, a dead slice on the first computing
+        /// core. Both loops step nodes and send their packets in index
+        /// order, and this proptest keeps that honest: results or typed
+        /// errors, and every fault, ECC and recovery statistic, must
+        /// match.
         #[test]
         fn prop_parallel_matches_sequential(
             in_c in 4usize..=16,
@@ -2881,10 +2610,9 @@ mod tests {
             } else {
                 Engine::EventDriven
             };
-            let build = |threads: usize| {
+            let build = || {
                 let mut sim = StreamSim::new(&cfg).unwrap();
                 sim.set_engine(engine);
-                sim.set_parallelism(threads);
                 if faults {
                     let seed = salt as u64;
                     sim.attach_cmem_fault_plan(&FaultPlan::with_seed(seed + 41).transient(1e-2));
@@ -2913,18 +2641,16 @@ mod tests {
                     sim.retired_tiles().to_vec(),
                 )
             };
-            let mut seq = build(1);
+            let mut seq = build();
             let s = seq.run_reference(4_000_000).map_err(|e| e.to_string());
             let s_obs = observe(&seq);
             if !faults {
                 prop_assert_eq!(s.as_ref().map(|r| &r.ofmap), Ok(&cfg.golden()));
             }
-            for threads in [1, 2, 4, 8] {
-                let mut par = build(threads);
-                let p = par.run(4_000_000).map_err(|e| e.to_string());
-                prop_assert_eq!(&p, &s, "{} threads ({:?})", threads, engine);
-                prop_assert_eq!(observe(&par), s_obs, "{} threads ({:?})", threads, engine);
-            }
+            let mut par = build();
+            let p = par.run(4_000_000).map_err(|e| e.to_string());
+            prop_assert_eq!(&p, &s, "{:?}", engine);
+            prop_assert_eq!(observe(&par), s_obs, "{:?}", engine);
         }
 
         /// Satellite regression: with empty fault plans attached, the
